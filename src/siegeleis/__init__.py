@@ -21,12 +21,12 @@ from .glbranch import (
     VirtualBundle,
     branch,
     deletion_parity,
-    dual_weight,
     is_dominant,
     straighten,
     telescope_bruteforce,
     telescope_closed,
     wedge_dual_tensor,
+    wedge_dual_tensor_straightened,
 )
 from .motivering import MotiveExpr, Symbol, VerificationReport, cusp_dim
 from .weylcomb import (
@@ -48,10 +48,10 @@ __all__ = [
     "GlWeight",
     "VirtualBundle",
     "is_dominant",
-    "dual_weight",
     "branch",
     "straighten",
     "wedge_dual_tensor",
+    "wedge_dual_tensor_straightened",
     "telescope_closed",
     "telescope_bruteforce",
     "deletion_parity",

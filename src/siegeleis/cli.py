@@ -238,6 +238,10 @@ def run(argv) -> tuple[int, str, str]:
                 return 0, "", ""
             return 0, text, ""
         if args.command == "verify":
+            if args.max_g < 1:
+                raise _UsageError(f"--max-g: must be >= 1, got {args.max_g}")
+            if args.max_entry < 0:
+                raise _UsageError(f"--max-entry: must be >= 0, got {args.max_entry}")
             report = suites.run_suite(args.suite, args.max_g, args.max_entry)
             out = report.render(args.format) + "\n"
             return (0 if report.passed else 1), out, ""

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .glbranch import GlWeight, deletion_parity, dual_weight, is_dominant
+from .glbranch import GlWeight, deletion_parity, is_dominant, telescope_surgery
 from .motivering import MotiveExpr, VerificationReport, cusp_dim
 from .weylcomb import (
     WeylElement,
@@ -51,17 +51,12 @@ def bgg_complex(g: int, lam: Sequence[int]) -> list[BggTerm]:
         raise ValueError("weight length must equal g")
     terms = []
     for w in enumerate_final(g):
-        mu = dual_weight(GlWeight(w.dot_action(lam)))
+        mu = GlWeight(w.dot_action(lam)).dual()
         num = sum(lam) + sum(mu.entries)
         assert num % 2 == 0
         terms.append(BggTerm(w, mu, w.length(), num // 2))
     terms.sort(key=lambda t: (t.degree, t.mu.entries))
     return terms
-
-
-def _tau(a: tuple[int, ...], l: int) -> tuple[int, ...]:
-    """Telescope surgery: drop the l-th entry, lower everything after it."""
-    return a[: l - 1] + tuple(x - 1 for x in a[l:])
 
 
 @dataclass(frozen=True)
@@ -83,12 +78,12 @@ def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
         raise ValueError("weight length must equal g")
     out = []
     for w in enumerate_final(g):
-        a = dual_weight(GlWeight(w.dot_action(lam))).entries
+        a = GlWeight(w.dot_action(lam)).dual().entries
         lw = w.length()
         for k in range(1, g + 1):
             side, pos = image_dichotomy(w, k)
             l = g + 1 - pos
-            weight = GlWeight(_tau(a, l))
+            weight = GlWeight(telescope_surgery(a, l))
             sign = (-1) ** (lw + g - l)
             twist = 0 if side == "A" else lam[k - 1] + g + 1 - k
             u = restrict_final(w, k, side)
@@ -133,7 +128,7 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
     ok, cex = True, None
     for t in terms:
         tp = tau_prime(lam, t.k)
-        expected = dual_weight(GlWeight(t.u.dot_action(tp))) if g > 1 else GlWeight(())
+        expected = GlWeight(t.u.dot_action(tp)).dual() if g > 1 else GlWeight(())
         if t.weight != expected:
             ok, cex = False, f"w={t.source_w}, k={t.k}: {t.weight} != {expected}"
             break

@@ -39,17 +39,17 @@ class GlWeight:
         return GlWeight(tuple(-a for a in reversed(self.entries)))
 
 
-def dual_weight(mu: GlWeight) -> GlWeight:
-    return mu.dual()
+def _interlacing(a: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+    """Entry tuples of the GL(g-1) weights interlacing a, lexicographically."""
+    if len(a) == 0:
+        raise ValueError("cannot branch the empty weight")
+    ranges = [range(a[i + 1], a[i] + 1) for i in range(len(a) - 1)]
+    return itertools.product(*ranges)
 
 
 def branch(mu: GlWeight) -> list[GlWeight]:
     """All GL(g-1) weights interlacing mu, in lexicographic order."""
-    a = mu.entries
-    if len(a) == 0:
-        raise ValueError("cannot branch the empty weight")
-    ranges = [range(a[i + 1], a[i] + 1) for i in range(len(a) - 1)]
-    return [GlWeight(b) for b in itertools.product(*ranges)]
+    return [GlWeight(b) for b in _interlacing(mu.entries)]
 
 
 def straighten(v: Sequence[int]):
@@ -158,19 +158,39 @@ class VirtualBundle:
     __repr__ = __str__
 
 
+def _deletions(v: tuple[int, ...], k: int) -> Iterable[tuple[int, ...]]:
+    """Entry tuples of the dominant vectors v - e_S over k-subsets S."""
+    for subset in itertools.combinations(range(len(v)), k):
+        w = list(v)
+        for i in subset:
+            w[i] -= 1
+        if is_dominant(w):
+            yield tuple(w)
+
+
 def wedge_dual_tensor(mu: GlWeight, k: int) -> VirtualBundle:
     """mu tensored with the k-th exterior power of the dual standard rep,
-    as a signed sum of dominant weights.
+    as a sum of dominant weights.
 
-    Computed through the straightening recursion; the simpler rule
-    (subtract 1 from k entries, drop non-dominant results) is asserted to
-    agree on every call.
+    Deletion rule: subtract 1 from k entries of mu in every possible way
+    and keep the dominant results, each with coefficient 1.
+    `wedge_dual_tensor_straightened` is its independent oracle.
     """
     n = len(mu)
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-    via_straighten: dict[tuple[GlWeight, int], int] = {}
-    via_deletion: dict[tuple[GlWeight, int], int] = {}
+    return VirtualBundle(
+        n, {(GlWeight(v), 0): 1 for v in _deletions(mu.entries, k)}
+    )
+
+
+def wedge_dual_tensor_straightened(mu: GlWeight, k: int) -> VirtualBundle:
+    """Oracle for `wedge_dual_tensor`: straighten every mu - e_S over the
+    k-subsets S and add up the signed dominant weights."""
+    n = len(mu)
+    if not 0 <= k <= n:
+        raise ValueError("k out of range")
+    terms: dict[tuple[GlWeight, int], int] = {}
     for subset in itertools.combinations(range(n), k):
         v = list(mu.entries)
         for i in subset:
@@ -178,17 +198,13 @@ def wedge_dual_tensor(mu: GlWeight, k: int) -> VirtualBundle:
         st = straighten(v)
         if st is not None:
             sign, wt = st
-            key = (wt, 0)
-            via_straighten[key] = via_straighten.get(key, 0) + sign
-        if is_dominant(v):
-            key = (GlWeight(tuple(v)), 0)
-            via_deletion[key] = via_deletion.get(key, 0) + 1
-    result = VirtualBundle(n, via_straighten)
-    if result != VirtualBundle(n, via_deletion):
-        raise AssertionError(
-            f"straightening and deletion-rule results differ for mu={mu}, k={k}"
-        )
-    return result
+            terms[(wt, 0)] = terms.get((wt, 0), 0) + sign
+    return VirtualBundle(n, terms)
+
+
+def telescope_surgery(a: Sequence[int], l: int) -> tuple[int, ...]:
+    """Drop the l-th entry of a and lower every entry after it by 1."""
+    return tuple(a[: l - 1]) + tuple(x - 1 for x in a[l:])
 
 
 def telescope_closed(a: GlWeight) -> VirtualBundle:
@@ -199,25 +215,27 @@ def telescope_closed(a: GlWeight) -> VirtualBundle:
         raise ValueError("need a nonempty weight")
     terms: dict[tuple[GlWeight, int], int] = {}
     for k in range(1, g + 1):
-        wt = GlWeight(
-            tuple(a.entries[: k - 1]) + tuple(x - 1 for x in a.entries[k:])
-        )
+        wt = GlWeight(telescope_surgery(a.entries, k))
         terms[(wt, 0)] = terms.get((wt, 0), 0) + (-1) ** (g - k)
     return VirtualBundle(g - 1, terms)
 
 
 def telescope_bruteforce(a: GlWeight) -> VirtualBundle:
     """Independent oracle: branch to GL(g-1), then tensor with the
-    alternating sum of exterior powers of the dual standard rep."""
+    alternating sum of exterior powers of the dual standard rep.
+
+    Works on entry tuples with the deletion rule and builds weights only
+    for the result."""
     g = len(a)
     if g == 0:
         raise ValueError("need a nonempty weight")
-    total = VirtualBundle(g - 1)
-    for b in branch(a):
+    acc: dict[tuple[int, ...], int] = {}
+    for b in _interlacing(a.entries):
         for k in range(g):
-            term = wedge_dual_tensor(b, k)
-            total = total + (term if k % 2 == 0 else -term)
-    return total
+            sign = -1 if k % 2 else 1
+            for v in _deletions(b, k):
+                acc[v] = acc.get(v, 0) + sign
+    return VirtualBundle(g - 1, {(GlWeight(v), 0): c for v, c in acc.items()})
 
 
 def deletion_parity(a: GlWeight, k: int) -> bool:
@@ -225,8 +243,7 @@ def deletion_parity(a: GlWeight, k: int) -> bool:
     g = len(a)
     if not 1 <= k <= g:
         raise ValueError("k out of range")
-    s = sum(a.entries[: k - 1]) + sum(x - 1 for x in a.entries[k:])
-    return s % 2 == 0
+    return sum(telescope_surgery(a.entries, k)) % 2 == 0
 
 
 def dominant_weights(g: int, lo: int, hi: int) -> Iterable[GlWeight]:

@@ -171,6 +171,32 @@ class TestVerify:
         data = json.loads(out)
         assert all(c["status"] == "pass" for c in data)
 
+    def test_max_g_below_one(self):
+        code, out, err = run(["verify", "--suite", "weyl", "--max-g", "0"])
+        assert code == 2 and out == ""
+        assert "--max-g" in err
+
+    def test_negative_max_entry(self):
+        code, out, err = run(["verify", "--suite", "telescope", "--max-entry", "-1"])
+        assert code == 2 and out == ""
+        assert "--max-entry" in err and "randrange" not in err
+
+    def test_telescope_labels_name_what_ran(self):
+        code, out, _ = run(
+            ["verify", "--suite", "telescope", "--max-g", "3", "--max-entry", "2"]
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert "PASS telescope-random: g in {4}, 250 cases each, entries in [-2,2]" in lines
+        assert "PASS wedge-dual-route: n <= 3, entries in [-3,3]" in lines
+
+    def test_telescope_random_without_cases_fails(self):
+        code, out, _ = run(["verify", "--suite", "telescope", "--max-g", "2"])
+        assert code == 1
+        (line,) = [ln for ln in out.splitlines() if "telescope-random" in ln]
+        assert line.startswith("FAIL telescope-random: 0 cases")
+        assert "counterexample: --max-g 2" in line
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self):

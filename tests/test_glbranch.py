@@ -4,18 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from siegeleis import glbranch, suites
 from siegeleis.glbranch import (
     GlWeight,
     VirtualBundle,
     branch,
     deletion_parity,
     dominant_weights,
-    dual_weight,
     is_dominant,
     straighten,
     telescope_bruteforce,
     telescope_closed,
     wedge_dual_tensor,
+    wedge_dual_tensor_straightened,
 )
 
 
@@ -43,15 +44,15 @@ class TestDominanceAndDual:
         assert GlWeight(()).entries == ()
 
     def test_dual_examples(self):
-        assert dual_weight(gw(0, 0)) == gw(0, 0)
-        assert dual_weight(gw(5, -5)) == gw(5, -5)
-        assert dual_weight(gw(8, 6)) == gw(-6, -8)
+        assert gw(0, 0).dual() == gw(0, 0)
+        assert gw(5, -5).dual() == gw(5, -5)
+        assert gw(8, 6).dual() == gw(-6, -8)
 
     @given(dominant_tuples)
     def test_dual_involution(self, entries):
         mu = GlWeight(entries)
-        assert dual_weight(dual_weight(mu)) == mu
-        assert is_dominant(dual_weight(mu).entries)
+        assert mu.dual().dual() == mu
+        assert is_dominant(mu.dual().entries)
 
 
 class TestBranch:
@@ -128,15 +129,24 @@ class TestWedgeDualTensor:
         assert vb == VirtualBundle(2, {(gw(1, 1), 0): 1, (gw(2, 0), 0): 1})
 
     def test_routes_agree_sweep(self):
-        # the straightening route and deletion rule are cross-asserted
-        # inside the call; sweep the small range and check coefficients
-        for n in range(1, 6):
-            for mu in dominant_weights(n, -4, 4):
+        # the deletion rule against the straightening oracle: every branch
+        # the telescope gate feeds the oracle (n <= 4, entries in [-6,6]),
+        # and n = 5 beyond it
+        domains = [(n, 6) for n in range(5)] + [(5, 4)]
+        for n, e in domains:
+            for mu in dominant_weights(n, -e, e):
                 for k in range(n + 1):
-                    vb = wedge_dual_tensor(mu, k)
-                    assert all(c == 1 for _, c in vb.items())
-                    weights = [wt for (wt, _), _ in vb.items()]
-                    assert len(weights) == len(set(weights))
+                    assert wedge_dual_tensor(mu, k) == wedge_dual_tensor_straightened(mu, k), (mu, k)
+
+    def test_route_check_reports_a_wrong_oracle(self, monkeypatch):
+        def wrong(mu, k):
+            return VirtualBundle(len(mu))
+
+        monkeypatch.setattr(glbranch, "wedge_dual_tensor_straightened", wrong)
+        report = suites.verify_telescope(max_g=2, max_entry=2)
+        (check,) = [c for c in report.checks if c.name == "wedge-dual-route"]
+        assert not check.passed
+        assert check.counterexample.startswith("mu=")
 
 
 class TestTelescope:
@@ -184,6 +194,22 @@ class TestTelescope:
                 tuple(sorted((rng.randint(-6, 6) for _ in range(g)), reverse=True))
             )
             assert telescope_closed(a) == telescope_bruteforce(a)
+
+    def test_g6_beyond_the_gate(self):
+        rng = random.Random(6)
+        for _ in range(30):
+            a = GlWeight(
+                tuple(sorted((rng.randint(-4, 4) for _ in range(6)), reverse=True))
+            )
+            assert telescope_closed(a) == telescope_bruteforce(a), a
+
+    def test_bruteforce_does_not_straighten(self, monkeypatch):
+        def refuse(v):
+            raise AssertionError("straighten called from the telescope oracle")
+
+        monkeypatch.setattr(glbranch, "straighten", refuse)
+        for a in [gw(7), gw(2, 0), gw(1, 1, 0), gw(3, 1, -1, -2), gw(4, 2, 2, 0, -3)]:
+            assert telescope_bruteforce(a) == telescope_closed(a)
 
     @given(dominant_tuples)
     @settings(max_examples=60)
