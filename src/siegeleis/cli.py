@@ -166,22 +166,24 @@ def _render_bgg(g, lam, format):
 def _render_boundary(g, lam, format):
     terms = eiscalc.boundary_terms(g, lam)
     if format == "json":
-        return json.dumps(
-            [
+        # one record at a time, with the bytes json.dumps gives for the
+        # whole list (tuples encode as lists)
+        encode = json.JSONEncoder(separators=(", ", ": ")).encode
+        return "[" + ", ".join(
+            encode(
                 {
-                    "w": list(t.source_w.images),
+                    "w": t.source_w.images,
                     "k": t.k,
                     "side": t.side,
-                    "u": list(t.u.images),
-                    "weight": list(t.weight.entries),
+                    "u": t.u.images,
+                    "weight": t.weight.entries,
                     "sign": t.sign,
                     "twist": t.twist,
                     "parity_pass": t.parity_pass,
                 }
-                for t in terms
-            ],
-            separators=(", ", ": "),
-        )
+            )
+            for t in terms
+        ) + "]"
     return "\n".join(
         f"w={t.source_w} k={t.k} side={t.side} u={t.u} "
         f"weight=({','.join(str(a) for a in t.weight.entries)}) "
@@ -238,10 +240,14 @@ def run(argv) -> tuple[int, str, str]:
                 return 0, "", ""
             return 0, text, ""
         if args.command == "verify":
-            if args.max_g < 1:
-                raise _UsageError(f"--max-g: must be >= 1, got {args.max_g}")
-            if args.max_entry < 0:
-                raise _UsageError(f"--max-entry: must be >= 0, got {args.max_entry}")
+            # the weyl checks cost about g^2 * 2^g up to max-g, the
+            # telescope checks about max-entry^4
+            if not 1 <= args.max_g <= 16:
+                raise _UsageError(f"--max-g: must be in [1, 16], got {args.max_g}")
+            if not 0 <= args.max_entry <= 12:
+                raise _UsageError(
+                    f"--max-entry: must be in [0, 12], got {args.max_entry}"
+                )
             report = suites.run_suite(args.suite, args.max_g, args.max_entry)
             out = report.render(args.format) + "\n"
             return (0 if report.passed else 1), out, ""

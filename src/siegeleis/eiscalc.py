@@ -10,13 +10,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .glbranch import GlWeight, deletion_parity, is_dominant, telescope_surgery
+from .glbranch import GlWeight, is_dominant, telescope_surgery
 from .motivering import MotiveExpr, VerificationReport, cusp_dim
 from .weylcomb import (
     WeylElement,
     enumerate_final,
+    flip_dichotomy,
+    flip_length,
+    flip_mask,
     image_dichotomy,
     restrict_final,
+    restrict_flips,
 )
 
 
@@ -72,25 +76,43 @@ class BoundaryTerm:
 
 
 def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
-    """Expand the double sum over (w, k) of restricted telescope terms."""
+    """Expand the double sum over (w, k) of restricted telescope terms.
+
+    Each final w is handled through its flip mask F (`flip_mask`): the
+    side and position of k (`flip_dichotomy`), the length of w
+    (`flip_length`) and the mask of the restriction (`restrict_flips`) are
+    bit operations, and the restricted element u is looked up in a table
+    of the 2^(g-1) final elements of genus g-1, built once per call, so
+    every u is one of those validated `WeylElement`s.  The GL(1,Z) parity
+    filter is the entry-sum parity of the term's own weight, which is
+    what `deletion_parity` computes.
+
+    Returns a list, not a generator: callers take its length and walk it
+    more than once.
+    """
     lam = _check_sp_weight(lam)
     if len(lam) != g:
         raise ValueError("weight length must equal g")
+    if g == 1:
+        restricted = {0: WeylElement(0, ())}
+    else:
+        restricted = {flip_mask(u): u for u in enumerate_final(g - 1)}
     out = []
     for w in enumerate_final(g):
         a = GlWeight(w.dot_action(lam)).dual().entries
-        lw = w.length()
+        mask = flip_mask(w)
+        lw = flip_length(mask, g)
         for k in range(1, g + 1):
-            side, pos = image_dichotomy(w, k)
+            side, pos = flip_dichotomy(mask, g, k)
             l = g + 1 - pos
             weight = GlWeight(telescope_surgery(a, l))
             sign = (-1) ** (lw + g - l)
             twist = 0 if side == "A" else lam[k - 1] + g + 1 - k
-            u = restrict_final(w, k, side)
+            u = restricted[restrict_flips(mask, k)]
             out.append(
                 BoundaryTerm(
                     w, k, side, u, weight, sign, twist,
-                    deletion_parity(GlWeight(a), l),
+                    sum(weight.entries) % 2 == 0,
                 )
             )
     return out
@@ -106,7 +128,8 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
     for t in terms:
         by_w.setdefault(t.source_w, []).append(t)
 
-    # (i) exclusivity and k -> position bijection per w
+    # (i) exclusivity and k -> position bijection per w; each term's side
+    # and restriction against the image-based oracles
     ok, cex = True, None
     for w, ts in by_w.items():
         positions = []
@@ -117,8 +140,15 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
             if in_a == in_b:
                 ok, cex = False, f"w={w}, k={t.k}"
                 break
+            if t.side != side:
+                ok, cex = False, f"w={w}, k={t.k}: side {t.side} != {side}"
+                break
+            u = restrict_final(w, t.k, side)
+            if t.u != u:
+                ok, cex = False, f"w={w}, k={t.k}: u={t.u} != {u}"
+                break
             positions.append(pos)
-        if sorted(positions) != list(range(1, g + 1)):
+        if ok and sorted(positions) != list(range(1, g + 1)):
             ok, cex = False, f"w={w}, positions={positions}"
         if not ok:
             break

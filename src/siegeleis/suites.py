@@ -74,7 +74,14 @@ def verify_weyl(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
             side_a = [w for w in finals if k in w.images]
             side_b = [w for w in finals if k not in w.images]
             for side, pool in (("A", side_a), ("B", side_b)):
-                imgs = {weylcomb.restrict_final(w, k, side) for w in pool}
+                imgs = set()
+                for w in pool:
+                    u = weylcomb.restrict_final(w, k, side)
+                    imgs.add(u)
+                    # the flip-mask twin used by the boundary pipeline
+                    fast = weylcomb.restrict_flips(weylcomb.flip_mask(w), k)
+                    if weylcomb.flip_mask(u) != fast:
+                        ok, cex = False, f"g={g}, k={k}, side={side}, w={w}"
                 if len(pool) != 2 ** (g - 1) or imgs != target:
                     ok, cex = False, f"g={g}, k={k}, side={side}"
     report.record("restrict-bijection", ok, f"g <= {min(max_g, 8)}", cex)
@@ -188,16 +195,15 @@ def verify_partition_suite(max_g: int = 4, max_entry: int = 6) -> VerificationRe
     ok, cex = True, None
     for g in range(2, min(max_g, 5) + 1):
         for lam in _sp_weights(g, min(max_entry, 4)):
-            terms = eiscalc.boundary_terms(g, lam)
+            by_w: dict[weylcomb.WeylElement, dict] = {}
+            for t in eiscalc.boundary_terms(g, lam):
+                got = by_w.setdefault(t.source_w, {})
+                key = (t.weight, 0)
+                got[key] = got.get(key, 0) + t.sign
             for w in weylcomb.enumerate_final(g):
                 a = GlWeight(w.dot_action(lam)).dual()
                 expected = glbranch.telescope_closed(a).scale((-1) ** w.length())
-                got = {}
-                for t in terms:
-                    if t.source_w == w:
-                        key = (t.weight, 0)
-                        got[key] = got.get(key, 0) + t.sign
-                if glbranch.VirtualBundle(g - 1, got) != expected:
+                if glbranch.VirtualBundle(g - 1, by_w.get(w, {})) != expected:
                     ok, cex = False, f"g={g}, lambda={lam}, w={w}"
         if not ok:
             break

@@ -3,6 +3,12 @@
 Elements of the Weyl group W_g sit inside S_2g as the permutations with
 w(i) + w(2g+1-i) = 2g+1.  Only the first g images are stored; the second
 half is reconstructed on demand.  Everything here is immutable and pure.
+
+A final element is also determined by its flip set F, the indices i with
+2g+1-i among its images, which the boundary pipeline handles as a
+bitmask: the `flip_*` helpers are the bit-operation twins of
+`image_dichotomy`, `restrict_final` and `WeylElement.length`, which stay
+as their oracles.
 """
 
 from __future__ import annotations
@@ -158,6 +164,42 @@ def restrict_final(w: WeylElement, k: int, side: str) -> WeylElement:
         else:
             renamed.append(m)
     return WeylElement(g - 1, tuple(renamed))
+
+
+def flip_mask(w: WeylElement) -> int:
+    """The flip set F of a final element as a bitmask: bit i-1 is set iff
+    2g+1-i is an image of w (the inverse of `kostant_from_signs`)."""
+    g = w.g
+    mask = 0
+    for m in w.images:
+        if m > g:
+            mask |= 1 << (2 * g - m)
+    return mask
+
+
+def flip_dichotomy(mask: int, g: int, k: int) -> tuple[str, int]:
+    """`image_dichotomy` on the flip mask of a final element of genus g.
+
+    Side A (k is an image) iff k is not flipped; its position counts the
+    unflipped indices <= k.  On side B, 2g+1-k sits after every unflipped
+    image and after the flipped images of the indices >= k."""
+    if not 1 <= k <= g:
+        raise ValueError("k out of range")
+    if not mask >> (k - 1) & 1:
+        return "A", k - (mask & ((1 << k) - 1)).bit_count()
+    return "B", g - mask.bit_count() + (mask >> (k - 1)).bit_count()
+
+
+def restrict_flips(mask: int, k: int) -> int:
+    """`restrict_final` on flip masks: drop index k and shift the indices
+    above it down by one.  The side plays no part, since it is bit k-1."""
+    return (mask & ((1 << (k - 1)) - 1)) | ((mask >> k) << (k - 1))
+
+
+def flip_length(mask: int, g: int) -> int:
+    """Coxeter length of the final element with this flip mask:
+    the sum of g+1-i over the flipped indices i."""
+    return sum(g - i for i in range(g) if mask >> i & 1)
 
 
 def all_elements(g: int) -> list[WeylElement]:

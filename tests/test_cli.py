@@ -1,7 +1,11 @@
+import hashlib
 import json
 
+import pytest
+
+from siegeleis import eiscalc, suites
 from siegeleis.cli import run
-from siegeleis.motivering import MotiveExpr
+from siegeleis.motivering import MotiveExpr, VerificationReport
 
 
 class TestRank1Command:
@@ -97,6 +101,22 @@ class TestStructureCommands:
         twists = {(tuple(d["w"]), d["k"]): d["twist"] for d in data}
         assert twists[((1, 3), 2)] == 4  # m + 1
         assert twists[((3, 4), 1)] == 7  # l + 2
+
+    # sha256 of the output at the commit before the flip-mask pipeline
+    # and the record-at-a-time JSON renderer
+    @pytest.mark.parametrize(
+        "format, digest",
+        [
+            ("text", "3ef3c91d5d0b4c3dcf1b6bcdb904c4c4035aebf77ea103fabda90c2d3648c27c"),
+            ("json", "1234586c53c9b309548d60c41604ff3654dca264f28a7e9ea137cbaef38ad2b3"),
+        ],
+    )
+    def test_boundary_golden_digest(self, format, digest):
+        code, out, _ = run(
+            ["boundary", "-g", "6", "-l", "7,5,5,3,2,0", "--format", format]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTable:
@@ -196,6 +216,66 @@ class TestVerify:
         (line,) = [ln for ln in out.splitlines() if "telescope-random" in ln]
         assert line.startswith("FAIL telescope-random: 0 cases")
         assert "counterexample: --max-g 2" in line
+
+    def test_partition_suite(self):
+        code, out, _ = run(["verify", "--suite", "partition", "--max-g", "3"])
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert [ln.split(":")[0] for ln in lines] == [
+            "PASS partition-identity-g2",
+            "PASS partition-identity-g3",
+            "PASS reindexing-completeness",
+        ]
+
+    def test_partition_suite_catches_a_dropped_term(self, monkeypatch):
+        real = eiscalc.boundary_terms
+
+        def drop_one(g, lam):
+            return real(g, lam)[1:]
+
+        monkeypatch.setattr(eiscalc, "boundary_terms", drop_one)
+        code, out, _ = run(["verify", "--suite", "partition", "--max-g", "3"])
+        assert code == 1
+        failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+        names = {ln.split(":")[0].split()[1] for ln in failed}
+        assert names == {
+            "partition-identity-g2",
+            "partition-identity-g3",
+            "reindexing-completeness",
+        }
+        assert all("[counterexample: " in ln for ln in failed)
+
+    @pytest.mark.parametrize(
+        "flag, value, ok",
+        [
+            ("--max-g", 1, True),
+            ("--max-g", 16, True),
+            ("--max-g", 0, False),
+            ("--max-g", 17, False),
+            ("--max-entry", 0, True),
+            ("--max-entry", 12, True),
+            ("--max-entry", -1, False),
+            ("--max-entry", 13, False),
+        ],
+    )
+    def test_size_flags_are_bounded(self, monkeypatch, flag, value, ok):
+        # the stub stands in for the suites, so nothing large runs
+        seen = []
+
+        def stub(name, max_g, max_entry):
+            seen.append((max_g, max_entry))
+            report = VerificationReport()
+            report.record("stub", True)
+            return report
+
+        monkeypatch.setattr(suites, "run_suite", stub)
+        code, out, err = run(["verify", flag, str(value)])
+        if ok:
+            assert (code, out, err) == (0, "PASS stub\n", "")
+            assert seen == [(value, 6) if flag == "--max-g" else (4, value)]
+        else:
+            assert code == 2 and out == "" and seen == []
+            assert flag in err
 
 
 class TestUsageErrors:

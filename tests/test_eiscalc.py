@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -18,7 +20,7 @@ from siegeleis.eiscalc import (
 )
 from siegeleis.glbranch import GlWeight
 from siegeleis.motivering import MotiveExpr
-from siegeleis.weylcomb import WeylElement
+from siegeleis.weylcomb import WeylElement, restrict_final
 
 one = MotiveExpr.unit
 L = MotiveExpr.lefschetz
@@ -141,6 +143,12 @@ class TestBoundaryTerms:
         lam = tuple(range(g, 0, -1))
         assert len(boundary_terms(g, lam)) == g * 2 ** g
 
+    def test_restrictions_match_the_oracle(self):
+        terms = boundary_terms(7, (9, 7, 7, 4, 2, 2, 0))
+        assert len(terms) == 7 * 2 ** 7
+        for t in terms:
+            assert t.u == restrict_final(t.source_w, t.k, t.side)
+
 
 class TestVerifyPartition:
     def test_g1_trivial(self):
@@ -158,6 +166,33 @@ class TestVerifyPartition:
 
     def test_g4_sample(self):
         assert verify_partition(4, (4, 2, 1, 0)).passed
+
+    @pytest.mark.parametrize("g", [8, 9, 10])
+    def test_seeded_weights_beyond_the_gate(self, g):
+        rng = random.Random(g)
+        for _ in range(3):
+            lam = tuple(sorted((rng.randint(0, 12) for _ in range(g)), reverse=True))
+            report = verify_partition(g, lam)
+            assert report.passed, [c.counterexample for c in report.failures()]
+
+    @pytest.mark.parametrize(
+        "field, value, cex",
+        [
+            ("side", "A", "w=[456], k=3: side A != B"),
+            ("u", WeylElement(2, (1, 2)), "w=[456], k=3: u=[12] != [34]"),
+        ],
+    )
+    def test_term_side_and_u_are_checked(self, monkeypatch, field, value, cex):
+        real = eiscalc.boundary_terms
+
+        def corrupt_last(g, lam):
+            terms = real(g, lam)
+            return terms[:-1] + [dataclasses.replace(terms[-1], **{field: value})]
+
+        monkeypatch.setattr(eiscalc, "boundary_terms", corrupt_last)
+        report = verify_partition(3, (3, 1, 0))
+        failed = {c.name: c.counterexample for c in report.failures()}
+        assert failed["dichotomy-bijection"] == cex
 
 
 class TestRank1:

@@ -7,9 +7,13 @@ from siegeleis.weylcomb import (
     SideMismatchError,
     WeylElement,
     enumerate_final,
+    flip_dichotomy,
+    flip_length,
+    flip_mask,
     image_dichotomy,
     kostant_from_signs,
     restrict_final,
+    restrict_flips,
     rho,
 )
 
@@ -226,3 +230,38 @@ class TestImageDichotomy:
         for w in enumerate_final(g):
             positions = [image_dichotomy(w, k)[1] for k in range(1, g + 1)]
             assert sorted(positions) == list(range(1, g + 1))
+
+
+class TestFlipMasks:
+    def test_examples(self):
+        assert flip_mask(W(2, 1, 2)) == 0b00
+        assert flip_mask(W(2, 1, 3)) == 0b10  # 3 = 2g+1-2
+        assert flip_mask(W(3, 1, 4, 5)) == 0b110
+        assert restrict_flips(0b1011, 2) == 0b101
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_inverse_of_kostant_from_signs(self, g):
+        for mask in range(2 ** g):
+            flips = {i + 1 for i in range(g) if mask >> i & 1}
+            assert flip_mask(kostant_from_signs(g, flips)) == mask
+
+    def test_differential_against_image_oracles(self):
+        # every final w and every k up to g = 10: 18,432 pairs
+        pairs = 0
+        for g in range(2, 11):
+            for w in enumerate_final(g):
+                mask = flip_mask(w)
+                assert flip_length(mask, g) == w.length()
+                for k in range(1, g + 1):
+                    side, pos = image_dichotomy(w, k)
+                    assert flip_dichotomy(mask, g, k) == (side, pos)
+                    u = restrict_final(w, k, side)
+                    assert restrict_flips(mask, k) == flip_mask(u)
+                    pairs += 1
+        assert pairs == 18432
+
+    def test_k_out_of_range(self):
+        with pytest.raises(ValueError):
+            flip_dichotomy(0, 2, 0)
+        with pytest.raises(ValueError):
+            flip_dichotomy(0, 2, 3)
