@@ -15,34 +15,16 @@ from . import __version__, eiscalc, suites
 from .motivering import MotiveExpr
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
-def _parse_sp_weight(text: str, g: int) -> tuple[int, ...]:
+def _parse_sp_weight(text: str) -> tuple[int, ...]:
     try:
-        lam = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise _UsageError(f"--lambda: could not parse {text!r} as integers")
-    if len(lam) != g:
-        raise _UsageError(f"--lambda: expected {g} entries, got {len(lam)}")
-    if any(lam[i] < lam[i + 1] for i in range(g - 1)) or (lam and lam[-1] < 0):
-        raise _UsageError(
-            f"--lambda: {text!r} is not weakly decreasing and nonnegative"
-        )
-    return lam
-
-
-def _check_parity(l: int, m: int):
-    if not l >= m >= 0:
-        raise _UsageError(f"-l/-m: need l >= m >= 0, got l={l}, m={m}")
-    if (l - m) % 2:
-        raise _UsageError(f"-l/-m: need l = m (mod 2), got l={l}, m={m}")
+        raise ValueError(f"--lambda: could not parse {text!r} as integers")
 
 
 def _build_parser() -> _Parser:
@@ -90,22 +72,9 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _admissible_weights(g: int, lmax: int):
-    import itertools
-
-    if g == 1:
-        return [(k,) for k in range(0, lmax + 1, 2)]
-    out = [
-        tuple(reversed(c))
-        for c in itertools.combinations_with_replacement(range(lmax + 1), g)
-        if sum(c) % 2 == 0
-    ]
-    return sorted(out)
-
-
 def _table_records(g: int, lmax: int):
     records = []
-    for lam in _admissible_weights(g, lmax):
+    for lam in eiscalc.admissible_weights(g, lmax):
         rec = {"lambda": list(lam), "rank1": eiscalc.rank1(g, lam, expand=g <= 2)}
         if g == 2:
             l, m = lam
@@ -199,37 +168,17 @@ def run(argv) -> tuple[int, str, str]:
     try:
         args = parser.parse_args(list(argv))
         if args.command == "rank1":
-            lam = _parse_sp_weight(args.lam, args.g)
-            if args.g < 1:
-                raise _UsageError("-g: genus must be >= 1")
-            expr = eiscalc.rank1(args.g, lam, expand=args.expand)
+            expr = eiscalc.rank1(args.g, _parse_sp_weight(args.lam), expand=args.expand)
             return 0, expr.render(args.format) + "\n", ""
         if args.command in ("total", "codim2", "kernel"):
-            _check_parity(args.l, args.m)
-            if args.command == "total":
-                fn = eiscalc.total_g2 if args.form == 1 else eiscalc.total_g2_alt
-                expr = fn(args.l, args.m)
-            elif args.command == "codim2":
-                expr = eiscalc.codim2_g2(args.l, args.m)
-            else:
-                if not args.l > args.m > 0:
-                    raise _UsageError(
-                        f"-l/-m: kernel requires a regular weight (l > m > 0), "
-                        f"got l={args.l}, m={args.m}"
-                    )
-                expr = eiscalc.kernel_g2(args.l, args.m)
-            return 0, expr.render(args.format) + "\n", ""
-        if args.command == "bgg":
-            lam = _parse_sp_weight(args.lam, args.g)
-            return 0, _render_bgg(args.g, lam, args.format) + "\n", ""
-        if args.command == "boundary":
-            lam = _parse_sp_weight(args.lam, args.g)
-            return 0, _render_boundary(args.g, lam, args.format) + "\n", ""
+            fn = getattr(eiscalc, f"{args.command}_g2")
+            if args.command == "total" and args.form == 2:
+                fn = eiscalc.total_g2_alt
+            return 0, fn(args.l, args.m).render(args.format) + "\n", ""
+        if args.command in ("bgg", "boundary"):
+            render = _render_bgg if args.command == "bgg" else _render_boundary
+            return 0, render(args.g, _parse_sp_weight(args.lam), args.format) + "\n", ""
         if args.command == "table":
-            if args.g < 1:
-                raise _UsageError("-g: genus must be >= 1")
-            if args.lmax < 0 or args.lmax > 64:
-                raise _UsageError("--lmax: must be in [0, 64]")
             text = _render_table(args.g, args.lmax, args.format) + "\n"
             if args.output:
                 try:
@@ -243,17 +192,15 @@ def run(argv) -> tuple[int, str, str]:
             # the weyl checks cost about g^2 * 2^g up to max-g, the
             # telescope checks about max-entry^4
             if not 1 <= args.max_g <= 16:
-                raise _UsageError(f"--max-g: must be in [1, 16], got {args.max_g}")
+                raise ValueError(f"--max-g: must be in [1, 16], got {args.max_g}")
             if not 0 <= args.max_entry <= 12:
-                raise _UsageError(
+                raise ValueError(
                     f"--max-entry: must be in [0, 12], got {args.max_entry}"
                 )
             report = suites.run_suite(args.suite, args.max_g, args.max_entry)
             out = report.render(args.format) + "\n"
             return (0 if report.passed else 1), out, ""
-        raise _UsageError(f"unknown command {args.command!r}")
-    except _UsageError as exc:
-        return 2, "", f"error: {exc}\n"
+        raise ValueError(f"unknown command {args.command!r}")
     except ValueError as exc:
         return 2, "", f"error: {exc}\n"
 

@@ -8,9 +8,10 @@ formulas, and the cross-consistency checks tying them together.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
-from .glbranch import GlWeight, is_dominant, telescope_surgery
+from .glbranch import GlWeight, dominant_weights, is_dominant, telescope_surgery
 from .motivering import MotiveExpr, VerificationReport, cusp_dim
 from .weylcomb import (
     WeylElement,
@@ -24,18 +25,53 @@ from .weylcomb import (
 )
 
 
-def _check_sp_weight(lam: Sequence[int]) -> tuple[int, ...]:
+# Size limits, checked before work starts; times are the CLI's at the
+# limit with JSON output (2 cores, Python 3.11).
+# bgg: 2^g terms, 65,536 at g = 16 (4.8 s, 118 MB).
+MAX_BGG_G = 16
+# boundary: g*2^g terms, 229,376 at g = 14 (6.9 s, 263 MB).
+MAX_BOUNDARY_G = 14
+# table: rank1 (g terms over length-g weights) on the even ones of the
+# C(lmax+g, g) weights in [0, lmax]^g: g^2 * C(lmax+g, g) steps, worst at
+# g = 3, lmax = 64 (4.3 s, 95 MB).  C alone would admit g = 14, lmax = 6
+# (18.9 s, 303 MB), and any g at lmax = 0.
+MAX_TABLE_LMAX = 64
+MAX_TABLE_WORK = 3**2 * comb(MAX_TABLE_LMAX + 3, 3)
+
+
+def _check_sp_weight(lam: Sequence[int], g: int) -> tuple[int, ...]:
+    """lam as a tuple, if it is a dominant Sp(2g) weight; errors name the CLI flag."""
+    if g < 1:
+        raise ValueError("-g: genus must be >= 1")
     lam = tuple(lam)
-    if not is_dominant(lam) or (lam and lam[-1] < 0):
-        raise ValueError(f"{lam} is not a dominant Sp weight")
+    if len(lam) != g:
+        raise ValueError(f"--lambda: expected {g} entries, got {len(lam)}")
+    if not is_dominant(lam) or lam[-1] < 0:
+        text = ",".join(map(str, lam))
+        raise ValueError(f"--lambda: {text!r} is not weakly decreasing and nonnegative")
     return lam
+
+
+def admissible_weights(g: int, lmax: int) -> list[tuple[int, ...]]:
+    """The dominant genus-g weights with entries in [0, lmax] and even
+    entry sum, in lexicographic order: the rows of a regression table."""
+    if g < 1:
+        raise ValueError("-g: genus must be >= 1")
+    if not 0 <= lmax <= MAX_TABLE_LMAX:
+        raise ValueError(f"--lmax: must be in [0, {MAX_TABLE_LMAX}]")
+    work = g * g * comb(lmax + g, g)
+    if work > MAX_TABLE_WORK:
+        raise ValueError(
+            f"-g/--lmax: need g^2*C(lmax+g, g) <= {MAX_TABLE_WORK}, got {work}"
+        )
+    weights = (w.entries for w in dominant_weights(g, 0, lmax))
+    return sorted(lam for lam in weights if sum(lam) % 2 == 0)
 
 
 def tau_prime(lam: Sequence[int], k: int) -> tuple[int, ...]:
     """Boundary weight surgery: raise the first k-1 entries, drop the k-th."""
-    lam = _check_sp_weight(lam)
-    g = len(lam)
-    if not 1 <= k <= g:
+    lam = _check_sp_weight(lam, len(lam))
+    if not 1 <= k <= len(lam):
         raise ValueError("k out of range")
     return tuple(a + 1 for a in lam[: k - 1]) + lam[k:]
 
@@ -50,9 +86,9 @@ class BggTerm:
 
 def bgg_complex(g: int, lam: Sequence[int]) -> list[BggTerm]:
     """One term per final element: dual-side weight, degree, filtration."""
-    lam = _check_sp_weight(lam)
-    if len(lam) != g:
-        raise ValueError("weight length must equal g")
+    if g > MAX_BGG_G:
+        raise ValueError(f"-g: bgg needs g <= {MAX_BGG_G}, got {g}")
+    lam = _check_sp_weight(lam, g)
     terms = []
     for w in enumerate_final(g):
         mu = GlWeight(w.dot_action(lam)).dual()
@@ -90,9 +126,9 @@ def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
     Returns a list, not a generator: callers take its length and walk it
     more than once.
     """
-    lam = _check_sp_weight(lam)
-    if len(lam) != g:
-        raise ValueError("weight length must equal g")
+    if g > MAX_BOUNDARY_G:
+        raise ValueError(f"-g: boundary needs g <= {MAX_BOUNDARY_G}, got {g}")
+    lam = _check_sp_weight(lam, g)
     if g == 1:
         restricted = {0: WeylElement(0, ())}
     else:
@@ -121,9 +157,10 @@ def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
 def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
     """Check that the (w, k) double sum reassembles, weight by weight and
     sign by sign, into the genus-(g-1) BGG data of the surgered weights."""
-    lam = _check_sp_weight(lam)
+    lam = _check_sp_weight(lam, g)
     report = VerificationReport()
     terms = boundary_terms(g, lam)
+    surgered = {k: tau_prime(lam, k) for k in range(1, g + 1)}
     by_w: dict[WeylElement, list[BoundaryTerm]] = {}
     for t in terms:
         by_w.setdefault(t.source_w, []).append(t)
@@ -157,7 +194,7 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
     # (ii) weight identity against the restricted dot action
     ok, cex = True, None
     for t in terms:
-        tp = tau_prime(lam, t.k)
+        tp = surgered[t.k]
         expected = GlWeight(t.u.dot_action(tp)).dual() if g > 1 else GlWeight(())
         if t.weight != expected:
             ok, cex = False, f"w={t.source_w}, k={t.k}: {t.weight} != {expected}"
@@ -166,13 +203,13 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
 
     # (iii)+(iv) sign constancy per (k, side)
     ok, cex = True, None
+    lengths = {u: u.length() for u in {t.u for t in terms}}
+    ratios_by: dict[tuple[int, str], set[int]] = {}
+    for t in terms:
+        ratios_by.setdefault((t.k, t.side), set()).add(t.sign * (-1) ** lengths[t.u])
     for k in range(1, g + 1):
         for side, expected in (("A", (-1) ** (k + 1)), ("B", (-1) ** k)):
-            ratios = {
-                t.sign * (-1) ** t.u.length()
-                for t in terms
-                if t.k == k and t.side == side
-            }
+            ratios = ratios_by.get((k, side), set())
             if ratios != {expected}:
                 ok, cex = False, f"k={k}, side={side}, ratios={sorted(ratios)}"
     report.record("sign-constancy", ok, f"g={g}, lambda={lam}", cex)
@@ -180,7 +217,7 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
     # parity filter agrees with the vanishing of odd-|lambda| symbols
     ok, cex = True, None
     for t in terms:
-        if t.parity_pass != (sum(tau_prime(lam, t.k)) % 2 == 0):
+        if t.parity_pass != (sum(surgered[t.k]) % 2 == 0):
             ok, cex = False, f"w={t.source_w}, k={t.k}"
             break
     report.record("parity-filter", ok, f"g={g}, lambda={lam}", cex)
@@ -194,9 +231,7 @@ def rank1(g: int, lam: Sequence[int], expand: bool = False) -> MotiveExpr:
     The k-th term carries sign (-1)^(k+1); with expand=True the genus-1
     Euler symbols are rewritten into cusp-form motives.
     """
-    lam = _check_sp_weight(lam)
-    if len(lam) != g or g < 1:
-        raise ValueError("need a dominant weight of length g >= 1")
+    lam = _check_sp_weight(lam, g)
     total = MotiveExpr.zero()
     for k in range(1, g + 1):
         exponent = lam[k - 1] + g + 1 - k
@@ -208,9 +243,9 @@ def rank1(g: int, lam: Sequence[int], expand: bool = False) -> MotiveExpr:
 
 def _check_g2_args(l: int, m: int):
     if not (l >= m >= 0):
-        raise ValueError("need l >= m >= 0")
+        raise ValueError(f"-l/-m: need l >= m >= 0, got l={l}, m={m}")
     if (l - m) % 2:
-        raise ValueError("need l = m (mod 2)")
+        raise ValueError(f"-l/-m: need l = m (mod 2), got l={l}, m={m}")
 
 
 def _s(k: int) -> MotiveExpr:
@@ -275,7 +310,9 @@ def kernel_g2(l: int, m: int) -> MotiveExpr:
     """Compactly supported Eisenstein part for a regular genus-2 system."""
     _check_g2_args(l, m)
     if not l > m > 0:
-        raise ValueError("the kernel formula requires a regular weight (l > m > 0)")
+        raise ValueError(
+            f"-l/-m: kernel requires a regular weight (l > m > 0), got l={l}, m={m}"
+        )
     expr = _s(l - m + 2) - _s(l + m + 4) * MotiveExpr.lefschetz(m + 1)
     if l % 2 == 0:
         expr = expr + MotiveExpr.cusp_motive(m + 2) + MotiveExpr.unit()

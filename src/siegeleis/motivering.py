@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 
 class UnsupportedProductError(ValueError):
@@ -290,21 +290,37 @@ class MotiveExpr:
         return out
 
     @staticmethod
-    def from_obj(obj: Iterable[dict]) -> "MotiveExpr":
+    def from_obj(obj: list[dict]) -> "MotiveExpr":
+        """Inverse of `to_obj`; a record off that schema raises ValueError."""
+        if not isinstance(obj, list):
+            raise ValueError(f"expected a list of records, got {obj!r}")
         terms: dict[tuple[Symbol, int], int] = {}
         for rec in obj:
-            s = rec["symbol"]
-            if s["type"] == "one":
+            s = _field(rec, "symbol", dict)
+            kind = _field(s, "type", str)
+            if kind == "one":
                 sym = ONE
-            elif s["type"] == "S":
-                sym = Symbol("S", k=s["k"])
-            elif s["type"] == "Ec":
-                sym = Symbol("Ec", g=s["g"], lam=tuple(s["lambda"]))
+            elif kind == "S":
+                sym = Symbol("S", k=_field(s, "k", int))
+            elif kind == "Ec":
+                lam = _field(s, "lambda", list)
+                if any(type(a) is not int for a in lam):
+                    raise ValueError(f"'lambda' must hold integers, got {lam!r}")
+                sym = Symbol("Ec", g=_field(s, "g", int), lam=tuple(lam))
             else:
-                raise ValueError(f"unknown symbol type {s['type']!r}")
-            key = (sym, rec["Lexp"])
-            terms[key] = terms.get(key, 0) + rec["coeff"]
+                raise ValueError(f"unknown symbol type {kind!r}")
+            key = (sym, _field(rec, "Lexp", int))
+            terms[key] = terms.get(key, 0) + _field(rec, "coeff", int)
         return MotiveExpr(terms)
+
+
+def _field(rec, key: str, kind: type):
+    """rec[key] if rec is a dict holding a value of exactly that type."""
+    if not isinstance(rec, dict) or key not in rec:
+        raise ValueError(f"record {rec!r} has no {key!r}")
+    if type(rec[key]) is not kind:
+        raise ValueError(f"{key!r} must be {kind.__name__}, got {rec[key]!r}")
+    return rec[key]
 
 
 @dataclass(frozen=True)

@@ -26,13 +26,6 @@ G3_TABLE = [
 ]
 
 
-def _sp_weights(g: int, max_entry: int):
-    for c in itertools.combinations_with_replacement(
-        range(max_entry, -1, -1), g
-    ):
-        yield c
-
-
 def verify_weyl(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
     report = VerificationReport()
 
@@ -67,7 +60,8 @@ def verify_weyl(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
     report.record("g3-table", ok, "8 rows, 5 weights each", cex)
 
     ok, cex = True, None
-    for g in range(2, min(max_g, 8) + 1):
+    g_max = min(max_g, 8)
+    for g in range(2, g_max + 1):
         finals = weylcomb.enumerate_final(g)
         target = set(weylcomb.enumerate_final(g - 1))
         for k in range(1, g + 1):
@@ -84,7 +78,10 @@ def verify_weyl(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
                         ok, cex = False, f"g={g}, k={k}, side={side}, w={w}"
                 if len(pool) != 2 ** (g - 1) or imgs != target:
                     ok, cex = False, f"g={g}, k={k}, side={side}"
-    report.record("restrict-bijection", ok, f"g <= {min(max_g, 8)}", cex)
+    detail = f"g <= {g_max}" if g_max >= 2 else "0 cases"
+    if g_max < 2:
+        ok, cex = False, f"--max-g {max_g} admits no g >= 2; needs --max-g >= 2"
+    report.record("restrict-bijection", ok, detail, cex)
 
     ok, cex = True, None
     for g in range(1, max_g + 1):
@@ -178,9 +175,11 @@ def verify_telescope(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
 
 def verify_partition_suite(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
     report = VerificationReport()
+    e = min(max_entry, 4)
     for g in range(2, min(max_g, 4) + 1):
         ok, cex = True, None
-        for lam in _sp_weights(g, min(max_entry, 4)):
+        for weight in dominant_weights(g, 0, e):
+            lam = weight.entries
             sub = eiscalc.verify_partition(g, lam)
             if not sub.passed:
                 ok = False
@@ -188,13 +187,15 @@ def verify_partition_suite(max_g: int = 4, max_entry: int = 6) -> VerificationRe
                     c.name for c in sub.failures()
                 )
                 break
-        report.record(f"partition-identity-g{g}", ok, f"entries <= {min(max_entry, 4)}", cex)
+        report.record(f"partition-identity-g{g}", ok, f"entries <= {e}", cex)
 
     # reindexing completeness: per w, the boundary terms are exactly the
     # telescope of the dual-side weight, scaled by (-1)^len(w)
     ok, cex = True, None
-    for g in range(2, min(max_g, 5) + 1):
-        for lam in _sp_weights(g, min(max_entry, 4)):
+    g_max = min(max_g, 5)
+    for g in range(2, g_max + 1):
+        for weight in dominant_weights(g, 0, e):
+            lam = weight.entries
             by_w: dict[weylcomb.WeylElement, dict] = {}
             for t in eiscalc.boundary_terms(g, lam):
                 got = by_w.setdefault(t.source_w, {})
@@ -207,7 +208,10 @@ def verify_partition_suite(max_g: int = 4, max_entry: int = 6) -> VerificationRe
                     ok, cex = False, f"g={g}, lambda={lam}, w={w}"
         if not ok:
             break
-    report.record("reindexing-completeness", ok, f"g <= {min(max_g, 5)}", cex)
+    detail = f"g <= {g_max}" if g_max >= 2 else "0 cases"
+    if g_max < 2:
+        ok, cex = False, f"--max-g {max_g} admits no g >= 2; needs --max-g >= 2"
+    report.record("reindexing-completeness", ok, detail, cex)
     return report
 
 
@@ -226,23 +230,19 @@ def verify_g2(lmax: int = 20) -> VerificationReport:
     )
 
     ok, cex = True, None
-    for l in range(lmax + 1):
-        for m in range(l % 2, l + 1, 2):
-            sub = eiscalc.consistency_g2(l, m)
-            if not sub.passed:
-                ok = False
-                cex = f"(l,m)=({l},{m}): " + "; ".join(c.name for c in sub.failures())
-                break
-        if not ok:
+    for l, m in eiscalc.admissible_weights(2, lmax):
+        sub = eiscalc.consistency_g2(l, m)
+        if not sub.passed:
+            ok = False
+            cex = f"(l,m)=({l},{m}): " + "; ".join(c.name for c in sub.failures())
             break
     report.record("consistency-grid", ok, f"0 <= m <= l <= {lmax}", cex)
 
     ok, cex = True, None
-    for l in range(lmax + 1):
-        for m in range(l % 2, l + 1, 2):
-            filts = sorted(t.filtration for t in eiscalc.bgg_complex(2, (l, m)))
-            if filts != sorted([0, m + 1, l + 2, l + m + 3]):
-                ok, cex = False, f"(l,m)=({l},{m}), filtrations={filts}"
+    for l, m in eiscalc.admissible_weights(2, lmax):
+        filts = sorted(t.filtration for t in eiscalc.bgg_complex(2, (l, m)))
+        if filts != sorted([0, m + 1, l + 2, l + m + 3]):
+            ok, cex = False, f"(l,m)=({l},{m}), filtrations={filts}"
     report.record("filtration-exponents", ok, f"grid up to {lmax}", cex)
 
     table = {12: 1, 16: 1, 18: 1, 20: 1, 22: 1, 24: 2, 26: 1, 2: -1,
@@ -264,10 +264,9 @@ def verify_duality(lmax: int = 20) -> VerificationReport:
     report.record("duality-rank1-g1", ok, "even k <= 40", cex)
 
     ok, cex = True, None
-    for l in range(lmax + 1):
-        for m in range(l % 2, l + 1, 2):
-            if not eiscalc.check_duality(eiscalc.total_g2(l, m), l + m + 3):
-                ok, cex = False, f"(l,m)=({l},{m})"
+    for l, m in eiscalc.admissible_weights(2, lmax):
+        if not eiscalc.check_duality(eiscalc.total_g2(l, m), l + m + 3):
+            ok, cex = False, f"(l,m)=({l},{m})"
     report.record("duality-total-g2", ok, f"grid up to {lmax}", cex)
     return report
 

@@ -278,6 +278,121 @@ class TestVerify:
             assert flag in err
 
 
+class TestZeroCaseChecks:
+    def test_checks_from_genus_two_fail_without_a_case(self):
+        code, out, _ = run(["verify", "--max-g", "1"])
+        assert code == 1
+        lines = {ln.split(":")[0]: ln for ln in out.splitlines()}
+        for name in ("restrict-bijection", "reindexing-completeness"):
+            line = lines[f"FAIL {name}"]
+            assert line.startswith(f"FAIL {name}: 0 cases")
+            assert "counterexample: --max-g 1 admits no g >= 2" in line
+
+    @pytest.mark.parametrize(
+        "format, digest",
+        [
+            ("text", "fc4e5328a055985651b4e74b1b9d145198493c89e52ef5f9903e5c6a35f0ab3f"),
+            ("json", "77241b274796ae822da2d0fab86a84eb179492466d0fedbd7eacf32dc1db70eb"),
+        ],
+    )
+    def test_default_flags_output_unchanged(self, format, digest):
+        code, out, _ = run(["verify", "--format", format])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestPinnedOutput:
+    """Bytes recorded before validation moved from the CLI into eiscalc."""
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            ("rank1 -g 2 -l 1,x", "error: --lambda: could not parse '1,x' as integers\n"),
+            (
+                "rank1 -g 2 -l 1,2",
+                "error: --lambda: '1,2' is not weakly decreasing and nonnegative\n",
+            ),
+            ("rank1 -g 3 -l 2,0", "error: --lambda: expected 3 entries, got 2\n"),
+            ("total -l 2 -m 1", "error: -l/-m: need l = m (mod 2), got l=2, m=1\n"),
+            ("total -l 1 -m 3", "error: -l/-m: need l >= m >= 0, got l=1, m=3\n"),
+            (
+                "kernel -l 4 -m 0",
+                "error: -l/-m: kernel requires a regular weight (l > m > 0), "
+                "got l=4, m=0\n",
+            ),
+            (
+                "bgg -g 2 -l 3,-1",
+                "error: --lambda: '3,-1' is not weakly decreasing and nonnegative\n",
+            ),
+            ("table -g 0 --lmax 3", "error: -g: genus must be >= 1\n"),
+            # these named --lambda before
+            ("bgg -g 0 -l 1", "error: -g: genus must be >= 1\n"),
+            ("boundary -g -1 -l 1", "error: -g: genus must be >= 1\n"),
+        ],
+    )
+    def test_bad_input_stderr(self, argv, err):
+        assert run(argv.split()) == (2, "", err)
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                "table -g 3 --lmax 12",
+                "bf501319815ef25b457037e302e071ecd9c64a25aa69ba27202ffa04ee6b7951",
+            ),
+            (
+                "table -g 1 --lmax 40 --format json",
+                "b4cf718e6bb856f63e55dbcdffd1cf8fb1dcf082694239299c82439097692dc2",
+            ),
+        ],
+    )
+    def test_table_golden_digest(self, argv, digest):
+        code, out, _ = run(argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestSizeLimits:
+    """Each size limit and the next size up, with the work stubbed out."""
+
+    @pytest.mark.parametrize(
+        "command, g, ok",
+        [("bgg", 16, True), ("bgg", 17, False), ("boundary", 14, True), ("boundary", 15, False)],
+    )
+    def test_genus_limits(self, monkeypatch, command, g, ok):
+        calls = []
+        monkeypatch.setattr(eiscalc, "enumerate_final", lambda g: calls.append(g) or [])
+        code, out, err = run([command, "-g", str(g), "-l", ",".join(["0"] * g)])
+        if ok:
+            assert code == 0 and err == "" and calls
+        else:
+            assert (code, out, calls) == (2, "", [])
+            assert err.startswith(f"error: -g: {command} needs g <= {g - 1}, got {g}")
+
+    @pytest.mark.parametrize(
+        "g, lmax, ok",
+        [
+            (3, 64, True),  # the limit: 3^2 * C(67, 3)
+            (4, 25, True),
+            (4, 26, False),
+            (656, 0, True),
+            (657, 0, False),
+            (10, 64, False),
+        ],
+    )
+    def test_table_limit(self, monkeypatch, g, lmax, ok):
+        calls = []
+        monkeypatch.setattr(
+            eiscalc, "dominant_weights", lambda *args: calls.append(args) or []
+        )
+        code, out, err = run(["table", "-g", str(g), "--lmax", str(lmax)])
+        if ok:
+            assert code == 0 and err == "" and calls == [(g, 0, lmax)]
+        else:
+            assert (code, out, calls) == (2, "", [])
+            assert err.startswith("error: -g/--lmax: need g^2*C(lmax+g, g) <= 431145")
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         code, _, err = run(["frobnicate"])

@@ -194,6 +194,46 @@ class TestVerifyPartition:
         failed = {c.name: c.counterexample for c in report.failures()}
         assert failed["dichotomy-bijection"] == cex
 
+    # counterexamples recorded before tau_prime, the u lengths and the
+    # (k, side) groups were computed once per call
+    @pytest.mark.parametrize(
+        "field, value, check, cex",
+        [
+            ("sign", -1, "sign-constancy", "k=3, side=B, ratios=[-1, 1]"),
+            ("parity_pass", False, "parity-filter", "w=[456], k=3"),
+            ("weight", GlWeight((9, 9)), "weight-identity", "w=[456], k=3: W(9,9) != W(7,5)"),
+        ],
+    )
+    def test_corrupted_term_fails_its_check(self, monkeypatch, field, value, check, cex):
+        real = eiscalc.boundary_terms
+
+        def corrupt_last(g, lam):
+            terms = real(g, lam)
+            return terms[:-1] + [dataclasses.replace(terms[-1], **{field: value})]
+
+        monkeypatch.setattr(eiscalc, "boundary_terms", corrupt_last)
+        report = verify_partition(3, (3, 1, 0))
+        assert {c.name: c.counterexample for c in report.failures()} == {check: cex}
+
+    def test_surgery_and_lengths_once_each(self, monkeypatch):
+        g, lam = 6, (7, 5, 5, 3, 2, 0)
+        surgeries, lengths = [], []
+        real_tau, real_length = eiscalc.tau_prime, WeylElement.length
+
+        def tau(lam, k):
+            surgeries.append(k)
+            return real_tau(lam, k)
+
+        def length(self):
+            lengths.append(self)
+            return real_length(self)
+
+        monkeypatch.setattr(eiscalc, "tau_prime", tau)
+        monkeypatch.setattr(WeylElement, "length", length)
+        assert verify_partition(g, lam).passed
+        assert sorted(surgeries) == list(range(1, g + 1))
+        assert len(lengths) == len(set(lengths)) == 2 ** (g - 1)
+
 
 class TestRank1:
     @pytest.mark.parametrize("k", range(0, 42, 2))
@@ -326,3 +366,53 @@ class TestReindexingCompleteness:
                     key = (t.weight, 0)
                     got[key] = got.get(key, 0) + t.sign
             assert VirtualBundle(g - 1, got) == expected
+
+
+class TestWeightLayer:
+    """eiscalc is where weights and (l, m) pairs are validated, and its
+    errors name the CLI flag at fault."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: rank1(0, ()), "-g: genus must be >= 1"),
+            (lambda: bgg_complex(-1, (1,)), "-g: genus must be >= 1"),
+            (lambda: rank1(3, (2, 0)), "--lambda: expected 3 entries, got 2"),
+            (lambda: verify_partition(3, (2, 0)), "--lambda: expected 3 entries, got 2"),
+            (
+                lambda: bgg_complex(2, (1, 2)),
+                "--lambda: '1,2' is not weakly decreasing and nonnegative",
+            ),
+            (
+                lambda: boundary_terms(2, (3, -1)),
+                "--lambda: '3,-1' is not weakly decreasing and nonnegative",
+            ),
+            (lambda: total_g2(2, 1), "-l/-m: need l = m (mod 2), got l=2, m=1"),
+            (lambda: codim2_g2(1, 3), "-l/-m: need l >= m >= 0, got l=1, m=3"),
+            (
+                lambda: kernel_g2(4, 0),
+                "-l/-m: kernel requires a regular weight (l > m > 0), got l=4, m=0",
+            ),
+            (lambda: eiscalc.admissible_weights(0, 3), "-g: genus must be >= 1"),
+            (lambda: eiscalc.admissible_weights(1, 65), "--lmax: must be in [0, 64]"),
+            (lambda: eiscalc.admissible_weights(10, 64), "-g/--lmax: need g^2*C(lmax+g, g)"),
+            (lambda: bgg_complex(17, (0,) * 17), "-g: bgg needs g <= 16, got 17"),
+            (lambda: boundary_terms(15, (0,) * 15), "-g: boundary needs g <= 14, got 15"),
+        ],
+    )
+    def test_errors_name_the_flag(self, call, message):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_admissible_weights_match_the_table_definition(self, g):
+        # the table's own enumeration before it moved into eiscalc
+        def table_weights(g, lmax):
+            if g == 1:
+                return [(k,) for k in range(0, lmax + 1, 2)]
+            combos = itertools.combinations_with_replacement(range(lmax + 1), g)
+            return sorted(tuple(reversed(c)) for c in combos if sum(c) % 2 == 0)
+
+        for lmax in range(9):
+            assert eiscalc.admissible_weights(g, lmax) == table_weights(g, lmax)

@@ -223,6 +223,57 @@ class TestRingProperties:
         assert (x + y).dual() == x.dual() + y.dual()
 
 
+symbols = st.one_of(
+    st.just(ONE),
+    st.integers(1, 20).map(lambda h: Symbol("S", k=2 * h)),
+    st.integers(0, 3).flatmap(
+        lambda g: st.lists(st.integers(0, 9), min_size=g, max_size=g).map(
+            lambda lam: Symbol("Ec", g=g, lam=tuple(sorted(lam, reverse=True)))
+        )
+    ),
+)
+exprs = st.lists(
+    st.tuples(symbols, st.integers(-6, 6), st.integers(-4, 4)), max_size=6
+).map(lambda terms: sum((MotiveExpr({(s, a): c}) for s, a, c in terms), MotiveExpr()))
+
+
+class TestFromObj:
+    @given(exprs)
+    def test_roundtrip(self, x):
+        assert MotiveExpr.from_obj(x.to_obj()) == x
+        assert MotiveExpr.from_obj(json.loads(x.render("json"))) == x
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            # missing key
+            [{"Lexp": 0, "symbol": {"type": "one"}}],
+            [{"coeff": 1, "symbol": {"type": "one"}}],
+            [{"coeff": 1, "Lexp": 0}],
+            [{"coeff": 1, "Lexp": 0, "symbol": {}}],
+            [{"coeff": 1, "Lexp": 0, "symbol": {"type": "S"}}],
+            [{"coeff": 1, "Lexp": 0, "symbol": {"type": "Ec", "g": 1}}],
+            # wrong type
+            {"coeff": 1, "Lexp": 0, "symbol": {"type": "one"}},
+            ["one"],
+            [{"coeff": 1, "Lexp": 0, "symbol": "one"}],
+            [{"coeff": 1, "Lexp": 0, "symbol": {"type": 1}}],
+            [{"coeff": 1, "Lexp": 0, "symbol": {"type": "Ec", "g": 1, "lambda": 4}}],
+            [{"coeff": 1, "Lexp": 0, "symbol": {"type": "Ec", "g": 1, "lambda": ["4"]}}],
+            # non-int coeff or Lexp
+            [{"coeff": "1", "Lexp": 0, "symbol": {"type": "one"}}],
+            [{"coeff": 1.0, "Lexp": 0, "symbol": {"type": "one"}}],
+            [{"coeff": True, "Lexp": 0, "symbol": {"type": "one"}}],
+            [{"coeff": 1, "Lexp": None, "symbol": {"type": "one"}}],
+            # unknown type
+            [{"coeff": 1, "Lexp": 0, "symbol": {"type": "T"}}],
+        ],
+    )
+    def test_malformed_record(self, obj):
+        with pytest.raises(ValueError):
+            MotiveExpr.from_obj(obj)
+
+
 class TestVerificationReport:
     def test_pass_fail(self):
         r = VerificationReport()
