@@ -134,28 +134,30 @@ def _render_bgg(g, lam, format):
 
 def _render_boundary(g, lam, format):
     terms = eiscalc.boundary_terms(g, lam)
+    # Name the 2^g + 2^(g-1) distinct Weyl elements, keyed by their images
+    # (w and u differ in length), before building any record: small
+    # strings made in between the records would pin memory that the
+    # records release.
+    elements = {}
+    for t in terms:
+        elements[t.source_w.images] = t.source_w
+        elements[t.u.images] = t.u
     if format == "json":
-        # one record at a time, with the bytes json.dumps gives for the
-        # whole list (tuples encode as lists)
-        encode = json.JSONEncoder(separators=(", ", ": ")).encode
+        # the bytes json.dumps(..., separators=(", ", ": ")) gives for the
+        # list of records: ints, "A"/"B" and bools need no escaping
+        name = {imgs: "[" + ", ".join(map(str, imgs)) + "]" for imgs in elements}
         return "[" + ", ".join(
-            encode(
-                {
-                    "w": t.source_w.images,
-                    "k": t.k,
-                    "side": t.side,
-                    "u": t.u.images,
-                    "weight": t.weight.entries,
-                    "sign": t.sign,
-                    "twist": t.twist,
-                    "parity_pass": t.parity_pass,
-                }
-            )
+            f'{{"w": {name[t.source_w.images]}, "k": {t.k}, "side": "{t.side}", '
+            f'"u": {name[t.u.images]}, '
+            f'"weight": [{", ".join(map(str, t.weight.entries))}], '
+            f'"sign": {t.sign}, "twist": {t.twist}, '
+            f'"parity_pass": {"true" if t.parity_pass else "false"}}}'
             for t in terms
         ) + "]"
+    name = {imgs: str(w) for imgs, w in elements.items()}
     return "\n".join(
-        f"w={t.source_w} k={t.k} side={t.side} u={t.u} "
-        f"weight=({','.join(str(a) for a in t.weight.entries)}) "
+        f"w={name[t.source_w.images]} k={t.k} side={t.side} u={name[t.u.images]} "
+        f"weight=({','.join(map(str, t.weight.entries))}) "
         f"sign={'+' if t.sign > 0 else '-'}1 twist={t.twist} "
         f"parity={'even' if t.parity_pass else 'odd'}"
         for t in terms

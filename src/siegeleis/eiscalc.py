@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
-from .glbranch import GlWeight, dominant_weights, is_dominant, telescope_surgery
+from .glbranch import GlWeight, dominant_weights, is_dominant
 from .motivering import MotiveExpr, VerificationReport, cusp_dim
 from .weylcomb import (
     WeylElement,
@@ -27,9 +27,9 @@ from .weylcomb import (
 
 # Size limits, checked before work starts; times are the CLI's at the
 # limit with JSON output (2 cores, Python 3.11).
-# bgg: 2^g terms, 65,536 at g = 16 (4.8 s, 118 MB).
+# bgg: 2^g terms, 65,536 at g = 16 (3.6 s, 124 MB).
 MAX_BGG_G = 16
-# boundary: g*2^g terms, 229,376 at g = 14 (6.9 s, 263 MB).
+# boundary: g*2^g terms, 229,376 at g = 14 (4.2 s, 220 MB).
 MAX_BOUNDARY_G = 14
 # table: rank1 (g terms over length-g weights) on the even ones of the
 # C(lmax+g, g) weights in [0, lmax]^g: g^2 * C(lmax+g, g) steps, worst at
@@ -37,6 +37,10 @@ MAX_BOUNDARY_G = 14
 # (18.9 s, 303 MB), and any g at lmax = 0.
 MAX_TABLE_LMAX = 64
 MAX_TABLE_WORK = 3**2 * comb(MAX_TABLE_LMAX + 3, 3)
+# rank1: g terms over length-g weights, more than g^2 steps; the largest
+# g the table bound admits (g^2 <= MAX_TABLE_WORK, at lmax = 0): 2.1 to
+# 2.4 s, up to 38 MB, over five weights at g = 656.
+MAX_RANK1_G = 656
 
 
 def _check_sp_weight(lam: Sequence[int], g: int) -> tuple[int, ...]:
@@ -52,6 +56,11 @@ def _check_sp_weight(lam: Sequence[int], g: int) -> tuple[int, ...]:
     return lam
 
 
+def _check_rank1_genus(g: int) -> None:
+    if g > MAX_RANK1_G:
+        raise ValueError(f"-g: rank1 needs g <= {MAX_RANK1_G}, got {g}")
+
+
 def admissible_weights(g: int, lmax: int) -> list[tuple[int, ...]]:
     """The dominant genus-g weights with entries in [0, lmax] and even
     entry sum, in lexicographic order: the rows of a regression table."""
@@ -64,6 +73,7 @@ def admissible_weights(g: int, lmax: int) -> list[tuple[int, ...]]:
         raise ValueError(
             f"-g/--lmax: need g^2*C(lmax+g, g) <= {MAX_TABLE_WORK}, got {work}"
         )
+    _check_rank1_genus(g)
     weights = (w.entries for w in dominant_weights(g, 0, lmax))
     return sorted(lam for lam in weights if sum(lam) % 2 == 0)
 
@@ -99,7 +109,7 @@ def bgg_complex(g: int, lam: Sequence[int]) -> list[BggTerm]:
     return terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundaryTerm:
     source_w: WeylElement
     k: int
@@ -133,21 +143,23 @@ def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
         restricted = {0: WeylElement(0, ())}
     else:
         restricted = {flip_mask(u): u for u in enumerate_final(g - 1)}
+    twists = [lam[k - 1] + g + 1 - k for k in range(1, g + 1)]
     out = []
     for w in enumerate_final(g):
         a = GlWeight(w.dot_action(lam)).dual().entries
+        # telescope_surgery(a, l) is a[:l-1] + low[l:]
+        low = tuple(x - 1 for x in a)
         mask = flip_mask(w)
         lw = flip_length(mask, g)
         for k in range(1, g + 1):
             side, pos = flip_dichotomy(mask, g, k)
             l = g + 1 - pos
-            weight = GlWeight(telescope_surgery(a, l))
-            sign = (-1) ** (lw + g - l)
-            twist = 0 if side == "A" else lam[k - 1] + g + 1 - k
-            u = restricted[restrict_flips(mask, k)]
+            weight = GlWeight(a[: l - 1] + low[l:])
             out.append(
                 BoundaryTerm(
-                    w, k, side, u, weight, sign, twist,
+                    w, k, side, restricted[restrict_flips(mask, k)], weight,
+                    -1 if (lw + g - l) & 1 else 1,
+                    0 if side == "A" else twists[k - 1],
                     sum(weight.entries) % 2 == 0,
                 )
             )
@@ -231,6 +243,7 @@ def rank1(g: int, lam: Sequence[int], expand: bool = False) -> MotiveExpr:
     The k-th term carries sign (-1)^(k+1); with expand=True the genus-1
     Euler symbols are rewritten into cusp-form motives.
     """
+    _check_rank1_genus(g)
     lam = _check_sp_weight(lam, g)
     total = MotiveExpr.zero()
     for k in range(1, g + 1):

@@ -9,15 +9,17 @@ of (weight, twist) pairs with exact integer coefficients.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 
 def is_dominant(v: Sequence[int]) -> bool:
-    return all(v[i] >= v[i + 1] for i in range(len(v) - 1))
+    """v[i] >= v[i+1] for every i; v is a list or a tuple."""
+    return all(map(operator.ge, v, v[1:]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GlWeight:
     """Weakly decreasing integer vector; the empty weight is allowed."""
 

@@ -176,6 +176,11 @@ def verify_telescope(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
 def verify_partition_suite(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
     report = VerificationReport()
     e = min(max_entry, 4)
+    if min(max_g, 4) < 2:
+        report.record(
+            "partition-identity", False, "0 cases",
+            f"--max-g {max_g} admits no g >= 2; needs --max-g >= 2",
+        )
     for g in range(2, min(max_g, 4) + 1):
         ok, cex = True, None
         for weight in dominant_weights(g, 0, e):

@@ -27,7 +27,7 @@ def rho(g: int) -> tuple[int, ...]:
     return tuple(range(g, 0, -1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WeylElement:
     """Element of W_g given by its first g images [w(1), ..., w(g)]."""
 
@@ -47,10 +47,10 @@ class WeylElement:
         if len(set(imgs)) != g:
             raise ValueError("images must be distinct")
         # both members of a pair {m, 2g+1-m} would force a collision in
-        # the reconstructed second half
-        for a, b in itertools.combinations(imgs, 2):
-            if a + b == 2 * g + 1:
-                raise ValueError("images contain a complementary pair")
+        # the reconstructed second half; distinct images meet g different
+        # pairs iff no pair is hit twice
+        if len({m if m <= g else 2 * g + 1 - m for m in imgs}) != g:
+            raise ValueError("images contain a complementary pair")
 
     def __str__(self):
         if 2 * self.g <= 9:

@@ -1,11 +1,21 @@
 import hashlib
 import json
+import os
+import random
 
 import pytest
 
 from siegeleis import eiscalc, suites
-from siegeleis.cli import run
+from siegeleis.cli import _render_boundary, run
 from siegeleis.motivering import MotiveExpr, VerificationReport
+
+
+def _assert_same(got: str, expected: str):
+    """String equality that reports only the first difference: pytest's
+    own diff of two long one-line strings runs for minutes."""
+    if got != expected:
+        i = len(os.path.commonprefix([got, expected]))
+        pytest.fail(f"differ at {i}: {got[i:i + 60]!r} != {expected[i:i + 60]!r}")
 
 
 class TestRank1Command:
@@ -117,6 +127,61 @@ class TestStructureCommands:
         )
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    # sha256 of the output before the f-string renderer and the slotted
+    # value objects
+    @pytest.mark.parametrize(
+        "format, digest",
+        [
+            ("text", "9119d85c8d4feb9b758cc1fa201a6f4dc76172ef8c8719c6d1e4d596d96e8e57"),
+            ("json", "23159057d7e4721d94d0bfcd14259bdd12821a3cd4d4ef703ca8c36d39cfa7a5"),
+        ],
+    )
+    def test_boundary_golden_digest_g11(self, format, digest):
+        code, out, _ = run(
+            [
+                "boundary", "-g", "11", "-l", "20,18,15,15,10,9,7,4,2,1,0",
+                "--format", format,
+            ]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("g", range(1, 10))
+    def test_boundary_renderer_matches_the_encoder(self, g):
+        """The f-string records against json.dumps of per-term dicts and
+        the per-term text built from str(w)."""
+        rng = random.Random(g)
+        for _ in range(2):
+            lam = tuple(sorted((rng.randint(0, 12) for _ in range(g)), reverse=True))
+            terms = eiscalc.boundary_terms(g, lam)
+            records = [
+                {
+                    "w": list(t.source_w.images),
+                    "k": t.k,
+                    "side": t.side,
+                    "u": list(t.u.images),
+                    "weight": list(t.weight.entries),
+                    "sign": t.sign,
+                    "twist": t.twist,
+                    "parity_pass": t.parity_pass,
+                }
+                for t in terms
+            ]
+            _assert_same(
+                _render_boundary(g, lam, "json"),
+                json.dumps(records, separators=(", ", ": ")),
+            )
+            _assert_same(
+                _render_boundary(g, lam, "text"),
+                "\n".join(
+                    f"w={t.source_w} k={t.k} side={t.side} u={t.u} "
+                    f"weight=({','.join(str(a) for a in t.weight.entries)}) "
+                    f"sign={'+' if t.sign > 0 else '-'}1 twist={t.twist} "
+                    f"parity={'even' if t.parity_pass else 'odd'}"
+                    for t in terms
+                ),
+            )
 
 
 class TestTable:
@@ -288,6 +353,21 @@ class TestZeroCaseChecks:
             assert line.startswith(f"FAIL {name}: 0 cases")
             assert "counterexample: --max-g 1 admits no g >= 2" in line
 
+    def test_partition_identity_fails_without_a_case(self):
+        code, out, _ = run(["verify", "--suite", "partition", "--max-g", "1"])
+        assert code == 1
+        lines = {ln.split(":")[0]: ln for ln in out.splitlines()}
+        assert not any(n.split()[1].startswith("partition-identity-g") for n in lines)
+        line = lines["FAIL partition-identity"]
+        assert line.startswith("FAIL partition-identity: 0 cases")
+        assert "counterexample: --max-g 1 admits no g >= 2; needs --max-g >= 2" in line
+        # one case is enough to drop the zero-case line
+        code, out, _ = run(["verify", "--suite", "partition", "--max-g", "2"])
+        assert code == 0
+        assert [ln.split(":")[0] for ln in out.splitlines()] == [
+            "PASS partition-identity-g2", "PASS reindexing-completeness"
+        ]
+
     @pytest.mark.parametrize(
         "format, digest",
         [
@@ -391,6 +471,35 @@ class TestSizeLimits:
         else:
             assert (code, out, calls) == (2, "", [])
             assert err.startswith("error: -g/--lmax: need g^2*C(lmax+g, g) <= 431145")
+
+
+    @pytest.mark.parametrize(
+        "g, ok", [(eiscalc.MAX_RANK1_G, True), (eiscalc.MAX_RANK1_G + 1, False)]
+    )
+    def test_rank1_limit(self, monkeypatch, g, ok):
+        calls = []
+        monkeypatch.setattr(
+            MotiveExpr, "euler", lambda g, lam: calls.append(g) or MotiveExpr.zero()
+        )
+        code, out, err = run(
+            ["rank1", "-g", str(g), "-l", ",".join(["0"] * g), "--format", "json"]
+        )
+        if ok:
+            assert (code, out, err) == (0, "[]\n", "") and len(calls) == g
+        else:
+            assert (code, out, calls) == (2, "", [])
+            assert err == f"error: -g: rank1 needs g <= {g - 1}, got {g}\n"
+
+    def test_table_applies_the_rank1_limit(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            eiscalc, "dominant_weights", lambda *args: calls.append(args) or []
+        )
+        monkeypatch.setattr(eiscalc, "MAX_RANK1_G", 5)
+        assert run(["table", "-g", "5", "--lmax", "3"])[0] == 0
+        code, out, err = run(["table", "-g", "6", "--lmax", "3"])
+        assert (code, out, err) == (2, "", "error: -g: rank1 needs g <= 5, got 6\n")
+        assert calls == [(5, 0, 3)]
 
 
 class TestUsageErrors:

@@ -130,6 +130,25 @@ class TestBoundaryTerms:
         assert sides[((3, 4), 1)] == "B"
         assert sides[((2, 4), 2)] == "A"
 
+    @pytest.mark.parametrize("g", range(2, 9))
+    def test_every_value_object_is_validated(self, monkeypatch, g):
+        """2 weights per w (its dot action and dual) and one per term; the
+        final elements of genus g and g-1."""
+        counts = {GlWeight: 0, WeylElement: 0}
+        for cls in counts:
+            check = cls.__post_init__
+
+            def counted(self, check=check, cls=cls):
+                counts[cls] += 1
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        lam = tuple(range(2 * g, 0, -2))
+        terms = boundary_terms(g, lam)
+        assert len(terms) == g * 2**g
+        assert counts[GlWeight] == g * 2**g + 2 * 2**g
+        assert counts[WeylElement] == 2**g + 2 ** (g - 1)
+
     def test_twist_is_zero_exactly_on_side_a(self):
         lam = (4, 2, 0)
         for t in boundary_terms(3, lam):

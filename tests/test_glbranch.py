@@ -43,6 +43,19 @@ class TestDominanceAndDual:
             GlWeight((0, 1))
         assert GlWeight(()).entries == ()
 
+    @given(
+        st.lists(st.integers(-3, 3), min_size=0, max_size=8),
+        st.booleans(),
+    )
+    def test_is_dominant_matches_the_index_loop(self, v, as_tuple):
+        v = tuple(v) if as_tuple else v
+        assert is_dominant(v) == all(v[i] >= v[i + 1] for i in range(len(v) - 1))
+
+    def test_slotted_weight_still_validates(self):
+        with pytest.raises(ValueError, match="not weakly decreasing"):
+            GlWeight((1, 2))
+        assert not hasattr(GlWeight((2, 1)), "__dict__")
+
     def test_dual_examples(self):
         assert gw(0, 0).dual() == gw(0, 0)
         assert gw(5, -5).dual() == gw(5, -5)

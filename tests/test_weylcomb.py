@@ -33,6 +33,30 @@ class TestWeylElement:
         with pytest.raises(ValueError):
             WeylElement(2, (1,))  # wrong length
 
+    @pytest.mark.parametrize("g", [0, 1, 2, 3, 4])
+    def test_pair_check_matches_the_pairwise_scan(self, g):
+        """Every tuple in [1, 2g]^g against the O(g^2) pairwise check."""
+
+        def pairwise(imgs):
+            if len(set(imgs)) != g:
+                return "images must be distinct"
+            for a, b in itertools.combinations(imgs, 2):
+                if a + b == 2 * g + 1:
+                    return "images contain a complementary pair"
+            return None
+
+        for imgs in itertools.product(range(1, 2 * g + 1), repeat=g):
+            expected = pairwise(imgs)
+            if expected is None:
+                assert WeylElement(g, imgs).images == imgs
+            else:
+                with pytest.raises(ValueError) as err:
+                    WeylElement(g, imgs)
+                assert str(err.value) == expected
+
+    def test_slotted(self):
+        assert not hasattr(W(2, 1, 3), "__dict__")
+
     def test_second_half_reconstruction(self):
         w = W(2, 1, 3)
         assert [w.apply(i) for i in range(1, 5)] == [1, 3, 2, 4]
