@@ -20,7 +20,6 @@ from .glbranch import (
     GlWeight,
     VirtualBundle,
     branch,
-    deletion_parity,
     is_dominant,
     straighten,
     telescope_bruteforce,
@@ -54,7 +53,6 @@ __all__ = [
     "wedge_dual_tensor_straightened",
     "telescope_closed",
     "telescope_bruteforce",
-    "deletion_parity",
     "MotiveExpr",
     "Symbol",
     "VerificationReport",

@@ -191,14 +191,7 @@ def run(argv) -> tuple[int, str, str]:
                 return 0, "", ""
             return 0, text, ""
         if args.command == "verify":
-            # the weyl checks cost about g^2 * 2^g up to max-g, the
-            # telescope checks about max-entry^4
-            if not 1 <= args.max_g <= 16:
-                raise ValueError(f"--max-g: must be in [1, 16], got {args.max_g}")
-            if not 0 <= args.max_entry <= 12:
-                raise ValueError(
-                    f"--max-entry: must be in [0, 12], got {args.max_entry}"
-                )
+            suites.check_sizes(args.max_g, args.max_entry)
             report = suites.run_suite(args.suite, args.max_g, args.max_entry)
             out = report.render(args.format) + "\n"
             return (0 if report.passed else 1), out, ""

@@ -130,8 +130,7 @@ def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
     bit operations, and the restricted element u is looked up in a table
     of the 2^(g-1) final elements of genus g-1, built once per call, so
     every u is one of those validated `WeylElement`s.  The GL(1,Z) parity
-    filter is the entry-sum parity of the term's own weight, which is
-    what `deletion_parity` computes.
+    filter is the entry-sum parity of the term's own weight.
 
     Returns a list, not a generator: callers take its length and walk it
     more than once.
@@ -179,60 +178,56 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
 
     # (i) exclusivity and k -> position bijection per w; each term's side
     # and restriction against the image-based oracles
-    ok, cex = True, None
-    for w, ts in by_w.items():
+    def dichotomy(item):
+        w, ts = item
         positions = []
         for t in ts:
             side, pos = image_dichotomy(w, t.k)
-            in_a = t.k in w.images
-            in_b = (2 * g + 1 - t.k) in w.images
-            if in_a == in_b:
-                ok, cex = False, f"w={w}, k={t.k}"
-                break
+            if (t.k in w.images) == ((2 * g + 1 - t.k) in w.images):
+                return f"w={w}, k={t.k}"
             if t.side != side:
-                ok, cex = False, f"w={w}, k={t.k}: side {t.side} != {side}"
-                break
+                return f"w={w}, k={t.k}: side {t.side} != {side}"
             u = restrict_final(w, t.k, side)
             if t.u != u:
-                ok, cex = False, f"w={w}, k={t.k}: u={t.u} != {u}"
-                break
+                return f"w={w}, k={t.k}: u={t.u} != {u}"
             positions.append(pos)
-        if ok and sorted(positions) != list(range(1, g + 1)):
-            ok, cex = False, f"w={w}, positions={positions}"
-        if not ok:
-            break
-    report.record("dichotomy-bijection", ok, f"g={g}, lambda={lam}", cex)
+        if sorted(positions) != list(range(1, g + 1)):
+            return f"w={w}, positions={positions}"
+    detail = f"g={g}, lambda={lam}"
+    report.check("dichotomy-bijection", detail, by_w.items(), dichotomy)
 
     # (ii) weight identity against the restricted dot action
-    ok, cex = True, None
-    for t in terms:
+    def weight_identity(t):
         tp = surgered[t.k]
         expected = GlWeight(t.u.dot_action(tp)).dual() if g > 1 else GlWeight(())
         if t.weight != expected:
-            ok, cex = False, f"w={t.source_w}, k={t.k}: {t.weight} != {expected}"
-            break
-    report.record("weight-identity", ok, f"g={g}, lambda={lam}", cex)
+            return f"w={t.source_w}, k={t.k}: {t.weight} != {expected}"
+    report.check("weight-identity", detail, terms, weight_identity)
 
     # (iii)+(iv) sign constancy per (k, side)
-    ok, cex = True, None
     lengths = {u: u.length() for u in {t.u for t in terms}}
     ratios_by: dict[tuple[int, str], set[int]] = {}
     for t in terms:
         ratios_by.setdefault((t.k, t.side), set()).add(t.sign * (-1) ** lengths[t.u])
-    for k in range(1, g + 1):
-        for side, expected in (("A", (-1) ** (k + 1)), ("B", (-1) ** k)):
-            ratios = ratios_by.get((k, side), set())
-            if ratios != {expected}:
-                ok, cex = False, f"k={k}, side={side}, ratios={sorted(ratios)}"
-    report.record("sign-constancy", ok, f"g={g}, lambda={lam}", cex)
+
+    def sign_constant(case):
+        k, side, expected = case
+        ratios = ratios_by.get((k, side), set())
+        if ratios != {expected}:
+            return f"k={k}, side={side}, ratios={sorted(ratios)}"
+    expected_signs = (
+        (k, side, sign)
+        for k in range(1, g + 1)
+        for side, sign in (("A", (-1) ** (k + 1)), ("B", (-1) ** k))
+    )
+    report.check("sign-constancy", detail, expected_signs, sign_constant)
 
     # parity filter agrees with the vanishing of odd-|lambda| symbols
-    ok, cex = True, None
-    for t in terms:
-        if t.parity_pass != (sum(surgered[t.k]) % 2 == 0):
-            ok, cex = False, f"w={t.source_w}, k={t.k}"
-            break
-    report.record("parity-filter", ok, f"g={g}, lambda={lam}", cex)
+    report.check(
+        "parity-filter", detail, terms,
+        lambda t: None if t.parity_pass == (sum(surgered[t.k]) % 2 == 0)
+        else f"w={t.source_w}, k={t.k}",
+    )
     return report
 
 

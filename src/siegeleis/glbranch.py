@@ -103,9 +103,6 @@ class VirtualBundle:
             self._terms.items(), key=lambda kv: (kv[0][1], kv[0][0].entries)
         )
 
-    def coeff(self, wt: GlWeight, twist: int = 0) -> int:
-        return self._terms.get((wt, twist), 0)
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -135,11 +132,6 @@ class VirtualBundle:
 
     def scale(self, n: int) -> "VirtualBundle":
         return VirtualBundle(self.genus, {k: n * c for k, c in self._terms.items()})
-
-    def twisted(self, t: int) -> "VirtualBundle":
-        return VirtualBundle(
-            self.genus, {(wt, tw + t): c for (wt, tw), c in self._terms.items()}
-        )
 
     def __str__(self):
         if self.is_zero():
@@ -238,14 +230,6 @@ def telescope_bruteforce(a: GlWeight) -> VirtualBundle:
             for v in _deletions(b, k):
                 acc[v] = acc.get(v, 0) + sign
     return VirtualBundle(g - 1, {(GlWeight(v), 0): c for v, c in acc.items()})
-
-
-def deletion_parity(a: GlWeight, k: int) -> bool:
-    """GL(1,Z) parity filter for the k-th telescope term."""
-    g = len(a)
-    if not 1 <= k <= g:
-        raise ValueError("k out of range")
-    return sum(telescope_surgery(a.entries, k)) % 2 == 0
 
 
 def dominant_weights(g: int, lo: int, hi: int) -> Iterable[GlWeight]:

@@ -333,12 +333,30 @@ class Check:
 
 @dataclass
 class VerificationReport:
-    """Pass/fail record for a batch of identity checks."""
+    """Pass/fail record for a batch of identity checks: `check` runs one
+    over a stream of cases, `record` stores a single comparison."""
 
     checks: list[Check] = field(default_factory=list)
 
     def record(self, name, passed, detail="", counterexample=None):
         self.checks.append(Check(name, bool(passed), detail, counterexample))
+
+    def check(self, name, detail, cases, test, empty="no case ran"):
+        """Record one check: `test(case)` is None when the case holds, else
+        a counterexample string.  The check fails at the first
+        counterexample, running no later case; a check that ran no case
+        fails with detail "0 cases" and counterexample `empty`."""
+        ran = False
+        for case in cases:
+            ran = True
+            cex = test(case)
+            if cex is not None:
+                self.record(name, False, detail, cex)
+                return
+        if ran:
+            self.record(name, True, detail)
+        else:
+            self.record(name, False, "0 cases", empty)
 
     def extend(self, other: "VerificationReport"):
         self.checks.extend(other.checks)

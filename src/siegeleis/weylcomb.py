@@ -1,8 +1,8 @@
 """Signed-permutation combinatorics for the Weyl group of Sp(2g).
 
 Elements of the Weyl group W_g sit inside S_2g as the permutations with
-w(i) + w(2g+1-i) = 2g+1.  Only the first g images are stored; the second
-half is reconstructed on demand.  Everything here is immutable and pure.
+w(i) + w(2g+1-i) = 2g+1.  Only the first g images are stored; the
+relation gives the rest.  Everything here is immutable and pure.
 
 A final element is also determined by its flip set F, the indices i with
 2g+1-i among its images, which the boundary pipeline handles as a
@@ -56,14 +56,6 @@ class WeylElement:
         if 2 * self.g <= 9:
             return "[" + "".join(str(m) for m in self.images) + "]"
         return "[" + ",".join(str(m) for m in self.images) + "]"
-
-    def apply(self, i: int) -> int:
-        """w(i) for any i in [1, 2g]."""
-        if 1 <= i <= self.g:
-            return self.images[i - 1]
-        if self.g < i <= 2 * self.g:
-            return 2 * self.g + 1 - self.images[2 * self.g - i]
-        raise ValueError("index out of range")
 
     def length(self) -> int:
         """Coxeter length from the two-part inversion count."""

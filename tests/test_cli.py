@@ -380,6 +380,38 @@ class TestZeroCaseChecks:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    # sha256 of failing outputs, recorded before every looping check ran
+    # through VerificationReport.check
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--max-g", "1"],
+             "4b93c5dbe81fee95b51c069bd61a3ebd5322ba9d5cfd7a9297784f7ac92141c0"),
+            (["--max-g", "1", "--format", "json"],
+             "cde466992d5c3de53da9833d5894c6ff663dbe02be57c797a8e236128dcd9408"),
+            (["--max-g", "2", "--max-entry", "2"],
+             "cc40d688465531e6995f2fd755ce10af38252eb0e8b3e8e9236d40fb5cd39025"),
+        ],
+    )
+    def test_failing_output_unchanged(self, argv, digest):
+        code, out, err = run(["verify", *argv])
+        assert (code, err) == (1, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_checks_fail_when_their_case_source_is_empty(self, monkeypatch):
+        monkeypatch.setattr(suites, "dominant_weights", lambda *args: iter(()))
+        monkeypatch.setattr(eiscalc, "admissible_weights", lambda *args: iter(()))
+        code, out, _ = run(["verify"])
+        assert code == 1
+        failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+        assert {ln.split(":")[0].split()[1] for ln in failed} == {
+            "telescope-exhaustive", "wedge-dual-route", "branch-count-interlacing",
+            "dual-involution", "partition-identity-g2", "partition-identity-g3",
+            "partition-identity-g4", "reindexing-completeness",
+            "consistency-grid", "filtration-exponents", "duality-total-g2",
+        }
+        assert all(": 0 cases [counterexample: " in ln for ln in failed)
+
 
 class TestPinnedOutput:
     """Bytes recorded before validation moved from the CLI into eiscalc."""

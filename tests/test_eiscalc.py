@@ -234,6 +234,16 @@ class TestVerifyPartition:
         report = verify_partition(3, (3, 1, 0))
         assert {c.name: c.counterexample for c in report.failures()} == {check: cex}
 
+    def test_no_terms_fail_every_check(self, monkeypatch):
+        monkeypatch.setattr(eiscalc, "boundary_terms", lambda g, lam: [])
+        report = verify_partition(3, (3, 1, 0))
+        assert [(c.name, c.passed, c.detail) for c in report.checks] == [
+            ("dichotomy-bijection", False, "0 cases"),
+            ("weight-identity", False, "0 cases"),
+            ("sign-constancy", False, "g=3, lambda=(3, 1, 0)"),
+            ("parity-filter", False, "0 cases"),
+        ]
+
     def test_surgery_and_lengths_once_each(self, monkeypatch):
         g, lam = 6, (7, 5, 5, 3, 2, 0)
         surgeries, lengths = [], []

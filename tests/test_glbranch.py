@@ -9,7 +9,6 @@ from siegeleis.glbranch import (
     GlWeight,
     VirtualBundle,
     branch,
-    deletion_parity,
     dominant_weights,
     is_dominant,
     straighten,
@@ -233,21 +232,6 @@ class TestTelescope:
         for (wt, twist), _ in vb.items():
             assert is_dominant(wt.entries)
             assert twist == 0
-
-
-class TestDeletionParity:
-    def test_examples(self):
-        assert deletion_parity(gw(0, 0, 0), 3)
-        assert not deletion_parity(gw(2, 0), 1)
-        assert deletion_parity(gw(2, 0), 2)
-
-    def test_matches_term_entry_sum(self):
-        for a in dominant_weights(3, -3, 3):
-            for k in range(1, 4):
-                term_sum = sum(a.entries[: k - 1]) + sum(
-                    x - 1 for x in a.entries[k:]
-                )
-                assert deletion_parity(a, k) == (term_sum % 2 == 0)
 
 
 class TestVirtualBundle:

@@ -294,3 +294,44 @@ class TestVerificationReport:
             {"name": "only", "status": "pass", "detail": "",
              "counterexample": None}
         ]
+
+
+class TestCheckRunner:
+    @staticmethod
+    def run_check(cases, **kwargs):
+        seen = []
+
+        def test(case):
+            seen.append(case)
+            return None if case % 3 else f"case={case}"
+
+        r = VerificationReport()
+        r.check("c", "some cases", cases, test, **kwargs)
+        (check,) = r.checks
+        return check, seen
+
+    def test_first_counterexample_and_later_cases_skipped(self):
+        check, seen = self.run_check(iter([1, 2, 3, 4, 5, 6]))
+        assert (check.passed, check.detail, check.counterexample) == (
+            False, "some cases", "case=3"
+        )
+        assert seen == [1, 2, 3]
+
+    def test_pass(self):
+        check, seen = self.run_check([1, 2, 4, 5])
+        assert (check.passed, check.detail, check.counterexample) == (
+            True, "some cases", None
+        )
+        assert seen == [1, 2, 4, 5]
+
+    @pytest.mark.parametrize(
+        "kwargs, cex", [({}, "no case ran"), ({"empty": "need more"}, "need more")]
+    )
+    def test_zero_cases_fail(self, kwargs, cex):
+        check, seen = self.run_check(iter(()), **kwargs)
+        assert (check.passed, check.detail, check.counterexample) == (
+            False, "0 cases", cex
+        )
+        assert seen == []
+        r = VerificationReport(checks=[check])
+        assert r.render() == f"FAIL c: 0 cases [counterexample: {cex}]"

@@ -57,10 +57,6 @@ class TestWeylElement:
     def test_slotted(self):
         assert not hasattr(W(2, 1, 3), "__dict__")
 
-    def test_second_half_reconstruction(self):
-        w = W(2, 1, 3)
-        assert [w.apply(i) for i in range(1, 5)] == [1, 3, 2, 4]
-
     def test_str(self):
         assert str(W(3, 1, 3, 5)) == "[135]"
         assert str(WeylElement(5, (1, 2, 3, 4, 5))) == "[1,2,3,4,5]"
