@@ -3,7 +3,7 @@
 Dominant weights, duals, branching to GL(g-1), tensoring with exterior
 powers of the dual standard representation, and the telescoping formula
 for the alternating direct image.  Virtual bundles are finite signed sums
-of (weight, twist) pairs with exact integer coefficients.
+of weights with exact integer coefficients.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 def is_dominant(v: Sequence[int]) -> bool:
@@ -84,24 +84,29 @@ def straighten(v: Sequence[int]):
 
 
 class VirtualBundle:
-    """Integer-linear combination of (GlWeight, twist) pairs."""
+    """Integer-linear combination of GlWeights of one length, the genus."""
 
     __slots__ = ("genus", "_terms")
 
-    def __init__(self, genus: int, terms: Mapping[tuple[GlWeight, int], int] = ()):
+    def __init__(self, genus: int, terms: dict | Iterable[tuple] = ()):
+        """From a dict, or from (weight, coeff) pairs whose repeated weights
+        are summed; zero coefficients are dropped either way."""
         self.genus = genus
+        if not isinstance(terms, dict):
+            acc: dict[GlWeight, int] = {}
+            for wt, c in terms:
+                acc[wt] = acc.get(wt, 0) + c
+            terms = acc
         clean = {}
-        for (wt, twist), c in dict(terms).items():
-            if len(wt) != genus:
+        for wt, c in terms.items():
+            if len(wt.entries) != genus:
                 raise ValueError("weight length must equal the bundle genus")
             if c:
-                clean[(wt, twist)] = c
+                clean[wt] = c
         self._terms = clean
 
-    def items(self) -> list[tuple[tuple[GlWeight, int], int]]:
-        return sorted(
-            self._terms.items(), key=lambda kv: (kv[0][1], kv[0][0].entries)
-        )
+    def items(self) -> list[tuple[GlWeight, int]]:
+        return sorted(self._terms.items(), key=lambda kv: kv[0].entries)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -119,10 +124,9 @@ class VirtualBundle:
     def __add__(self, other: "VirtualBundle") -> "VirtualBundle":
         if self.genus != other.genus:
             raise ValueError("genus mismatch")
-        terms = dict(self._terms)
-        for key, c in other._terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return VirtualBundle(self.genus, terms)
+        return VirtualBundle(
+            self.genus, itertools.chain(self._terms.items(), other._terms.items())
+        )
 
     def __neg__(self):
         return VirtualBundle(self.genus, {k: -c for k, c in self._terms.items()})
@@ -137,10 +141,8 @@ class VirtualBundle:
         if self.is_zero():
             return "0"
         parts = []
-        for (wt, twist), c in self.items():
+        for wt, c in self.items():
             body = f"W({','.join(str(a) for a in wt.entries)})"
-            if twist:
-                body += f"<nu^{twist}>"
             if abs(c) != 1:
                 body = f"{abs(c)}*{body}"
             if not parts:
@@ -173,9 +175,7 @@ def wedge_dual_tensor(mu: GlWeight, k: int) -> VirtualBundle:
     n = len(mu)
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-    return VirtualBundle(
-        n, {(GlWeight(v), 0): 1 for v in _deletions(mu.entries, k)}
-    )
+    return VirtualBundle(n, {GlWeight(v): 1 for v in _deletions(mu.entries, k)})
 
 
 def wedge_dual_tensor_straightened(mu: GlWeight, k: int) -> VirtualBundle:
@@ -184,16 +184,13 @@ def wedge_dual_tensor_straightened(mu: GlWeight, k: int) -> VirtualBundle:
     n = len(mu)
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-    terms: dict[tuple[GlWeight, int], int] = {}
-    for subset in itertools.combinations(range(n), k):
-        v = list(mu.entries)
-        for i in subset:
-            v[i] -= 1
-        st = straighten(v)
-        if st is not None:
-            sign, wt = st
-            terms[(wt, 0)] = terms.get((wt, 0), 0) + sign
-    return VirtualBundle(n, terms)
+    shifted = (
+        [x - (i in subset) for i, x in enumerate(mu.entries)]
+        for subset in itertools.combinations(range(n), k)
+    )
+    return VirtualBundle(
+        n, ((wt, sign) for sign, wt in filter(None, map(straighten, shifted)))
+    )
 
 
 def telescope_surgery(a: Sequence[int], l: int) -> tuple[int, ...]:
@@ -207,10 +204,10 @@ def telescope_closed(a: GlWeight) -> VirtualBundle:
     g = len(a)
     if g == 0:
         raise ValueError("need a nonempty weight")
-    terms: dict[tuple[GlWeight, int], int] = {}
-    for k in range(1, g + 1):
-        wt = GlWeight(telescope_surgery(a.entries, k))
-        terms[(wt, 0)] = terms.get((wt, 0), 0) + (-1) ** (g - k)
+    terms = (
+        (GlWeight(telescope_surgery(a.entries, k)), (-1) ** (g - k))
+        for k in range(1, g + 1)
+    )
     return VirtualBundle(g - 1, terms)
 
 
@@ -229,7 +226,7 @@ def telescope_bruteforce(a: GlWeight) -> VirtualBundle:
             sign = -1 if k % 2 else 1
             for v in _deletions(b, k):
                 acc[v] = acc.get(v, 0) + sign
-    return VirtualBundle(g - 1, {(GlWeight(v), 0): c for v, c in acc.items()})
+    return VirtualBundle(g - 1, {GlWeight(v): c for v, c in acc.items()})
 
 
 def dominant_weights(g: int, lo: int, hi: int) -> Iterable[GlWeight]:

@@ -8,9 +8,10 @@ them); all arithmetic is exact.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 
 class UnsupportedProductError(ValueError):
@@ -37,7 +38,7 @@ def cusp_dim(k: int) -> int:
 _KIND_RANK = {"one": 0, "S": 1, "Ec": 2}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Symbol:
     """The unit, a cusp-form motive S[k], or an Euler-characteristic
     symbol Ec(g; lambda)."""
@@ -46,6 +47,7 @@ class Symbol:
     k: int = 0
     g: int = 0
     lam: tuple[int, ...] = ()
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "lam", tuple(self.lam))
@@ -61,6 +63,11 @@ class Symbol:
                 raise ValueError("Ec weight must be nonnegative")
         elif self.kind != "one":
             raise ValueError(f"unknown symbol kind {self.kind!r}")
+        # every dict operation on a term key hashes its symbol
+        object.__setattr__(self, "_hash", hash((self.kind, self.k, self.g, self.lam)))
+
+    def __hash__(self):
+        return self._hash
 
     def sort_key(self):
         return (_KIND_RANK[self.kind], self.k, self.g, self.lam)
@@ -95,8 +102,15 @@ class MotiveExpr:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[tuple[Symbol, int], int] = ()):
-        self._terms = {k: c for k, c in dict(terms).items() if c}
+    def __init__(self, terms: dict | Iterable[tuple] = ()):
+        """From a dict, or from (key, coeff) pairs whose repeated keys are
+        summed; zero coefficients are dropped either way."""
+        if not isinstance(terms, dict):
+            acc: dict[tuple[Symbol, int], int] = {}
+            for key, c in terms:
+                acc[key] = acc.get(key, 0) + c
+            terms = acc
+        self._terms = {k: c for k, c in terms.items() if c}
 
     # -- constructors ------------------------------------------------
     @staticmethod
@@ -138,10 +152,7 @@ class MotiveExpr:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "MotiveExpr") -> "MotiveExpr":
-        terms = dict(self._terms)
-        for key, c in other._terms.items():
-            terms[key] = terms.get(key, 0) + c
-        return MotiveExpr(terms)
+        return MotiveExpr(itertools.chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self):
         return MotiveExpr({k: -c for k, c in self._terms.items()})
@@ -162,12 +173,11 @@ class MotiveExpr:
             raise UnsupportedProductError(
                 "can only multiply by integer polynomials in L"
             )
-        terms: dict[tuple[Symbol, int], int] = {}
-        for (sym, a), c in general._terms.items():
-            for (_, b), d in mono._terms.items():
-                key = (sym, a + b)
-                terms[key] = terms.get(key, 0) + c * d
-        return MotiveExpr(terms)
+        return MotiveExpr(
+            ((sym, a + b), c * d)
+            for (sym, a), c in general._terms.items()
+            for (_, b), d in mono._terms.items()
+        )
 
     __rmul__ = __mul__
 
@@ -179,59 +189,24 @@ class MotiveExpr:
         With expand_genus_one (the default): Ec(1;(k)) -> -S[k+2] - 1,
         S[2] -> -L - 1, and S[k] -> 0 whenever dim S_k = 0.
         """
-        terms = dict(self._terms)
-        changed = True
-        while changed:
-            changed = False
-            out: dict[tuple[Symbol, int], int] = {}
-
-            def put(sym, lexp, c):
-                key = (sym, lexp)
-                out[key] = out.get(key, 0) + c
-
-            for (sym, a), c in terms.items():
-                if sym.kind == "Ec":
-                    if sym.g == 0:
-                        put(ONE, a, c)
-                        changed = True
-                    elif sum(sym.lam) % 2:
-                        changed = True
-                    elif expand_genus_one and sym.g == 1:
-                        k = sym.lam[0]
-                        put(Symbol("S", k=k + 2), a, -c)
-                        put(ONE, a, -c)
-                        changed = True
-                    else:
-                        put(sym, a, c)
-                elif sym.kind == "S" and expand_genus_one:
-                    if sym.k == 2:
-                        put(ONE, a + 1, -c)
-                        put(ONE, a, -c)
-                        changed = True
-                    elif cusp_dim(sym.k) == 0:
-                        changed = True
-                    else:
-                        put(sym, a, c)
-                else:
-                    put(sym, a, c)
-            terms = {k: c for k, c in out.items() if c}
-        return MotiveExpr(terms)
+        # one rewrite per distinct symbol and pass, so the terms carrying
+        # Ec(1;(k)) share one S[k+2]; no rule maps a symbol to itself
+        expr = self
+        while True:
+            rules = {sym: _rewrite(sym, expand_genus_one) for sym, _ in expr._terms}
+            out = MotiveExpr(
+                ((s, a + shift), sign * c)
+                for (sym, a), c in expr._terms.items()
+                for s, shift, sign in rules[sym]
+            )
+            if out == expr:
+                return out
+            expr = out
 
     def dual(self) -> "MotiveExpr":
         """Poincare dual on the monomial level: L^a -> L^-a and
         S[k]*L^a -> S[k]*L^(1-k-a)."""
-        terms: dict[tuple[Symbol, int], int] = {}
-        for (sym, a), c in self._terms.items():
-            if sym.kind == "one":
-                key = (sym, -a)
-            elif sym.kind == "S":
-                key = (sym, 1 - sym.k - a)
-            else:
-                raise NotExpandableError(
-                    f"cannot dualize symbolic term {sym}"
-                )
-            terms[key] = terms.get(key, 0) + c
-        return MotiveExpr(terms)
+        return MotiveExpr((_dual_key(*key), c) for key, c in self._terms.items())
 
     def motivic_weight_split(self, threshold: int):
         """Partition terms by motivic weight (2a for L^a, 2a+k-1 for
@@ -294,24 +269,52 @@ class MotiveExpr:
         """Inverse of `to_obj`; a record off that schema raises ValueError."""
         if not isinstance(obj, list):
             raise ValueError(f"expected a list of records, got {obj!r}")
-        terms: dict[tuple[Symbol, int], int] = {}
-        for rec in obj:
-            s = _field(rec, "symbol", dict)
-            kind = _field(s, "type", str)
-            if kind == "one":
-                sym = ONE
-            elif kind == "S":
-                sym = Symbol("S", k=_field(s, "k", int))
-            elif kind == "Ec":
-                lam = _field(s, "lambda", list)
-                if any(type(a) is not int for a in lam):
-                    raise ValueError(f"'lambda' must hold integers, got {lam!r}")
-                sym = Symbol("Ec", g=_field(s, "g", int), lam=tuple(lam))
-            else:
-                raise ValueError(f"unknown symbol type {kind!r}")
-            key = (sym, _field(rec, "Lexp", int))
-            terms[key] = terms.get(key, 0) + _field(rec, "coeff", int)
-        return MotiveExpr(terms)
+        return MotiveExpr(
+            ((_record_symbol(rec), _field(rec, "Lexp", int)), _field(rec, "coeff", int))
+            for rec in obj
+        )
+
+
+def _rewrite(sym: Symbol, expand_genus_one: bool):
+    """One pass of the rewrite rules on sym, as (symbol, L-shift, sign)
+    triples; sym itself when no rule applies."""
+    if sym.kind == "Ec":
+        if sym.g == 0:
+            return ((ONE, 0, 1),)
+        if sum(sym.lam) % 2:
+            return ()
+        if expand_genus_one and sym.g == 1:
+            return ((Symbol("S", k=sym.lam[0] + 2), 0, -1), (ONE, 0, -1))
+    elif sym.kind == "S" and expand_genus_one:
+        if sym.k == 2:
+            return ((ONE, 1, -1), (ONE, 0, -1))
+        if cusp_dim(sym.k) == 0:
+            return ()
+    return ((sym, 0, 1),)
+
+
+def _dual_key(sym: Symbol, a: int) -> tuple[Symbol, int]:
+    if sym.kind == "one":
+        return sym, -a
+    if sym.kind == "S":
+        return sym, 1 - sym.k - a
+    raise NotExpandableError(f"cannot dualize symbolic term {sym}")
+
+
+def _record_symbol(rec) -> Symbol:
+    """The symbol of one `to_obj` record; off the schema raises ValueError."""
+    s = _field(rec, "symbol", dict)
+    kind = _field(s, "type", str)
+    if kind == "one":
+        return ONE
+    if kind == "S":
+        return Symbol("S", k=_field(s, "k", int))
+    if kind == "Ec":
+        lam = _field(s, "lambda", list)
+        if any(type(a) is not int for a in lam):
+            raise ValueError(f"'lambda' must hold integers, got {lam!r}")
+        return Symbol("Ec", g=_field(s, "g", int), lam=tuple(lam))
+    raise ValueError(f"unknown symbol type {kind!r}")
 
 
 def _field(rec, key: str, kind: type):

@@ -213,14 +213,13 @@ def verify_partition_suite(max_g: int = 4, max_entry: int = 6) -> VerificationRe
     # telescope of the dual-side weight, scaled by (-1)^len(w)
     def reindexes(lam):
         g = len(lam)
-        by_w: dict[weylcomb.WeylElement, dict] = {}
+        by_w: dict[weylcomb.WeylElement, list] = {}
         for t in eiscalc.boundary_terms(g, lam):
-            got = by_w.setdefault(t.source_w, {})
-            got[(t.weight, 0)] = got.get((t.weight, 0), 0) + t.sign
+            by_w.setdefault(t.source_w, []).append((t.weight, t.sign))
         for w in weylcomb.enumerate_final(g):
             a = GlWeight(w.dot_action(lam)).dual()
             expected = glbranch.telescope_closed(a).scale((-1) ** w.length())
-            if glbranch.VirtualBundle(g - 1, by_w.get(w, {})) != expected:
+            if glbranch.VirtualBundle(g - 1, by_w.get(w, ())) != expected:
                 return f"g={g}, lambda={lam}, w={w}"
     g_max = min(max_g, 5)
     report.check(
@@ -292,6 +291,11 @@ SUITES = {
 
 
 def run_suite(name: str, max_g: int = 4, max_entry: int = 6) -> VerificationReport:
+    """Run one suite by name, or all of them; sizes and name are checked
+    before any suite starts, and errors name the CLI flag."""
+    check_sizes(max_g, max_entry)
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"--suite: unknown suite {name!r}")
     report = VerificationReport()
     for suite in SUITES.values() if name == "all" else [SUITES[name]]:
         # by module attribute, so a wrapper installed there (a tracer) runs

@@ -324,23 +324,39 @@ class TestVerify:
         ],
     )
     def test_size_flags_are_bounded(self, monkeypatch, flag, value, ok):
-        # the stub stands in for the suites, so nothing large runs
-        seen = []
-
-        def stub(name, max_g, max_entry):
-            seen.append((max_g, max_entry))
-            report = VerificationReport()
-            report.record("stub", True)
-            return report
-
-        monkeypatch.setattr(suites, "run_suite", stub)
+        seen = stub_suites(monkeypatch)
         code, out, err = run(["verify", flag, str(value)])
         if ok:
-            assert (code, out, err) == (0, "PASS stub\n", "")
-            assert seen == [(value, 6) if flag == "--max-g" else (4, value)]
+            assert (code, out, err) == (0, "PASS stub\n" * len(suites.SUITES), "")
+            sizes = (value, 6) if flag == "--max-g" else (4, value)
+            assert seen == [sizes] * len(suites.SUITES)
         else:
             assert code == 2 and out == "" and seen == []
             assert flag in err
+
+    def test_run_suite_bounds_its_inputs(self, monkeypatch):
+        seen = stub_suites(monkeypatch)
+        with pytest.raises(ValueError, match=r"^--max-g: must be in \[1, 16\], got 30$"):
+            suites.run_suite("weyl", 30)
+        with pytest.raises(ValueError, match="^--suite: "):
+            suites.run_suite("nope")
+        assert seen == []
+
+
+def stub_suites(monkeypatch):
+    """Stand a one-check stub in for every suite, so nothing large runs;
+    returns the list of (max_g, max_entry) the stubs were called with."""
+    seen = []
+
+    def stub(max_g, max_entry):
+        seen.append((max_g, max_entry))
+        report = VerificationReport()
+        report.record("stub", True)
+        return report
+
+    for fn in suites.SUITES.values():
+        monkeypatch.setattr(suites, fn.__name__, stub)
+    return seen
 
 
 class TestZeroCaseChecks:

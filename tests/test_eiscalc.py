@@ -6,6 +6,7 @@ import pytest
 
 from siegeleis import eiscalc
 from siegeleis.eiscalc import (
+    admissible_weights,
     bgg_complex,
     boundary_terms,
     check_duality,
@@ -300,6 +301,41 @@ class TestRank1:
         # both surgered weights have odd size, so everything vanishes
         assert rank1(2, (2, 1)).is_zero()
 
+    @staticmethod
+    def chained(g, lam, expand):
+        """The rank-one sum built term by term with ring arithmetic."""
+        total = MotiveExpr.zero()
+        for k in range(1, g + 1):
+            term = Ec(g - 1, tau_prime(lam, k)) * (one() - L(lam[k - 1] + g + 1 - k))
+            total = total + (term if k % 2 else -term)
+        return total.normalize(expand_genus_one=expand)
+
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_one_pass_build(self, monkeypatch, g):
+        # g symbols, one sum, at most two normalize passes: chained
+        # rebuilds would construct several expressions per term
+        rng = random.Random(g)
+        lams = [tuple(sorted((rng.randint(0, 9) for _ in range(g)), reverse=True))
+                for _ in range(4)]
+        expected = [self.chained(g, lam, False) for lam in lams]
+        built = []
+        real_init = MotiveExpr.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MotiveExpr, "__init__", counting_init)
+        for lam, want in zip(lams, expected):
+            built.clear()
+            assert rank1(g, lam) == want
+            assert len(built) <= g + 3, (lam, len(built))
+
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_expand_matches_the_chained_sum(self, g):
+        for lam in admissible_weights(g, 8):
+            assert rank1(g, lam, expand=True) == self.chained(g, lam, True), lam
+
 
 class TestGenus2Formulas:
     def test_total_ground_truth(self):
@@ -389,11 +425,7 @@ class TestReindexingCompleteness:
         for w in enumerate_final(g):
             a = GlWeight(w.dot_action(lam)).dual()
             expected = telescope_closed(a).scale((-1) ** w.length())
-            got = {}
-            for t in terms:
-                if t.source_w == w:
-                    key = (t.weight, 0)
-                    got[key] = got.get(key, 0) + t.sign
+            got = ((t.weight, t.sign) for t in terms if t.source_w == w)
             assert VirtualBundle(g - 1, got) == expected
 
 

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -235,6 +236,53 @@ symbols = st.one_of(
 exprs = st.lists(
     st.tuples(symbols, st.integers(-6, 6), st.integers(-4, 4)), max_size=6
 ).map(lambda terms: sum((MotiveExpr({(s, a): c}) for s, a, c in terms), MotiveExpr()))
+
+
+
+
+def with_cancellations(pairs):
+    """The pairs with a negated copy of some of them appended, so that
+    exact cancellations occur; draws (pairs, flags)."""
+    return st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)).map(
+        lambda flags: pairs + [(k, -c) for (k, c), f in zip(pairs, flags) if f]
+    )
+
+
+def counter_sum(pairs):
+    """Reference for the summing constructors: add up, drop the zeros."""
+    total = Counter()
+    for key, c in pairs:
+        total[key] += c
+    return {key: c for key, c in total.items() if c}
+
+
+term_pairs = st.lists(
+    st.tuples(st.tuples(symbols, st.integers(-2, 2)), st.integers(-3, 3)), max_size=12
+).flatmap(with_cancellations)
+
+
+class TestSummingConstructor:
+    @given(term_pairs)
+    def test_matches_a_counter(self, pairs):
+        expected = counter_sum(pairs)
+        for arg in (pairs, iter(pairs)):
+            assert dict(MotiveExpr(arg).items()) == expected
+        assert MotiveExpr(expected) == MotiveExpr(pairs)
+
+    @given(symbols)
+    def test_equal_symbols_built_apart_hash_equal(self, sym):
+        twin = Symbol(sym.kind, k=sym.k, g=sym.g, lam=list(sym.lam))
+        assert twin == sym and twin is not sym
+        assert hash(twin) == hash(sym)
+        assert {(sym, 0): 1}[(twin, 0)] == 1
+
+    @given(exprs)
+    def test_normalize_reaches_a_fixed_point(self, x):
+        n = x.normalize()
+        assert n.normalize() == n
+        for (sym, _), _ in n.items():
+            assert not (sym.kind == "Ec" and (sym.g <= 1 or sum(sym.lam) % 2))
+            assert not (sym.kind == "S" and (sym.k == 2 or cusp_dim(sym.k) == 0))
 
 
 class TestFromObj:
