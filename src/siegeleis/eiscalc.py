@@ -8,11 +8,11 @@ formulas, and the cross-consistency checks tying them together.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
 from typing import Sequence
 
 from .glbranch import GlWeight, dominant_weights, is_dominant
-from .motivering import MotiveExpr, VerificationReport, cusp_dim
+from .motivering import MotiveExpr, Symbol, VerificationReport, cusp_dim
 from .weylcomb import (
     WeylElement,
     enumerate_final,
@@ -38,9 +38,9 @@ MAX_BOUNDARY_G = 14
 MAX_TABLE_LMAX = 64
 MAX_TABLE_WORK = 3**2 * comb(MAX_TABLE_LMAX + 3, 3)
 # rank1: g terms over length-g weights, more than g^2 steps; the largest
-# g the table bound admits (g^2 <= MAX_TABLE_WORK, at lmax = 0): 0.31 to
-# 0.41 s, up to 42 MB, over five weights at g = 656.
-MAX_RANK1_G = 656
+# g the table bound admits (g^2 <= MAX_TABLE_WORK, at lmax = 0), so the
+# table needs no genus check of its own.
+MAX_RANK1_G = isqrt(MAX_TABLE_WORK)
 
 
 def _check_sp_weight(lam: Sequence[int], g: int) -> tuple[int, ...]:
@@ -56,11 +56,6 @@ def _check_sp_weight(lam: Sequence[int], g: int) -> tuple[int, ...]:
     return lam
 
 
-def _check_rank1_genus(g: int) -> None:
-    if g > MAX_RANK1_G:
-        raise ValueError(f"-g: rank1 needs g <= {MAX_RANK1_G}, got {g}")
-
-
 def admissible_weights(g: int, lmax: int) -> list[tuple[int, ...]]:
     """The dominant genus-g weights with entries in [0, lmax] and even
     entry sum, in lexicographic order: the rows of a regression table."""
@@ -73,7 +68,6 @@ def admissible_weights(g: int, lmax: int) -> list[tuple[int, ...]]:
         raise ValueError(
             f"-g/--lmax: need g^2*C(lmax+g, g) <= {MAX_TABLE_WORK}, got {work}"
         )
-    _check_rank1_genus(g)
     weights = (w.entries for w in dominant_weights(g, 0, lmax))
     return sorted(lam for lam in weights if sum(lam) % 2 == 0)
 
@@ -104,7 +98,7 @@ def bgg_complex(g: int, lam: Sequence[int]) -> list[BggTerm]:
         mu = GlWeight(w.dot_action(lam)).dual()
         num = sum(lam) + sum(mu.entries)
         assert num % 2 == 0
-        terms.append(BggTerm(w, mu, w.length(), num // 2))
+        terms.append(BggTerm(w, mu, flip_length(flip_mask(w), g), num // 2))
     terms.sort(key=lambda t: (t.degree, t.mu.entries))
     return terms
 
@@ -238,16 +232,18 @@ def rank1(g: int, lam: Sequence[int], expand: bool = False) -> MotiveExpr:
     The k-th term carries sign (-1)^(k+1); with expand=True the genus-1
     Euler symbols are rewritten into cusp-form motives.
     """
-    _check_rank1_genus(g)
+    if g > MAX_RANK1_G:
+        raise ValueError(f"-g: rank1 needs g <= {MAX_RANK1_G}, got {g}")
     lam = _check_sp_weight(lam, g)
+    raised = tuple(a + 1 for a in lam)
 
     def monomials():
         for k in range(1, g + 1):
             sign = 1 if k % 2 else -1
-            exponent = lam[k - 1] + g + 1 - k
-            for (sym, a), c in MotiveExpr.euler(g - 1, tau_prime(lam, k)).items():
-                yield (sym, a), sign * c
-                yield (sym, a + exponent), -sign * c
+            # tau'_k(lambda) from the lambda validated above
+            sym = Symbol("Ec", g=g - 1, lam=raised[: k - 1] + lam[k:])
+            yield (sym, 0), sign
+            yield (sym, lam[k - 1] + g + 1 - k), -sign
     return MotiveExpr(monomials()).normalize(expand_genus_one=expand)
 
 

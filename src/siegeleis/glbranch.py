@@ -118,22 +118,6 @@ class VirtualBundle:
             and self._terms == other._terms
         )
 
-    def __hash__(self):
-        return hash((self.genus, frozenset(self._terms.items())))
-
-    def __add__(self, other: "VirtualBundle") -> "VirtualBundle":
-        if self.genus != other.genus:
-            raise ValueError("genus mismatch")
-        return VirtualBundle(
-            self.genus, itertools.chain(self._terms.items(), other._terms.items())
-        )
-
-    def __neg__(self):
-        return VirtualBundle(self.genus, {k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, n: int) -> "VirtualBundle":
         return VirtualBundle(self.genus, {k: n * c for k, c in self._terms.items()})
 

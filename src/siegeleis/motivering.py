@@ -148,9 +148,6 @@ class MotiveExpr:
     def __eq__(self, other):
         return isinstance(other, MotiveExpr) and self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
     def __add__(self, other: "MotiveExpr") -> "MotiveExpr":
         return MotiveExpr(itertools.chain(self._terms.items(), other._terms.items()))
 
@@ -183,25 +180,20 @@ class MotiveExpr:
 
     # -- rewrite rules -----------------------------------------------
     def normalize(self, expand_genus_one: bool = True) -> "MotiveExpr":
-        """Apply the rewrite rules to a fixed point.
+        """The normal form: every symbol replaced by its `_rewrite`.
 
         Always: Ec(0;()) -> 1 and Ec(g; lambda) -> 0 for odd |lambda|.
         With expand_genus_one (the default): Ec(1;(k)) -> -S[k+2] - 1,
         S[2] -> -L - 1, and S[k] -> 0 whenever dim S_k = 0.
         """
-        # one rewrite per distinct symbol and pass, so the terms carrying
-        # Ec(1;(k)) share one S[k+2]; no rule maps a symbol to itself
-        expr = self
-        while True:
-            rules = {sym: _rewrite(sym, expand_genus_one) for sym, _ in expr._terms}
-            out = MotiveExpr(
-                ((s, a + shift), sign * c)
-                for (sym, a), c in expr._terms.items()
-                for s, shift, sign in rules[sym]
-            )
-            if out == expr:
-                return out
-            expr = out
+        # one rewrite per distinct symbol, so the terms carrying Ec(1;(k))
+        # share one S[k+2]
+        rules = {sym: _rewrite(sym, expand_genus_one) for sym, _ in self._terms}
+        return MotiveExpr(
+            ((s, a + shift), sign * c)
+            for (sym, a), c in self._terms.items()
+            for s, shift, sign in rules[sym]
+        )
 
     def dual(self) -> "MotiveExpr":
         """Poincare dual on the monomial level: L^a -> L^-a and
@@ -276,15 +268,16 @@ class MotiveExpr:
 
 
 def _rewrite(sym: Symbol, expand_genus_one: bool):
-    """One pass of the rewrite rules on sym, as (symbol, L-shift, sign)
-    triples; sym itself when no rule applies."""
+    """The normal form of sym, as (symbol, L-shift, sign) triples whose
+    symbols no rule applies to; sym itself when it is already normal."""
     if sym.kind == "Ec":
         if sym.g == 0:
             return ((ONE, 0, 1),)
         if sum(sym.lam) % 2:
             return ()
         if expand_genus_one and sym.g == 1:
-            return ((Symbol("S", k=sym.lam[0] + 2), 0, -1), (ONE, 0, -1))
+            cusp = _rewrite(Symbol("S", k=sym.lam[0] + 2), True)
+            return tuple((s, a, -c) for s, a, c in cusp) + ((ONE, 0, -1),)
     elif sym.kind == "S" and expand_genus_one:
         if sym.k == 2:
             return ((ONE, 1, -1), (ONE, 0, -1))

@@ -472,6 +472,11 @@ class TestPinnedOutput:
                 "table -g 1 --lmax 40 --format json",
                 "b4cf718e6bb856f63e55dbcdffd1cf8fb1dcf082694239299c82439097692dc2",
             ),
+            # the table's size limit, on the expand_genus_one=False path
+            (
+                "table -g 3 --lmax 64 --format json",
+                "dc96f19c9bd3ecaff31d10c7d07305325d3501f90537d67d69ff8d7029ab389b",
+            ),
         ],
     )
     def test_table_golden_digest(self, argv, digest):
@@ -525,29 +530,26 @@ class TestSizeLimits:
         "g, ok", [(eiscalc.MAX_RANK1_G, True), (eiscalc.MAX_RANK1_G + 1, False)]
     )
     def test_rank1_limit(self, monkeypatch, g, ok):
+        # the limit itself runs for real; the next size up starts no work
         calls = []
+        real_check = eiscalc._check_sp_weight
         monkeypatch.setattr(
-            MotiveExpr, "euler", lambda g, lam: calls.append(g) or MotiveExpr.zero()
+            eiscalc, "_check_sp_weight", lambda lam, g: calls.append(g) or real_check(lam, g)
         )
         code, out, err = run(
             ["rank1", "-g", str(g), "-l", ",".join(["0"] * g), "--format", "json"]
         )
         if ok:
-            assert (code, out, err) == (0, "[]\n", "") and len(calls) == g
+            assert (code, err, calls) == (0, "", [g])
+            assert json.loads(out)
         else:
             assert (code, out, calls) == (2, "", [])
             assert err == f"error: -g: rank1 needs g <= {g - 1}, got {g}\n"
 
-    def test_table_applies_the_rank1_limit(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(
-            eiscalc, "dominant_weights", lambda *args: calls.append(args) or []
-        )
-        monkeypatch.setattr(eiscalc, "MAX_RANK1_G", 5)
-        assert run(["table", "-g", "5", "--lmax", "3"])[0] == 0
-        code, out, err = run(["table", "-g", "6", "--lmax", "3"])
-        assert (code, out, err) == (2, "", "error: -g: rank1 needs g <= 5, got 6\n")
-        assert calls == [(5, 0, 3)]
+    def test_rank1_limit_is_the_largest_genus_the_table_admits(self):
+        # g^2 * C(0 + g, g) is the table's work at lmax = 0
+        g = eiscalc.MAX_RANK1_G
+        assert g**2 <= eiscalc.MAX_TABLE_WORK < (g + 1) ** 2
 
 
 class TestUsageErrors:

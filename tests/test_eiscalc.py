@@ -93,6 +93,20 @@ class TestBggComplex:
             assert t.mu.entries == tuple(-x for x in reversed(wdot))
             assert t.degree == t.w.length()
 
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_degree_from_the_flip_mask(self, monkeypatch, g):
+        # the O(g^2) length() stays the degrees' oracle, out of the fast path
+        rng = random.Random(g)
+        lam = tuple(sorted((rng.randint(0, 2 * g) for _ in range(g)), reverse=True))
+        expected = bgg_complex(g, lam)
+        assert [t.degree for t in expected] == [t.w.length() for t in expected]
+
+        def no_length(self):
+            raise AssertionError("bgg_complex called WeylElement.length")
+
+        monkeypatch.setattr(WeylElement, "length", no_length)
+        assert bgg_complex(g, lam) == expected
+
     def test_filtration_parity_integrality(self):
         for lam in [(4, 2, 0), (3, 3, 2), (6, 1, 1)]:
             for t in bgg_complex(3, lam):
@@ -330,6 +344,26 @@ class TestRank1:
             built.clear()
             assert rank1(g, lam) == want
             assert len(built) <= g + 3, (lam, len(built))
+
+    @pytest.mark.parametrize("g", [1, 2, 6])
+    def test_validates_once_without_one_term_expressions(self, monkeypatch, g):
+        lam = (9, 7, 4, 4, 2, 0)[:g]
+        expected = {expand: self.chained(g, lam, expand) for expand in (False, True)}
+        checks = []
+        real_check = eiscalc._check_sp_weight
+
+        def forbidden(*args):
+            raise AssertionError("rank1 took a one-term round trip")
+
+        monkeypatch.setattr(
+            eiscalc, "_check_sp_weight", lambda lam, g: checks.append(g) or real_check(lam, g)
+        )
+        monkeypatch.setattr(eiscalc, "tau_prime", forbidden)
+        monkeypatch.setattr(MotiveExpr, "euler", forbidden)
+        for expand, want in expected.items():
+            checks.clear()
+            assert rank1(g, lam, expand=expand) == want
+            assert checks == [g]
 
     @pytest.mark.parametrize("g", [1, 2, 3])
     def test_expand_matches_the_chained_sum(self, g):

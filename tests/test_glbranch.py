@@ -235,11 +235,6 @@ class TestTelescope:
 
 
 class TestVirtualBundle:
-    def test_normalization_drops_zeros(self):
-        vb = VirtualBundle(1, {gw(2): 1}) - VirtualBundle(1, {gw(2): 1})
-        assert vb.is_zero()
-        assert vb == VirtualBundle(1)
-
     def test_genus_mismatch(self):
         with pytest.raises(ValueError):
             VirtualBundle(2, {gw(1): 1})

@@ -285,6 +285,78 @@ class TestSummingConstructor:
             assert not (sym.kind == "S" and (sym.k == 2 or cusp_dim(sym.k) == 0))
 
 
+def fixed_point_normalize(x, expand_genus_one):
+    """Reference for `normalize`: one rule step per symbol and pass,
+    repeated until a pass changes nothing."""
+
+    def step(sym):
+        if sym.kind == "Ec":
+            if sym.g == 0:
+                return ((ONE, 0, 1),)
+            if sum(sym.lam) % 2:
+                return ()
+            if expand_genus_one and sym.g == 1:
+                return ((Symbol("S", k=sym.lam[0] + 2), 0, -1), (ONE, 0, -1))
+        elif sym.kind == "S" and expand_genus_one:
+            if sym.k == 2:
+                return ((ONE, 1, -1), (ONE, 0, -1))
+            if cusp_dim(sym.k) == 0:
+                return ()
+        return ((sym, 0, 1),)
+
+    terms = dict(x.items())
+    while True:
+        out = dict(MotiveExpr(
+            ((s, a + shift), sign * c)
+            for (sym, a), c in terms.items()
+            for s, shift, sign in step(sym)
+        ).items())
+        if out == terms:
+            return MotiveExpr(out)
+        terms = out
+
+
+# every symbol a rule applies to, beside the general draws
+rewritable = st.sampled_from([
+    Symbol("Ec", g=0),
+    Symbol("Ec", g=1, lam=(0,)),
+    Symbol("Ec", g=1, lam=(2,)),
+    Symbol("Ec", g=1, lam=(10,)),
+    Symbol("Ec", g=1, lam=(12,)),
+    Symbol("Ec", g=1, lam=(3,)),
+    Symbol("Ec", g=2, lam=(3, 2)),
+    Symbol("S", k=2),
+    Symbol("S", k=4),
+    Symbol("S", k=14),
+])
+rewrite_exprs = st.lists(
+    st.tuples(st.tuples(st.one_of(rewritable, symbols), st.integers(-3, 3)),
+              st.integers(-3, 3)),
+    max_size=10,
+).flatmap(with_cancellations).map(MotiveExpr)
+
+
+class TestOnePassNormalize:
+    @given(rewrite_exprs, st.booleans())
+    def test_matches_the_fixed_point_loop(self, x, expand):
+        assert x.normalize(expand) == fixed_point_normalize(x, expand)
+
+    @pytest.mark.parametrize("expand", [False, True])
+    def test_builds_one_expression(self, monkeypatch, expand):
+        # Ec(1;(0)) -> -S[2] - 1 -> L takes the parent loop three passes
+        x = Ec(1, (0,)) * (one() - L(3)) + Ec(0, ()) + S(2) + Ec(2, (3, 2))
+        built = []
+        real_init = MotiveExpr.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MotiveExpr, "__init__", counting_init)
+        x.normalize(expand)
+        assert len(built) == 1
+
+
 class TestFromObj:
     @given(exprs)
     def test_roundtrip(self, x):
