@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("verify", help="run verification suites")
     sp.add_argument(
         "--suite",
-        choices=("all", "weyl", "telescope", "partition", "g2", "duality"),
+        choices=("all", *suites.SUITES),
         default="all",
     )
     sp.add_argument("--max-g", type=int, default=4)

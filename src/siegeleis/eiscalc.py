@@ -16,6 +16,7 @@ from .motivering import MotiveExpr, Symbol, VerificationReport, cusp_dim
 from .weylcomb import (
     WeylElement,
     enumerate_final,
+    final_element,
     flip_dichotomy,
     flip_length,
     flip_mask,
@@ -121,9 +122,10 @@ def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
     Each final w is handled through its flip mask F (`flip_mask`): the
     side and position of k (`flip_dichotomy`), the length of w
     (`flip_length`) and the mask of the restriction (`restrict_flips`) are
-    bit operations, and the restricted element u is looked up in a table
-    of the 2^(g-1) final elements of genus g-1, built once per call, so
-    every u is one of those validated `WeylElement`s.  The GL(1,Z) parity
+    bit operations, and the restricted element u is looked up by that
+    mask in a table of the 2^(g-1) final elements of genus g-1
+    (`final_element`), built once per call, so every u is one of those
+    validated `WeylElement`s.  The GL(1,Z) parity
     filter is the entry-sum parity of the term's own weight.
 
     Returns a list, not a generator: callers take its length and walk it
@@ -132,10 +134,7 @@ def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
     if g > MAX_BOUNDARY_G:
         raise ValueError(f"-g: boundary needs g <= {MAX_BOUNDARY_G}, got {g}")
     lam = _check_sp_weight(lam, g)
-    if g == 1:
-        restricted = {0: WeylElement(0, ())}
-    else:
-        restricted = {flip_mask(u): u for u in enumerate_final(g - 1)}
+    restricted = [final_element(g - 1, m) for m in range(1 << (g - 1))]
     twists = [lam[k - 1] + g + 1 - k for k in range(1, g + 1)]
     out = []
     for w in enumerate_final(g):
@@ -325,34 +324,27 @@ def check_duality(x: MotiveExpr, weight: int) -> bool:
 
 
 def consistency_g2(l: int, m: int) -> VerificationReport:
-    """Cross-checks tying the genus-2 formulas together."""
-    report = VerificationReport()
+    """Cross-checks tying the genus-2 formulas together, each identity
+    compared once."""
     total = total_g2(l, m)
-    decomposed = rank1(2, (l, m), expand=True) + codim2_g2(l, m)
-    report.record(
-        "rank1-plus-codim2",
-        decomposed == total,
-        f"(l,m)=({l},{m})",
-        None if decomposed == total else f"{decomposed} != {total}",
-    )
+    identities = [
+        ("rank1-plus-codim2", rank1(2, (l, m), expand=True) + codim2_g2(l, m), total)
+    ]
     if l > m > 0:
         low, _high = total.motivic_weight_split(l + m + 3)
-        kern = kernel_g2(l, m)
-        report.record(
-            "kernel-is-minus-low-part",
-            kern == -low,
-            f"(l,m)=({l},{m})",
-            None if kern == -low else f"{kern} != {-low}",
-        )
-    delta = total_g2_alt(l, m) - total
+        identities.append(("kernel-is-minus-low-part", kernel_g2(l, m), -low))
     if l % 2 == 0:
         expected = MotiveExpr.zero()
     else:
         expected = -(MotiveExpr.unit() - MotiveExpr.lefschetz(l + m + 3))
-    report.record(
-        "printed-forms-delta",
-        delta == expected,
-        f"(l,m)=({l},{m})",
-        None if delta == expected else f"{delta} != {expected}",
-    )
+    identities.append(("printed-forms-delta", total_g2_alt(l, m) - total, expected))
+    report = VerificationReport()
+    for name, lhs, rhs in identities:
+        report.check(name, f"(l,m)=({l},{m})", [(lhs, rhs)], _same)
     return report
+
+
+def _same(sides) -> str | None:
+    """The counterexample of one identity `(lhs, rhs)`, None if it holds."""
+    lhs, rhs = sides
+    return None if lhs == rhs else f"{lhs} != {rhs}"

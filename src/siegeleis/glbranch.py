@@ -64,20 +64,10 @@ def straighten(v: Sequence[int]):
     shifted = [x + (n - 1 - i) for i, x in enumerate(v)]
     if len(set(shifted)) != n:
         return None
-    order = sorted(range(n), key=lambda i: -shifted[i])
-    # sign of the permutation taking `shifted` to strictly decreasing order
-    sign = 1
-    seen = [False] * n
-    for start in range(n):
-        if seen[start]:
-            continue
-        cyc, j = 0, start
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            cyc += 1
-        if cyc % 2 == 0:
-            sign = -sign
+    # sign of the permutation taking `shifted` to strictly decreasing
+    # order: the parity of its ascending pairs
+    ascents = sum(x < y for x, y in itertools.combinations(shifted, 2))
+    sign = -1 if ascents & 1 else 1
     sorted_shifted = sorted(shifted, reverse=True)
     weight = tuple(x - (n - 1 - i) for i, x in enumerate(sorted_shifted))
     return sign, GlWeight(weight)

@@ -329,13 +329,10 @@ class Check:
 
 @dataclass
 class VerificationReport:
-    """Pass/fail record for a batch of identity checks: `check` runs one
-    over a stream of cases, `record` stores a single comparison."""
+    """Pass/fail record for a batch of identity checks; `check` is the
+    only way a check enters it."""
 
     checks: list[Check] = field(default_factory=list)
-
-    def record(self, name, passed, detail="", counterexample=None):
-        self.checks.append(Check(name, bool(passed), detail, counterexample))
 
     def check(self, name, detail, cases, test, empty="no case ran"):
         """Record one check: `test(case)` is None when the case holds, else
@@ -347,12 +344,12 @@ class VerificationReport:
             ran = True
             cex = test(case)
             if cex is not None:
-                self.record(name, False, detail, cex)
+                self.checks.append(Check(name, False, detail, cex))
                 return
         if ran:
-            self.record(name, True, detail)
+            self.checks.append(Check(name, True, detail))
         else:
-            self.record(name, False, "0 cases", empty)
+            self.checks.append(Check(name, False, "0 cases", empty))
 
     def extend(self, other: "VerificationReport"):
         self.checks.extend(other.checks)

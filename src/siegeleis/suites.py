@@ -239,9 +239,9 @@ def verify_g2(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
         - MotiveExpr.lefschetz(2)
         - MotiveExpr.lefschetz(3)
     )
-    report.record(
-        "total-g2-ground-truth", base == expected, "(l,m)=(0,0)",
-        None if base == expected else base.render(),
+    report.check(
+        "total-g2-ground-truth", "(l,m)=(0,0)", [base],
+        lambda b: None if b == expected else b.render(),
     )
     grid = eiscalc.admissible_weights(2, G2_LMAX)
     report.check(

@@ -6,7 +6,8 @@ relation gives the rest.  Everything here is immutable and pure.
 
 A final element is also determined by its flip set F, the indices i with
 2g+1-i among its images, which the boundary pipeline handles as a
-bitmask: the `flip_*` helpers are the bit-operation twins of
+bitmask (`final_element` builds the element from it, `flip_mask` reads
+it back): the `flip_*` helpers are the bit-operation twins of
 `image_dichotomy`, `restrict_final` and `WeylElement.length`, which stay
 as their oracles.
 """
@@ -98,18 +99,19 @@ class WeylElement:
         return tuple(a - b for a, b in zip(self.signed_apply(shifted), r))
 
 
+def final_element(g: int, mask: int) -> WeylElement:
+    """The final element with flip mask `mask`: images i, or 2g+1-i where
+    bit i-1 of the mask is set, sorted."""
+    return WeylElement(
+        g, tuple(sorted(2 * g - i if mask >> i & 1 else i + 1 for i in range(g)))
+    )
+
+
 def enumerate_final(g: int) -> list[WeylElement]:
     """All 2^g final elements of W_g, lexicographic on their images."""
     if g < 1:
         raise ValueError("genus must be positive")
-    out = []
-    for flips in itertools.product((False, True), repeat=g):
-        imgs = sorted(
-            (2 * g + 1 - i if f else i) for i, f in zip(range(1, g + 1), flips)
-        )
-        out.append(WeylElement(g, tuple(imgs)))
-    out.sort(key=lambda w: w.images)
-    return out
+    return sorted((final_element(g, m) for m in range(1 << g)), key=lambda w: w.images)
 
 
 def kostant_from_signs(g: int, flips: Iterable[int]) -> WeylElement:
@@ -117,8 +119,7 @@ def kostant_from_signs(g: int, flips: Iterable[int]) -> WeylElement:
     flips = set(flips)
     if not flips <= set(range(1, g + 1)):
         raise ValueError("flips must be a subset of {1..g}")
-    imgs = sorted(2 * g + 1 - i if i in flips else i for i in range(1, g + 1))
-    return WeylElement(g, tuple(imgs))
+    return final_element(g, sum(1 << (i - 1) for i in flips))
 
 
 def image_dichotomy(w: WeylElement, k: int) -> tuple[str, int]:
@@ -160,7 +161,7 @@ def restrict_final(w: WeylElement, k: int, side: str) -> WeylElement:
 
 def flip_mask(w: WeylElement) -> int:
     """The flip set F of a final element as a bitmask: bit i-1 is set iff
-    2g+1-i is an image of w (the inverse of `kostant_from_signs`)."""
+    2g+1-i is an image of w (the inverse of `final_element`)."""
     g = w.g
     mask = 0
     for m in w.images:

@@ -351,7 +351,7 @@ def stub_suites(monkeypatch):
     def stub(max_g, max_entry):
         seen.append((max_g, max_entry))
         report = VerificationReport()
-        report.record("stub", True)
+        report.check("stub", "", [None], lambda case: None)
         return report
 
     for fn in suites.SUITES.values():
@@ -456,6 +456,11 @@ class TestPinnedOutput:
             # these named --lambda before
             ("bgg -g 0 -l 1", "error: -g: genus must be >= 1\n"),
             ("boundary -g -1 -l 1", "error: -g: genus must be >= 1\n"),
+            (
+                "verify --suite nope",
+                "error: argument --suite: invalid choice: 'nope' (choose from "
+                "'all', 'weyl', 'telescope', 'partition', 'g2', 'duality')\n",
+            ),
         ],
     )
     def test_bad_input_stderr(self, argv, err):

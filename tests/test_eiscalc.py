@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -326,8 +327,8 @@ class TestRank1:
 
     @pytest.mark.parametrize("g", range(1, 13))
     def test_one_pass_build(self, monkeypatch, g):
-        # g symbols, one sum, at most two normalize passes: chained
-        # rebuilds would construct several expressions per term
+        # one sum and one normalize: chained rebuilds would construct
+        # several expressions per term
         rng = random.Random(g)
         lams = [tuple(sorted((rng.randint(0, 9) for _ in range(g)), reverse=True))
                 for _ in range(4)]
@@ -343,7 +344,7 @@ class TestRank1:
         for lam, want in zip(lams, expected):
             built.clear()
             assert rank1(g, lam) == want
-            assert len(built) <= g + 3, (lam, len(built))
+            assert len(built) == 2, (lam, len(built))
 
     @pytest.mark.parametrize("g", [1, 2, 6])
     def test_validates_once_without_one_term_expressions(self, monkeypatch, g):
@@ -428,6 +429,43 @@ class TestConsistency:
         for l in range(9):
             for m in range(l % 2, l + 1, 2):
                 assert consistency_g2(l, m).passed, (l, m)
+
+    @pytest.mark.parametrize("lm, identities", [((11, 5), 3), ((0, 0), 2)])
+    def test_each_identity_compared_once(self, monkeypatch, lm, identities):
+        calls = []
+        real_eq = MotiveExpr.__eq__
+
+        def counting_eq(self, other):
+            calls.append(1)
+            return real_eq(self, other)
+
+        monkeypatch.setattr(MotiveExpr, "__eq__", counting_eq)
+        assert consistency_g2(*lm).passed
+        assert len(calls) == identities
+
+    # sha256 of (text, json) failing reports, recorded while each identity
+    # was still compared twice and logged outside VerificationReport.check
+    @pytest.mark.parametrize(
+        "lm, text, js",
+        [
+            ((11, 5),
+             "d8efd348be697e4547c26823cea4950af55a4cebf1ef3e1ce4dea08a4605699e",
+             "18fec7e26254b3dc988e268ed886d9a63f7e4536a44d1171b3ee4b487c9b2ff8"),
+            ((12, 0),
+             "be8524490768cecd575249bc2d3e1daae28e8aaf61bc2b2d44c1b4eac8ef744e",
+             "962329a5cc66e184c23b4b1d70eb4dd042d434355a30e15d953b1e4612b55811"),
+        ],
+    )
+    def test_failing_reports_unchanged(self, monkeypatch, lm, text, js):
+        for name in ("codim2_g2", "kernel_g2", "total_g2_alt"):
+            real = getattr(eiscalc, name)
+            monkeypatch.setattr(
+                eiscalc, name, lambda l, m, real=real: real(l, m) + L(1)
+            )
+        report = consistency_g2(*lm)
+        assert not any(c.passed for c in report.checks)
+        for out, digest in ((report.render(), text), (report.render("json"), js)):
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_kernel_sanity_at_origin(self):
         # the compactly supported Eisenstein part at (0,0) is 1 + L

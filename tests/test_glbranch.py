@@ -127,6 +127,32 @@ class TestStraighten:
                 else:
                     assert r2 == (-r1[0], r1[1])
 
+    @settings(max_examples=500)
+    @given(st.lists(st.integers(-6, 6), max_size=7))
+    def test_sign_against_cycle_sort(self, v):
+        # sign of the sorting permutation by its cycle decomposition
+        n = len(v)
+        shifted = [x + (n - 1 - i) for i, x in enumerate(v)]
+        if len(set(shifted)) != n:
+            assert straighten(v) is None
+            return
+        order = sorted(range(n), key=lambda i: -shifted[i])
+        sign = 1
+        seen = [False] * n
+        for start in range(n):
+            if seen[start]:
+                continue
+            cyc, j = 0, start
+            while not seen[j]:
+                seen[j] = True
+                j = order[j]
+                cyc += 1
+            if cyc % 2 == 0:
+                sign = -sign
+        ordered = sorted(shifted, reverse=True)
+        weight = tuple(x - (n - 1 - i) for i, x in enumerate(ordered))
+        assert straighten(v) == (sign, gw(*weight))
+
 
 class TestWedgeDualTensor:
     def test_k_zero(self):

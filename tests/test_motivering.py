@@ -397,9 +397,9 @@ class TestFromObj:
 class TestVerificationReport:
     def test_pass_fail(self):
         r = VerificationReport()
-        r.record("good", True, "fine")
+        r.check("good", "fine", [1], lambda x: None)
         assert r.passed
-        r.record("bad", False, "broken", counterexample="x=1")
+        r.check("bad", "broken", [1], lambda x: f"x={x}")
         assert not r.passed
         assert len(r.failures()) == 1
         text = r.render()
@@ -408,7 +408,7 @@ class TestVerificationReport:
 
     def test_json(self):
         r = VerificationReport()
-        r.record("only", True)
+        r.check("only", "", [1], lambda x: None)
         data = json.loads(r.render("json"))
         assert data == [
             {"name": "only", "status": "pass", "detail": "",

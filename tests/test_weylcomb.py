@@ -7,6 +7,7 @@ from siegeleis.weylcomb import (
     SideMismatchError,
     WeylElement,
     enumerate_final,
+    final_element,
     flip_dichotomy,
     flip_length,
     flip_mask,
@@ -264,6 +265,14 @@ class TestFlipMasks:
         for mask in range(2 ** g):
             flips = {i + 1 for i in range(g) if mask >> i & 1}
             assert flip_mask(kostant_from_signs(g, flips)) == mask
+
+    @pytest.mark.parametrize("g", range(1, 10))
+    def test_final_element_inverts_flip_mask(self, g):
+        for w in enumerate_final(g):
+            assert final_element(g, flip_mask(w)) == w
+
+    def test_final_element_genus_zero(self):
+        assert final_element(0, 0) == W(0)
 
     def test_differential_against_image_oracles(self):
         # every final w and every k up to g = 10: 18,432 pairs
