@@ -8,11 +8,11 @@ suites.  Output is deterministic: identical argv gives identical bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 
 from . import __version__, eiscalc, suites
-from .motivering import MotiveExpr
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,41 +73,44 @@ def _build_parser() -> _Parser:
 
 
 def _table_records(g: int, lmax: int):
-    records = []
+    """One row per admissible weight, as it is computed: (lambda, [(key,
+    expression)]) with the keys in column order."""
     for lam in eiscalc.admissible_weights(g, lmax):
-        rec = {"lambda": list(lam), "rank1": eiscalc.rank1(g, lam, expand=g <= 2)}
+        row = [("rank1", eiscalc.rank1(g, lam, expand=g <= 2))]
         if g == 2:
             l, m = lam
-            rec["total"] = eiscalc.total_g2(l, m)
-            rec["codim2"] = eiscalc.codim2_g2(l, m)
+            row.append(("total", eiscalc.total_g2(l, m)))
+            row.append(("codim2", eiscalc.codim2_g2(l, m)))
             if l > m > 0:
-                rec["kernel"] = eiscalc.kernel_g2(l, m)
-        records.append(rec)
-    return records
+                row.append(("kernel", eiscalc.kernel_g2(l, m)))
+        yield lam, row
 
 
 def _render_table(g: int, lmax: int, format: str) -> str:
-    records = _table_records(g, lmax)
+    # Each row becomes its text line or its JSON record string as soon as
+    # it is built, so only the strings outlive their row's expressions.
+    rows = _table_records(g, lmax)
     if format == "json":
-        payload = {
-            "metadata": {"g": g, "lmax": lmax, "engine-version": __version__},
-            "records": [
-                {
-                    key: (val.to_obj() if isinstance(val, MotiveExpr) else val)
-                    for key, val in rec.items()
-                }
-                for rec in records
-            ],
-        }
-        return json.dumps(payload, separators=(", ", ": "), sort_keys=False)
-    lines = [f"# siegeleis table g={g} lmax={lmax} version={__version__}"]
-    for rec in records:
-        fields = [f"lambda=({','.join(str(a) for a in rec['lambda'])})"]
-        for key in ("rank1", "total", "codim2", "kernel"):
-            if key in rec:
-                fields.append(f"{key}: {rec[key].render()}")
-        lines.append("  ".join(fields))
-    return "\n".join(lines)
+        # the bytes json.dumps(..., separators=(", ", ": ")) gives for
+        # {"metadata": ..., "records": [...]}, one record at a time
+        def dumps(obj):
+            return json.dumps(obj, separators=(", ", ": "))
+
+        metadata = dumps({"g": g, "lmax": lmax, "engine-version": __version__})
+        records = (
+            dumps({"lambda": list(lam), **{key: expr.to_obj() for key, expr in row}})
+            for lam, row in rows
+        )
+        return f'{{"metadata": {metadata}, "records": [' + ", ".join(records) + "]}"
+    lines = (
+        "  ".join(
+            [f"lambda=({','.join(map(str, lam))})"]
+            + [f"{key}: {expr.render()}" for key, expr in row]
+        )
+        for lam, row in rows
+    )
+    header = f"# siegeleis table g={g} lmax={lmax} version={__version__}"
+    return "\n".join(itertools.chain([header], lines))
 
 
 def _render_bgg(g, lam, format):

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from math import comb, isqrt
 from typing import Sequence
 
-from .glbranch import GlWeight, dominant_weights, is_dominant
-from .motivering import MotiveExpr, Symbol, VerificationReport, cusp_dim
+from .glbranch import GlWeight, dominant_entries, is_dominant
+from .motivering import ONE, MotiveExpr, Symbol, VerificationReport, cusp_dim
 from .weylcomb import (
     WeylElement,
     enumerate_final,
@@ -34,7 +34,7 @@ MAX_BGG_G = 16
 MAX_BOUNDARY_G = 14
 # table: rank1 (g terms over length-g weights) on the even ones of the
 # C(lmax+g, g) weights in [0, lmax]^g: g^2 * C(lmax+g, g) steps, worst at
-# g = 3, lmax = 64 (4.3 s, 95 MB).  C alone would admit g = 14, lmax = 6
+# g = 3, lmax = 64 (1.5 s, 32 MB).  C alone would admit g = 14, lmax = 6
 # (18.9 s, 303 MB), and any g at lmax = 0.
 MAX_TABLE_LMAX = 64
 MAX_TABLE_WORK = 3**2 * comb(MAX_TABLE_LMAX + 3, 3)
@@ -69,8 +69,7 @@ def admissible_weights(g: int, lmax: int) -> list[tuple[int, ...]]:
         raise ValueError(
             f"-g/--lmax: need g^2*C(lmax+g, g) <= {MAX_TABLE_WORK}, got {work}"
         )
-    weights = (w.entries for w in dominant_weights(g, 0, lmax))
-    return sorted(lam for lam in weights if sum(lam) % 2 == 0)
+    return sorted(lam for lam in dominant_entries(g, 0, lmax) if sum(lam) % 2 == 0)
 
 
 def tau_prime(lam: Sequence[int], k: int) -> tuple[int, ...]:
@@ -253,69 +252,98 @@ def _check_g2_args(l: int, m: int):
         raise ValueError(f"-l/-m: need l = m (mod 2), got l={l}, m={m}")
 
 
-def _s(k: int) -> MotiveExpr:
-    return MotiveExpr.unit(cusp_dim(k))
-
-
-_ONE = MotiveExpr.unit()
-
-
-def _L(a: int) -> MotiveExpr:
-    return MotiveExpr.lefschetz(a)
-
-
 def total_g2(l: int, m: int) -> MotiveExpr:
-    """Total genus-2 Eisenstein Euler characteristic (first printed form)."""
+    """Total genus-2 Eisenstein Euler characteristic (first printed form):
+    -s_{l-m+2} (1 - L^(l+m+3)) + s_{l+m+4} (L^(m+1) - L^(l+2)), plus
+    Ec(1;(m)) (1 - L^(l+2)) - (L^(l+2) - L^(l+m+3)) for even l, or
+    -Ec(1;(l+1)) (1 - L^(m+1)) - (1 - L^(m+1)) for odd l."""
     _check_g2_args(l, m)
-    expr = _s(l - m + 2) * (_ONE - _L(l + m + 3)) * (-1)
-    expr = expr + _s(l + m + 4) * (_L(m + 1) - _L(l + 2))
-    if l % 2 == 0:
-        expr = expr + MotiveExpr.euler(1, (m,)) * (_ONE - _L(l + 2))
-        expr = expr - (_L(l + 2) - _L(l + m + 3))
-    else:
-        expr = expr - MotiveExpr.euler(1, (l + 1,)) * (_ONE - _L(m + 1))
-        expr = expr - (_ONE - _L(m + 1))
-    return expr.normalize()
+    s_low, s_high = cusp_dim(l - m + 2), cusp_dim(l + m + 4)
+
+    def monomials():
+        yield (ONE, 0), -s_low
+        yield (ONE, l + m + 3), s_low
+        yield (ONE, m + 1), s_high
+        yield (ONE, l + 2), -s_high
+        if l % 2 == 0:
+            ec = Symbol("Ec", g=1, lam=(m,))
+            yield (ec, 0), 1
+            yield (ec, l + 2), -1
+            yield (ONE, l + 2), -1
+            yield (ONE, l + m + 3), 1
+        else:
+            ec = Symbol("Ec", g=1, lam=(l + 1,))
+            yield (ec, 0), -1
+            yield (ec, m + 1), 1
+            yield (ONE, 0), -1
+            yield (ONE, m + 1), 1
+    return MotiveExpr(monomials()).normalize()
 
 
 def total_g2_alt(l: int, m: int) -> MotiveExpr:
     """Alternative printed form of the genus-2 total (differs from the
-    first form by exactly -(1 - L^(l+m+3)) when l is odd)."""
+    first form by exactly -(1 - L^(l+m+3)) when l is odd):
+    -(s_{l-m+2} + 1) (1 - L^(l+m+3)) + s_{l+m+4} (L^(m+1) - L^(l+2)), plus
+    -S[m+2] (1 - L^(l+2)) for even l, or S[l+3] (1 - L^(m+1)) for odd l."""
     _check_g2_args(l, m)
-    expr = (_s(l - m + 2) + _ONE) * (_ONE - _L(l + m + 3)) * (-1)
-    expr = expr + _s(l + m + 4) * (_L(m + 1) - _L(l + 2))
-    if l % 2 == 0:
-        expr = expr - MotiveExpr.cusp_motive(m + 2) * (_ONE - _L(l + 2))
-    else:
-        expr = expr + MotiveExpr.cusp_motive(l + 3) * (_ONE - _L(m + 1))
-    return expr.normalize()
+    s_low, s_high = cusp_dim(l - m + 2), cusp_dim(l + m + 4)
+
+    def monomials():
+        yield (ONE, 0), -s_low - 1
+        yield (ONE, l + m + 3), s_low + 1
+        yield (ONE, m + 1), s_high
+        yield (ONE, l + 2), -s_high
+        if l % 2 == 0:
+            cusp = Symbol("S", k=m + 2)
+            yield (cusp, 0), -1
+            yield (cusp, l + 2), 1
+        else:
+            cusp = Symbol("S", k=l + 3)
+            yield (cusp, 0), 1
+            yield (cusp, m + 1), -1
+    return MotiveExpr(monomials()).normalize()
 
 
 def codim2_g2(l: int, m: int) -> MotiveExpr:
-    """Contribution of the codimension-2 boundary for genus 2."""
+    """Contribution of the codimension-2 boundary for genus 2:
+    -s_{l-m+2} (1 - L^(l+m+3)) + s_{l+m+4} (L^(m+1) - L^(l+2)), plus
+    -L^(l+2) + L^(l+m+3) for even l, or -1 + L^(m+1) for odd l."""
     _check_g2_args(l, m)
-    expr = _s(l - m + 2) * (_ONE - _L(l + m + 3)) * (-1)
-    expr = expr + _s(l + m + 4) * (_L(m + 1) - _L(l + 2))
-    if l % 2 == 0:
-        expr = expr - _L(l + 2) + _L(l + m + 3)
-    else:
-        expr = expr - _ONE + _L(m + 1)
-    return expr.normalize()
+    s_low, s_high = cusp_dim(l - m + 2), cusp_dim(l + m + 4)
+
+    def monomials():
+        yield (ONE, 0), -s_low
+        yield (ONE, l + m + 3), s_low
+        yield (ONE, m + 1), s_high
+        yield (ONE, l + 2), -s_high
+        if l % 2 == 0:
+            yield (ONE, l + 2), -1
+            yield (ONE, l + m + 3), 1
+        else:
+            yield (ONE, 0), -1
+            yield (ONE, m + 1), 1
+    return MotiveExpr(monomials()).normalize()
 
 
 def kernel_g2(l: int, m: int) -> MotiveExpr:
-    """Compactly supported Eisenstein part for a regular genus-2 system."""
+    """Compactly supported Eisenstein part for a regular genus-2 system:
+    s_{l-m+2} - s_{l+m+4} L^(m+1), plus S[m+2] + 1 for even l, or
+    -S[l+3] for odd l."""
     _check_g2_args(l, m)
     if not l > m > 0:
         raise ValueError(
             f"-l/-m: kernel requires a regular weight (l > m > 0), got l={l}, m={m}"
         )
-    expr = _s(l - m + 2) - _s(l + m + 4) * MotiveExpr.lefschetz(m + 1)
-    if l % 2 == 0:
-        expr = expr + MotiveExpr.cusp_motive(m + 2) + MotiveExpr.unit()
-    else:
-        expr = expr - MotiveExpr.cusp_motive(l + 3)
-    return expr.normalize()
+
+    def monomials():
+        yield (ONE, 0), cusp_dim(l - m + 2)
+        yield (ONE, m + 1), -cusp_dim(l + m + 4)
+        if l % 2 == 0:
+            yield (Symbol("S", k=m + 2), 0), 1
+            yield (ONE, 0), 1
+        else:
+            yield (Symbol("S", k=l + 3), 0), -1
+    return MotiveExpr(monomials()).normalize()
 
 
 def check_duality(x: MotiveExpr, weight: int) -> bool:

@@ -203,7 +203,11 @@ def telescope_bruteforce(a: GlWeight) -> VirtualBundle:
     return VirtualBundle(g - 1, {GlWeight(v): c for v, c in acc.items()})
 
 
+def dominant_entries(g: int, lo: int, hi: int) -> Iterable[tuple[int, ...]]:
+    """Entry tuples of all dominant length-g weights with entries in [lo, hi]."""
+    return itertools.combinations_with_replacement(range(hi, lo - 1, -1), g)
+
+
 def dominant_weights(g: int, lo: int, hi: int) -> Iterable[GlWeight]:
     """All dominant length-g weights with entries in [lo, hi]."""
-    for c in itertools.combinations_with_replacement(range(hi, lo - 1, -1), g):
-        yield GlWeight(c)
+    return map(GlWeight, dominant_entries(g, lo, hi))

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -230,6 +231,32 @@ class TestTable:
         assert (code, out, err) == (0, "", "")
         data = json.loads(path.read_text())
         assert data["metadata"]["lmax"] == 2
+        # the file holds the bytes the same command writes to stdout
+        for format in ("text", "json"):
+            argv = ["table", "-g", "2", "--lmax", "12", "--format", format]
+            assert run([*argv, "-o", str(path)]) == (0, "", "")
+            assert path.read_text() == run(argv)[1]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "table -g 2 --lmax 64 --format json",
+            "table -g 2 --lmax 64",
+            "table -g 3 --lmax 24 --format json",
+        ],
+    )
+    def test_streamed_peak_memory(self, argv):
+        # each row becomes its string as soon as it is built, so the traced
+        # peak stays within 3x the output
+        run(argv.split())  # warm caches and free lists outside the trace
+        tracemalloc.start()
+        try:
+            code, out, _ = run(argv.split())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 3 * len(out), (peak, len(out))
 
     def test_unwritable_path(self):
         code, _, err = run(
@@ -482,6 +509,16 @@ class TestPinnedOutput:
                 "table -g 3 --lmax 64 --format json",
                 "dc96f19c9bd3ecaff31d10c7d07305325d3501f90537d67d69ff8d7029ab389b",
             ),
+            # the benchmark's table-g2 workload (the digest bench/check.py
+            # holds) and its text form: every genus-2 formula on each row
+            (
+                "table -g 2 --lmax 64 --format json",
+                "d6c525ca9dd788895cb61590ca5953fc32afd5195ed011a609d477eba7e478b5",
+            ),
+            (
+                "table -g 2 --lmax 64",
+                "67b2d40dd34186c63b866937bb4c9bd25168b6de3450d9cd9b4ee5b198d65e7b",
+            ),
         ],
     )
     def test_table_golden_digest(self, argv, digest):
@@ -521,7 +558,7 @@ class TestSizeLimits:
     def test_table_limit(self, monkeypatch, g, lmax, ok):
         calls = []
         monkeypatch.setattr(
-            eiscalc, "dominant_weights", lambda *args: calls.append(args) or []
+            eiscalc, "dominant_entries", lambda *args: calls.append(args) or []
         )
         code, out, err = run(["table", "-g", str(g), "--lmax", str(lmax)])
         if ok:

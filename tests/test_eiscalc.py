@@ -21,7 +21,7 @@ from siegeleis.eiscalc import (
     verify_partition,
 )
 from siegeleis.glbranch import GlWeight
-from siegeleis.motivering import MotiveExpr
+from siegeleis.motivering import MotiveExpr, cusp_dim
 from siegeleis.weylcomb import WeylElement, restrict_final
 
 one = MotiveExpr.unit
@@ -414,6 +414,97 @@ class TestGenus2Formulas:
                 assert delta.is_zero()
             else:
                 assert delta == -(one() - L(l + m + 3))
+
+
+def _s(k):
+    return one(cusp_dim(k))
+
+
+def _chained_total(l, m):
+    expr = _s(l - m + 2) * (one() - L(l + m + 3)) * (-1)
+    expr = expr + _s(l + m + 4) * (L(m + 1) - L(l + 2))
+    if l % 2 == 0:
+        expr = expr + Ec(1, (m,)) * (one() - L(l + 2))
+        expr = expr - (L(l + 2) - L(l + m + 3))
+    else:
+        expr = expr - Ec(1, (l + 1,)) * (one() - L(m + 1))
+        expr = expr - (one() - L(m + 1))
+    return expr.normalize()
+
+
+def _chained_total_alt(l, m):
+    expr = (_s(l - m + 2) + one()) * (one() - L(l + m + 3)) * (-1)
+    expr = expr + _s(l + m + 4) * (L(m + 1) - L(l + 2))
+    if l % 2 == 0:
+        expr = expr - S(m + 2) * (one() - L(l + 2))
+    else:
+        expr = expr + S(l + 3) * (one() - L(m + 1))
+    return expr.normalize()
+
+
+def _chained_codim2(l, m):
+    expr = _s(l - m + 2) * (one() - L(l + m + 3)) * (-1)
+    expr = expr + _s(l + m + 4) * (L(m + 1) - L(l + 2))
+    if l % 2 == 0:
+        expr = expr - L(l + 2) + L(l + m + 3)
+    else:
+        expr = expr - one() + L(m + 1)
+    return expr.normalize()
+
+
+def _chained_kernel(l, m):
+    expr = _s(l - m + 2) - _s(l + m + 4) * L(m + 1)
+    if l % 2 == 0:
+        expr = expr + S(m + 2) + one()
+    else:
+        expr = expr - S(l + 3)
+    return expr.normalize()
+
+
+class TestGenus2OnePass:
+    """Each genus-2 formula against its printed form built with ring
+    arithmetic, term by term."""
+
+    CHAINED = [
+        (total_g2, _chained_total),
+        (total_g2_alt, _chained_total_alt),
+        (codim2_g2, _chained_codim2),
+        (kernel_g2, _chained_kernel),
+    ]
+
+    @staticmethod
+    def weights(fn):
+        # every (l, m) the formula accepts up to the table's lmax
+        lms = admissible_weights(2, 64)
+        return [(l, m) for l, m in lms if l > m > 0] if fn is kernel_g2 else lms
+
+    @pytest.mark.parametrize("fn, chained", CHAINED, ids=lambda f: f.__name__)
+    def test_matches_the_chained_form(self, fn, chained):
+        lms = self.weights(fn)
+        # both parities of l; regular and, except for the kernel, walls
+        assert {l % 2 for l, _ in lms} == {0, 1}
+        assert {l > m > 0 for l, m in lms} == ({True} if fn is kernel_g2 else {True, False})
+        for l, m in lms:
+            assert fn(l, m) == chained(l, m), (l, m)
+
+    @pytest.mark.parametrize("fn, chained", CHAINED, ids=lambda f: f.__name__)
+    def test_one_pass_build(self, monkeypatch, fn, chained):
+        # one sum and one normalize, as in rank1
+        lms = [(l, m) for l, m in [(0, 0), (2, 0), (3, 1), (11, 5), (12, 12), (63, 1)]
+               if fn is not kernel_g2 or l > m > 0]
+        expected = [chained(l, m) for l, m in lms]
+        built = []
+        real_init = MotiveExpr.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MotiveExpr, "__init__", counting_init)
+        for (l, m), want in zip(lms, expected):
+            built.clear()
+            assert fn(l, m) == want
+            assert len(built) == 2, ((l, m), len(built))
 
 
 class TestConsistency:
