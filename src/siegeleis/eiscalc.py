@@ -28,13 +28,13 @@ from .weylcomb import (
 
 # Size limits, checked before work starts; times are the CLI's at the
 # limit with JSON output (2 cores, Python 3.11).
-# bgg: 2^g terms, 65,536 at g = 16 (3.6 s, 124 MB).
+# bgg: 2^g terms, 65,536 at g = 16 (1.4 s, 122 MB).
 MAX_BGG_G = 16
-# boundary: g*2^g terms, 229,376 at g = 14 (4.2 s, 220 MB).
+# boundary: g*2^g terms, 229,376 at g = 14 (1.7 s, 220 MB).
 MAX_BOUNDARY_G = 14
 # table: rank1 (g terms over length-g weights) on the even ones of the
 # C(lmax+g, g) weights in [0, lmax]^g: g^2 * C(lmax+g, g) steps, worst at
-# g = 3, lmax = 64 (1.5 s, 32 MB).  C alone would admit g = 14, lmax = 6
+# g = 3, lmax = 64 (0.6 s, 32 MB).  C alone would admit g = 14, lmax = 6
 # (18.9 s, 303 MB), and any g at lmax = 0.
 MAX_TABLE_LMAX = 64
 MAX_TABLE_WORK = 3**2 * comb(MAX_TABLE_LMAX + 3, 3)
@@ -80,7 +80,7 @@ def tau_prime(lam: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple(a + 1 for a in lam[: k - 1]) + lam[k:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BggTerm:
     w: WeylElement
     mu: GlWeight  # dual-side weight of the bundle in this degree
@@ -112,7 +112,11 @@ class BoundaryTerm:
     weight: GlWeight
     sign: int
     twist: int
-    parity_pass: bool
+
+    @property
+    def parity_pass(self) -> bool:
+        """The GL(1,Z) parity filter: the weight's entry sum is even."""
+        return sum(self.weight.entries) % 2 == 0
 
 
 def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
@@ -124,8 +128,8 @@ def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
     bit operations, and the restricted element u is looked up by that
     mask in a table of the 2^(g-1) final elements of genus g-1
     (`final_element`), built once per call, so every u is one of those
-    validated `WeylElement`s.  The GL(1,Z) parity
-    filter is the entry-sum parity of the term's own weight.
+    validated `WeylElement`s.  The GL(1,Z) parity filter, `parity_pass`,
+    is read from the term's own weight.
 
     Returns a list, not a generator: callers take its length and walk it
     more than once.
@@ -151,7 +155,6 @@ def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
                     w, k, side, restricted[restrict_flips(mask, k)], weight,
                     -1 if (lw + g - l) & 1 else 1,
                     0 if side == "A" else twists[k - 1],
-                    sum(weight.entries) % 2 == 0,
                 )
             )
     return out
@@ -191,7 +194,7 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
     # (ii) weight identity against the restricted dot action
     def weight_identity(t):
         tp = surgered[t.k]
-        expected = GlWeight(t.u.dot_action(tp)).dual() if g > 1 else GlWeight(())
+        expected = GlWeight(t.u.dot_action(tp)).dual()
         if t.weight != expected:
             return f"w={t.source_w}, k={t.k}: {t.weight} != {expected}"
     report.check("weight-identity", detail, terms, weight_identity)

@@ -78,22 +78,17 @@ class VirtualBundle:
 
     __slots__ = ("genus", "_terms")
 
-    def __init__(self, genus: int, terms: dict | Iterable[tuple] = ()):
-        """From a dict, or from (weight, coeff) pairs whose repeated weights
-        are summed; zero coefficients are dropped either way."""
+    def __init__(self, genus: int, terms: Iterable[tuple] = ()):
+        """From (weight, coeff) pairs; repeated weights are summed and zero
+        sums dropped.  A dict is not pairs: its GlWeight keys do not unpack,
+        so it raises TypeError."""
         self.genus = genus
-        if not isinstance(terms, dict):
-            acc: dict[GlWeight, int] = {}
-            for wt, c in terms:
-                acc[wt] = acc.get(wt, 0) + c
-            terms = acc
-        clean = {}
-        for wt, c in terms.items():
+        acc: dict[GlWeight, int] = {}
+        for wt, c in terms:
             if len(wt.entries) != genus:
                 raise ValueError("weight length must equal the bundle genus")
-            if c:
-                clean[wt] = c
-        self._terms = clean
+            acc[wt] = acc.get(wt, 0) + c
+        self._terms = {wt: c for wt, c in acc.items() if c}
 
     def items(self) -> list[tuple[GlWeight, int]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].entries)
@@ -109,7 +104,7 @@ class VirtualBundle:
         )
 
     def scale(self, n: int) -> "VirtualBundle":
-        return VirtualBundle(self.genus, {k: n * c for k, c in self._terms.items()})
+        return VirtualBundle(self.genus, ((k, n * c) for k, c in self._terms.items()))
 
     def __str__(self):
         if self.is_zero():
@@ -149,7 +144,7 @@ def wedge_dual_tensor(mu: GlWeight, k: int) -> VirtualBundle:
     n = len(mu)
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-    return VirtualBundle(n, {GlWeight(v): 1 for v in _deletions(mu.entries, k)})
+    return VirtualBundle(n, ((GlWeight(v), 1) for v in _deletions(mu.entries, k)))
 
 
 def wedge_dual_tensor_straightened(mu: GlWeight, k: int) -> VirtualBundle:
@@ -189,8 +184,8 @@ def telescope_bruteforce(a: GlWeight) -> VirtualBundle:
     """Independent oracle: branch to GL(g-1), then tensor with the
     alternating sum of exterior powers of the dual standard rep.
 
-    Works on entry tuples with the deletion rule and builds weights only
-    for the result."""
+    Works on entry tuples with the deletion rule and builds a weight only
+    for each term of the result, the nonzero sums."""
     g = len(a)
     if g == 0:
         raise ValueError("need a nonempty weight")
@@ -200,7 +195,7 @@ def telescope_bruteforce(a: GlWeight) -> VirtualBundle:
             sign = -1 if k % 2 else 1
             for v in _deletions(b, k):
                 acc[v] = acc.get(v, 0) + sign
-    return VirtualBundle(g - 1, {GlWeight(v): c for v, c in acc.items()})
+    return VirtualBundle(g - 1, ((GlWeight(v), c) for v, c in acc.items() if c))
 
 
 def dominant_entries(g: int, lo: int, hi: int) -> Iterable[tuple[int, ...]]:

@@ -102,15 +102,15 @@ class MotiveExpr:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict | Iterable[tuple] = ()):
-        """From a dict, or from (key, coeff) pairs whose repeated keys are
-        summed; zero coefficients are dropped either way."""
-        if not isinstance(terms, dict):
-            acc: dict[tuple[Symbol, int], int] = {}
-            for key, c in terms:
-                acc[key] = acc.get(key, 0) + c
-            terms = acc
-        self._terms = {k: c for k, c in terms.items() if c}
+    def __init__(self, terms: Iterable[tuple] = ()):
+        """From ((symbol, L-exponent), coeff) pairs; repeated keys are
+        summed and zero sums dropped.  A dict is not pairs: unpacking its
+        keys makes it raise TypeError."""
+        acc: dict[tuple[Symbol, int], int] = {}
+        for key, c in terms:
+            sym, exp = key  # from a dict, key is a bare Symbol: TypeError
+            acc[key] = acc.get(key, 0) + c
+        self._terms = {k: c for k, c in acc.items() if c}
 
     # -- constructors ------------------------------------------------
     @staticmethod
@@ -119,19 +119,19 @@ class MotiveExpr:
 
     @staticmethod
     def unit(coeff: int = 1) -> "MotiveExpr":
-        return MotiveExpr({(ONE, 0): coeff})
+        return MotiveExpr([((ONE, 0), coeff)])
 
     @staticmethod
     def lefschetz(exp: int = 1, coeff: int = 1) -> "MotiveExpr":
-        return MotiveExpr({(ONE, exp): coeff})
+        return MotiveExpr([((ONE, exp), coeff)])
 
     @staticmethod
     def cusp_motive(k: int) -> "MotiveExpr":
-        return MotiveExpr({(Symbol("S", k=k), 0): 1})
+        return MotiveExpr([((Symbol("S", k=k), 0), 1)])
 
     @staticmethod
     def euler(g: int, lam: Sequence[int]) -> "MotiveExpr":
-        return MotiveExpr({(Symbol("Ec", g=g, lam=tuple(lam)), 0): 1})
+        return MotiveExpr([((Symbol("Ec", g=g, lam=tuple(lam)), 0), 1)])
 
     # -- ring structure ----------------------------------------------
     def items(self):
@@ -152,14 +152,14 @@ class MotiveExpr:
         return MotiveExpr(itertools.chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self):
-        return MotiveExpr({k: -c for k, c in self._terms.items()})
+        return MotiveExpr((k, -c) for k, c in self._terms.items())
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return MotiveExpr({k: other * c for k, c in self._terms.items()})
+            return MotiveExpr((k, other * c) for k, c in self._terms.items())
         if not isinstance(other, MotiveExpr):
             return NotImplemented
         if other.is_l_polynomial():
@@ -203,8 +203,7 @@ class MotiveExpr:
     def motivic_weight_split(self, threshold: int):
         """Partition terms by motivic weight (2a for L^a, 2a+k-1 for
         S[k]*L^a) strictly below / above the threshold."""
-        low: dict[tuple[Symbol, int], int] = {}
-        high: dict[tuple[Symbol, int], int] = {}
+        low, high = [], []
         for (sym, a), c in self._terms.items():
             if sym.kind == "one":
                 w = 2 * a
@@ -218,7 +217,7 @@ class MotiveExpr:
                 raise AmbiguousSplitError(
                     f"term {_term_str(sym, a, c)} has weight exactly {threshold}"
                 )
-            (low if w < threshold else high)[(sym, a)] = c
+            (low if w < threshold else high).append(((sym, a), c))
         return MotiveExpr(low), MotiveExpr(high)
 
     # -- rendering ----------------------------------------------------

@@ -100,6 +100,21 @@ class TestStructureCommands:
         data = json.loads(out)
         assert [d["filtration"] for d in data] == [0, 7]
 
+    # sha256 of the output before BggTerm was slotted
+    @pytest.mark.parametrize(
+        "format, digest",
+        [
+            ("text", "28169e8770cb53b1e539d7dfb56210707bf03374a7b1f55ba8a08d88bede1c56"),
+            ("json", "60f7dd8ded3beafe796897962095a2a9cde48f80d151149a6a944adc8732a008"),
+        ],
+    )
+    def test_bgg_golden_digest(self, format, digest):
+        code, out, _ = run(
+            ["bgg", "-g", "12", "-l", "23,21,19,17,15,13,11,9,7,5,3,1", "--format", format]
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_boundary_text(self):
         code, out, _ = run(["boundary", "-g", "2", "-l", "5,3"])
         assert code == 0

@@ -187,7 +187,9 @@ class TestBoundaryTerms:
 
 class TestVerifyPartition:
     def test_g1_trivial(self):
-        assert verify_partition(1, (6,)).passed
+        # no genus-1 special case: the restricted element is the empty one
+        for k in range(13):
+            assert verify_partition(1, (k,)).passed, k
 
     def test_g2(self):
         report = verify_partition(2, (5, 3))
@@ -230,16 +232,23 @@ class TestVerifyPartition:
         assert failed["dichotomy-bijection"] == cex
 
     # counterexamples recorded before tau_prime, the u lengths and the
-    # (k, side) groups were computed once per call
+    # (k, side) groups were computed once per call; parity_pass is read
+    # from the weight, so an odd entry sum fails the parity filter too
     @pytest.mark.parametrize(
-        "field, value, check, cex",
+        "field, value, failed",
         [
-            ("sign", -1, "sign-constancy", "k=3, side=B, ratios=[-1, 1]"),
-            ("parity_pass", False, "parity-filter", "w=[456], k=3"),
-            ("weight", GlWeight((9, 9)), "weight-identity", "w=[456], k=3: W(9,9) != W(7,5)"),
+            ("sign", -1, {"sign-constancy": "k=3, side=B, ratios=[-1, 1]"}),
+            ("weight", GlWeight((8, 5)), {
+                "weight-identity": "w=[456], k=3: W(8,5) != W(7,5)",
+                "parity-filter": "w=[456], k=3",
+            }),
+            ("weight", GlWeight((9, 9)), {
+                "weight-identity": "w=[456], k=3: W(9,9) != W(7,5)",
+            }),
         ],
+        ids=["sign", "odd-weight", "even-weight"],
     )
-    def test_corrupted_term_fails_its_check(self, monkeypatch, field, value, check, cex):
+    def test_corrupted_term_fails_its_check(self, monkeypatch, field, value, failed):
         real = eiscalc.boundary_terms
 
         def corrupt_last(g, lam):
@@ -248,7 +257,7 @@ class TestVerifyPartition:
 
         monkeypatch.setattr(eiscalc, "boundary_terms", corrupt_last)
         report = verify_partition(3, (3, 1, 0))
-        assert {c.name: c.counterexample for c in report.failures()} == {check: cex}
+        assert {c.name: c.counterexample for c in report.failures()} == failed
 
     def test_no_terms_fail_every_check(self, monkeypatch):
         monkeypatch.setattr(eiscalc, "boundary_terms", lambda g, lam: [])

@@ -157,15 +157,15 @@ class TestStraighten:
 class TestWedgeDualTensor:
     def test_k_zero(self):
         vb = wedge_dual_tensor(gw(2, 1), 0)
-        assert vb == VirtualBundle(2, {gw(2, 1): 1})
+        assert vb == VirtualBundle(2, [(gw(2, 1), 1)])
 
     def test_discard(self):
         vb = wedge_dual_tensor(gw(1, 1), 1)
-        assert vb == VirtualBundle(2, {gw(1, 0): 1})
+        assert vb == VirtualBundle(2, [(gw(1, 0), 1)])
 
     def test_both_dominant(self):
         vb = wedge_dual_tensor(gw(2, 1), 1)
-        assert vb == VirtualBundle(2, {gw(1, 1): 1, gw(2, 0): 1})
+        assert vb == VirtualBundle(2, [(gw(1, 1), 1), (gw(2, 0), 1)])
 
     def test_routes_agree_sweep(self):
         # the deletion rule against the straightening oracle: every branch
@@ -190,34 +190,34 @@ class TestWedgeDualTensor:
 
 class TestTelescope:
     def test_g1(self):
-        assert telescope_closed(gw(7)) == VirtualBundle(0, {gw(): 1})
+        assert telescope_closed(gw(7)) == VirtualBundle(0, [(gw(), 1)])
         assert telescope_bruteforce(gw(7)) == telescope_closed(gw(7))
 
     def test_g2_shape(self):
         a, b = 4, 1
         assert telescope_closed(gw(a, b)) == VirtualBundle(
-            1, {gw(a): 1, gw(b - 1): -1}
+            1, [(gw(a), 1), (gw(b - 1), -1)]
         )
 
     def test_g2_bruteforce_example(self):
         assert telescope_bruteforce(gw(2, 0)) == VirtualBundle(
-            1, {gw(2): 1, gw(-1): -1}
+            1, [(gw(2), 1), (gw(-1), -1)]
         )
 
     def test_g3_shape(self):
         a, b, c = 3, 2, 0
         assert telescope_closed(gw(a, b, c)) == VirtualBundle(
             2,
-            {
-                gw(a, b): 1,
-                gw(a, c - 1): -1,
-                gw(b - 1, c - 1): 1,
-            },
+            [
+                (gw(a, b), 1),
+                (gw(a, c - 1), -1),
+                (gw(b - 1, c - 1), 1),
+            ],
         )
 
     def test_g3_bruteforce_example(self):
         assert telescope_bruteforce(gw(1, 1, 0)) == VirtualBundle(
-            2, {gw(1, 1): 1, gw(1, -1): -1, gw(0, -1): 1}
+            2, [(gw(1, 1), 1), (gw(1, -1), -1), (gw(0, -1), 1)]
         )
 
     @pytest.mark.parametrize("g", [1, 2, 3])
@@ -250,6 +250,22 @@ class TestTelescope:
         for a in [gw(7), gw(2, 0), gw(1, 1, 0), gw(3, 1, -1, -2), gw(4, 2, 2, 0, -3)]:
             assert telescope_bruteforce(a) == telescope_closed(a)
 
+    def test_bruteforce_builds_one_weight_per_term(self, monkeypatch):
+        built = 0
+        check = GlWeight.__post_init__
+
+        def counted(self):
+            nonlocal built
+            built += 1
+            check(self)
+
+        a = gw(6, 3, 1, -2)
+        monkeypatch.setattr(GlWeight, "__post_init__", counted)
+        vb = telescope_bruteforce(a)
+        monkeypatch.undo()
+        assert vb == telescope_closed(a)
+        assert built == len(vb.items()) == 4
+
     @given(dominant_tuples)
     @settings(max_examples=60)
     def test_closed_terms_dominant(self, entries):
@@ -263,12 +279,12 @@ class TestTelescope:
 class TestVirtualBundle:
     def test_genus_mismatch(self):
         with pytest.raises(ValueError):
-            VirtualBundle(2, {gw(1): 1})
+            VirtualBundle(2, [(gw(1), 1)])
         with pytest.raises(ValueError):
             VirtualBundle(2, [(gw(1), 1), (gw(1), -1)])
 
     def test_render(self):
-        vb = VirtualBundle(1, {gw(2): 1, gw(-1): -2})
+        vb = VirtualBundle(1, [(gw(2), 1), (gw(-1), -2)])
         assert str(vb) == "-2*W(-1) + W(2)"
 
     @given(
@@ -292,4 +308,8 @@ class TestVirtualBundle:
         expected = {wt: c for wt, c in total.items() if c}
         for arg in (pairs, iter(pairs)):
             assert dict(VirtualBundle(g, arg).items()) == expected
-        assert VirtualBundle(g, expected) == VirtualBundle(g, pairs)
+        assert VirtualBundle(g, total.items()) == VirtualBundle(g, pairs)
+
+    def test_a_dict_is_not_pairs(self):
+        with pytest.raises(TypeError):
+            VirtualBundle(1, {gw(2): 1, gw(-1): -2})

@@ -235,7 +235,7 @@ symbols = st.one_of(
 )
 exprs = st.lists(
     st.tuples(symbols, st.integers(-6, 6), st.integers(-4, 4)), max_size=6
-).map(lambda terms: sum((MotiveExpr({(s, a): c}) for s, a, c in terms), MotiveExpr()))
+).map(lambda terms: sum((MotiveExpr([((s, a), c)]) for s, a, c in terms), MotiveExpr()))
 
 
 
@@ -267,7 +267,12 @@ class TestSummingConstructor:
         expected = counter_sum(pairs)
         for arg in (pairs, iter(pairs)):
             assert dict(MotiveExpr(arg).items()) == expected
-        assert MotiveExpr(expected) == MotiveExpr(pairs)
+        assert MotiveExpr(expected.items()) == MotiveExpr(pairs)
+
+    def test_a_dict_is_not_pairs(self):
+        # its keys are (symbol, exponent) pairs, yet it must not be summed
+        with pytest.raises(TypeError):
+            MotiveExpr({(ONE, 0): 1, (Symbol("S", k=12), 2): -3})
 
     @given(symbols)
     def test_equal_symbols_built_apart_hash_equal(self, sym):
@@ -312,7 +317,7 @@ def fixed_point_normalize(x, expand_genus_one):
             for s, shift, sign in step(sym)
         ).items())
         if out == terms:
-            return MotiveExpr(out)
+            return MotiveExpr(out.items())
         terms = out
 
 
