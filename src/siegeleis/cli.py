@@ -91,14 +91,13 @@ def _render_table(g: int, lmax: int, format: str) -> str:
     # it is built, so only the strings outlive their row's expressions.
     rows = _table_records(g, lmax)
     if format == "json":
-        # the bytes json.dumps(..., separators=(", ", ": ")) gives for
-        # {"metadata": ..., "records": [...]}, one record at a time
-        def dumps(obj):
-            return json.dumps(obj, separators=(", ", ": "))
-
-        metadata = dumps({"g": g, "lmax": lmax, "engine-version": __version__})
+        # the bytes json.dumps gives for {"metadata": ..., "records": [...]},
+        # one record at a time
+        metadata = json.dumps({"g": g, "lmax": lmax, "engine-version": __version__})
         records = (
-            dumps({"lambda": list(lam), **{key: expr.to_obj() for key, expr in row}})
+            json.dumps(
+                {"lambda": list(lam), **{key: expr.to_obj() for key, expr in row}}
+            )
             for lam, row in rows
         )
         return f'{{"metadata": {metadata}, "records": [' + ", ".join(records) + "]}"
@@ -125,8 +124,7 @@ def _render_bgg(g, lam, format):
                     "filtration": t.filtration,
                 }
                 for t in terms
-            ],
-            separators=(", ", ": "),
+            ]
         )
     return "\n".join(
         f"w={t.w} degree={t.degree} filtration={t.filtration} "
@@ -146,8 +144,8 @@ def _render_boundary(g, lam, format):
         elements[t.source_w.images] = t.source_w
         elements[t.u.images] = t.u
     if format == "json":
-        # the bytes json.dumps(..., separators=(", ", ": ")) gives for the
-        # list of records: ints, "A"/"B" and bools need no escaping
+        # the bytes json.dumps gives for the list of records: ints,
+        # "A"/"B" and bools need no escaping
         name = {imgs: "[" + ", ".join(map(str, imgs)) + "]" for imgs in elements}
         return "[" + ", ".join(
             f'{{"w": {name[t.source_w.images]}, "k": {t.k}, "side": "{t.side}", '
@@ -190,7 +188,8 @@ def run(argv) -> tuple[int, str, str]:
                     with open(args.output, "w") as fh:
                         fh.write(text)
                 except OSError as exc:
-                    return 2, "", f"-o/--output: cannot write {args.output}: {exc}\n"
+                    msg = f"-o/--output: cannot write {args.output}: {exc}"
+                    raise ValueError(msg) from exc
                 return 0, "", ""
             return 0, text, ""
         if args.command == "verify":

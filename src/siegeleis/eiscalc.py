@@ -7,6 +7,7 @@ formulas, and the cross-consistency checks tying them together.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb, isqrt
 from typing import Sequence
@@ -19,7 +20,6 @@ from .weylcomb import (
     final_element,
     flip_dichotomy,
     flip_length,
-    flip_mask,
     image_dichotomy,
     restrict_final,
     restrict_flips,
@@ -94,11 +94,11 @@ def bgg_complex(g: int, lam: Sequence[int]) -> list[BggTerm]:
         raise ValueError(f"-g: bgg needs g <= {MAX_BGG_G}, got {g}")
     lam = _check_sp_weight(lam, g)
     terms = []
-    for w in enumerate_final(g):
+    for mask, w in enumerate(enumerate_final(g)):
         mu = GlWeight(w.dot_action(lam)).dual()
         num = sum(lam) + sum(mu.entries)
         assert num % 2 == 0
-        terms.append(BggTerm(w, mu, flip_length(flip_mask(w), g), num // 2))
+        terms.append(BggTerm(w, mu, flip_length(mask), num // 2))
     terms.sort(key=lambda t: (t.degree, t.mu.entries))
     return terms
 
@@ -122,17 +122,19 @@ class BoundaryTerm:
 def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
     """Expand the double sum over (w, k) of restricted telescope terms.
 
-    Each final w is handled through its flip mask F (`flip_mask`): the
-    side and position of k (`flip_dichotomy`), the length of w
-    (`flip_length`) and the mask of the restriction (`restrict_flips`) are
-    bit operations, and the restricted element u is looked up by that
-    mask in a table of the 2^(g-1) final elements of genus g-1
-    (`final_element`), built once per call, so every u is one of those
-    validated `WeylElement`s.  The GL(1,Z) parity filter, `parity_pass`,
-    is read from the term's own weight.
+    Each final w is handled through its flip mask F, which is its index
+    in `enumerate_final`: the side and position of k (`flip_dichotomy`),
+    the length of w (`flip_length`) and the mask of the restriction
+    (`restrict_flips`) are bit operations, and the restricted element u
+    is looked up by that mask in a table of the 2^(g-1) final elements of
+    genus g-1 (`final_element`), built once per call, so every u is one of
+    those validated `WeylElement`s.  The GL(1,Z) parity filter,
+    `parity_pass`, is read from the term's own weight.
 
-    Returns a list, not a generator: callers take its length and walk it
-    more than once.
+    The table is contiguous per w, the blocks in `enumerate_final` order,
+    each with k = 1, ..., g ascending; `verify_partition` checks that each
+    w's terms form one such block.  Returns a list, not a generator:
+    callers take its length and walk it more than once.
     """
     if g > MAX_BOUNDARY_G:
         raise ValueError(f"-g: boundary needs g <= {MAX_BOUNDARY_G}, got {g}")
@@ -140,19 +142,18 @@ def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
     restricted = [final_element(g - 1, m) for m in range(1 << (g - 1))]
     twists = [lam[k - 1] + g + 1 - k for k in range(1, g + 1)]
     out = []
-    for w in enumerate_final(g):
+    for mask, w in enumerate(enumerate_final(g)):
         a = GlWeight(w.dot_action(lam)).dual().entries
         # telescope_surgery(a, l) is a[:l-1] + low[l:]
         low = tuple(x - 1 for x in a)
-        mask = flip_mask(w)
-        lw = flip_length(mask, g)
+        lw = flip_length(mask)
         for k in range(1, g + 1):
             side, pos = flip_dichotomy(mask, g, k)
             l = g + 1 - pos
             weight = GlWeight(a[: l - 1] + low[l:])
             out.append(
                 BoundaryTerm(
-                    w, k, side, restricted[restrict_flips(mask, k)], weight,
+                    w, k, side, restricted[restrict_flips(mask, g, k)], weight,
                     -1 if (lw + g - l) & 1 else 1,
                     0 if side == "A" else twists[k - 1],
                 )
@@ -167,29 +168,25 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
     report = VerificationReport()
     terms = boundary_terms(g, lam)
     surgered = {k: tau_prime(lam, k) for k in range(1, g + 1)}
-    by_w: dict[WeylElement, list[BoundaryTerm]] = {}
-    for t in terms:
-        by_w.setdefault(t.source_w, []).append(t)
 
-    # (i) exclusivity and k -> position bijection per w; each term's side
-    # and restriction against the image-based oracles
-    def dichotomy(item):
-        w, ts = item
-        positions = []
+    # (i) each w's terms form one block with k = 1, ..., g in order; each
+    # term's side and restriction against the image-based oracles
+    def dichotomy(block):
+        w, ts = block
+        ts = list(ts)
+        ks = [t.k for t in ts]
+        if ks != list(range(1, g + 1)):
+            return f"w={w}, k={ks}"
         for t in ts:
-            side, pos = image_dichotomy(w, t.k)
-            if (t.k in w.images) == ((2 * g + 1 - t.k) in w.images):
-                return f"w={w}, k={t.k}"
+            side, _ = image_dichotomy(w, t.k)
             if t.side != side:
                 return f"w={w}, k={t.k}: side {t.side} != {side}"
             u = restrict_final(w, t.k, side)
             if t.u != u:
                 return f"w={w}, k={t.k}: u={t.u} != {u}"
-            positions.append(pos)
-        if sorted(positions) != list(range(1, g + 1)):
-            return f"w={w}, positions={positions}"
     detail = f"g={g}, lambda={lam}"
-    report.check("dichotomy-bijection", detail, by_w.items(), dichotomy)
+    blocks = itertools.groupby(terms, key=lambda t: t.source_w)
+    report.check("dichotomy-bijection", detail, blocks, dichotomy)
 
     # (ii) weight identity against the restricted dot action
     def weight_identity(t):

@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .glbranch import is_dominant
+
 
 class UnsupportedProductError(ValueError):
     """Products of two non-monomial symbols are not defined here."""
@@ -57,7 +59,7 @@ class Symbol:
         elif self.kind == "Ec":
             if self.g < 0 or len(self.lam) != self.g:
                 raise ValueError("Ec needs a length-g weight")
-            if any(self.lam[i] < self.lam[i + 1] for i in range(self.g - 1)):
+            if not is_dominant(self.lam):
                 raise ValueError("Ec weight must be weakly decreasing")
             if self.lam and self.lam[-1] < 0:
                 raise ValueError("Ec weight must be nonnegative")
@@ -223,7 +225,7 @@ class MotiveExpr:
     # -- rendering ----------------------------------------------------
     def render(self, format: str = "text") -> str:
         if format == "json":
-            return json.dumps(self.to_obj(), separators=(", ", ": "))
+            return json.dumps(self.to_obj())
         if format != "text":
             raise ValueError(f"unknown format {format!r}")
         if self.is_zero():
@@ -371,8 +373,7 @@ class VerificationReport:
                         "counterexample": c.counterexample,
                     }
                     for c in self.checks
-                ],
-                separators=(", ", ": "),
+                ]
             )
         lines = []
         for c in self.checks:

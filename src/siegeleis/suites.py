@@ -59,9 +59,15 @@ def verify_weyl(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
     report = VerificationReport()
     gs = range(1, max_g + 1)
 
+    # the boundary pipeline reads a final element's flip mask as its
+    # position, so the images must strictly increase along the list
     def counts(g):
         finals = weylcomb.enumerate_final(g)
-        if len(finals) != 2 ** g or not all(w.is_final() for w in finals):
+        if (
+            len(finals) != 2 ** g
+            or not all(w.is_final() for w in finals)
+            or any(v.images >= w.images for v, w in zip(finals, finals[1:]))
+        ):
             return f"g={g}"
     report.check("final-count-2^g", f"g <= {max_g}", gs, counts)
 
@@ -88,23 +94,22 @@ def verify_weyl(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
 
     def restrictions():
         for g in range(2, g_max + 1):
-            finals = weylcomb.enumerate_final(g)
-            target = set(weylcomb.enumerate_final(g - 1))
+            finals = list(enumerate(weylcomb.enumerate_final(g)))
+            lower = weylcomb.enumerate_final(g - 1)
             for k in range(1, g + 1):
-                yield g, k, "A", [w for w in finals if k in w.images], target
-                yield g, k, "B", [w for w in finals if k not in w.images], target
+                yield g, k, "A", [(m, w) for m, w in finals if k in w.images], lower
+                yield g, k, "B", [(m, w) for m, w in finals if k not in w.images], lower
 
     def restricts(case):
-        g, k, side, pool, target = case
+        g, k, side, pool, lower = case
         imgs = set()
-        for w in pool:
+        for mask, w in pool:
             u = weylcomb.restrict_final(w, k, side)
             imgs.add(u)
             # the flip-mask twin used by the boundary pipeline
-            fast = weylcomb.restrict_flips(weylcomb.flip_mask(w), k)
-            if weylcomb.flip_mask(u) != fast:
+            if lower[weylcomb.restrict_flips(mask, g, k)] != u:
                 return f"g={g}, k={k}, side={side}, w={w}"
-        if len(pool) != 2 ** (g - 1) or imgs != target:
+        if len(pool) != 2 ** (g - 1) or imgs != set(lower):
             return f"g={g}, k={k}, side={side}"
     g_max = min(max_g, 8)
     report.check(

@@ -6,8 +6,10 @@ relation gives the rest.  Everything here is immutable and pure.
 
 A final element is also determined by its flip set F, the indices i with
 2g+1-i among its images, which the boundary pipeline handles as a
-bitmask (`final_element` builds the element from it, `flip_mask` reads
-it back): the `flip_*` helpers are the bit-operation twins of
+bitmask with index i at bit g-i (`final_element` builds the element from
+it).  In that convention the masks count upward in the images'
+lexicographic order, so the element at position m of `enumerate_final`
+has flip mask m.  The `flip_*` helpers are the bit-operation twins of
 `image_dichotomy`, `restrict_final` and `WeylElement.length`, which stay
 as their oracles.
 """
@@ -100,18 +102,20 @@ class WeylElement:
 
 
 def final_element(g: int, mask: int) -> WeylElement:
-    """The final element with flip mask `mask`: images i, or 2g+1-i where
-    bit i-1 of the mask is set, sorted."""
+    """The final element with flip mask `mask`: bit b stands for the index
+    g-b, whose image is g+1+b if the bit is set and g-b if not, sorted."""
     return WeylElement(
-        g, tuple(sorted(2 * g - i if mask >> i & 1 else i + 1 for i in range(g)))
+        g, tuple(sorted(g + 1 + b if mask >> b & 1 else g - b for b in range(g)))
     )
 
 
 def enumerate_final(g: int) -> list[WeylElement]:
-    """All 2^g final elements of W_g, lexicographic on their images."""
+    """All 2^g final elements of W_g, lexicographic on their images: the
+    first index where two flip sets differ is unflipped in the smaller
+    element, so position m holds the element with flip mask m."""
     if g < 1:
         raise ValueError("genus must be positive")
-    return sorted((final_element(g, m) for m in range(1 << g)), key=lambda w: w.images)
+    return [final_element(g, m) for m in range(1 << g)]
 
 
 def kostant_from_signs(g: int, flips: Iterable[int]) -> WeylElement:
@@ -119,7 +123,7 @@ def kostant_from_signs(g: int, flips: Iterable[int]) -> WeylElement:
     flips = set(flips)
     if not flips <= set(range(1, g + 1)):
         raise ValueError("flips must be a subset of {1..g}")
-    return final_element(g, sum(1 << (i - 1) for i in flips))
+    return final_element(g, sum(1 << (g - i) for i in flips))
 
 
 def image_dichotomy(w: WeylElement, k: int) -> tuple[str, int]:
@@ -159,40 +163,33 @@ def restrict_final(w: WeylElement, k: int, side: str) -> WeylElement:
     return WeylElement(g - 1, tuple(renamed))
 
 
-def flip_mask(w: WeylElement) -> int:
-    """The flip set F of a final element as a bitmask: bit i-1 is set iff
-    2g+1-i is an image of w (the inverse of `final_element`)."""
-    g = w.g
-    mask = 0
-    for m in w.images:
-        if m > g:
-            mask |= 1 << (2 * g - m)
-    return mask
-
-
 def flip_dichotomy(mask: int, g: int, k: int) -> tuple[str, int]:
     """`image_dichotomy` on the flip mask of a final element of genus g.
 
-    Side A (k is an image) iff k is not flipped; its position counts the
-    unflipped indices <= k.  On side B, 2g+1-k sits after every unflipped
-    image and after the flipped images of the indices >= k."""
+    Side A (k is an image) iff bit b = g-k is clear; its position counts
+    the unflipped indices <= k, whose bits are those >= b.  On side B,
+    2g+1-k sits after every unflipped image and after the flipped images
+    of the indices >= k, whose bits are those <= b."""
     if not 1 <= k <= g:
         raise ValueError("k out of range")
-    if not mask >> (k - 1) & 1:
-        return "A", k - (mask & ((1 << k) - 1)).bit_count()
-    return "B", g - mask.bit_count() + (mask >> (k - 1)).bit_count()
+    b = g - k
+    if not mask >> b & 1:
+        return "A", k - (mask >> b).bit_count()
+    return "B", g - mask.bit_count() + (mask & ((2 << b) - 1)).bit_count()
 
 
-def restrict_flips(mask: int, k: int) -> int:
-    """`restrict_final` on flip masks: drop index k and shift the indices
-    above it down by one.  The side plays no part, since it is bit k-1."""
-    return (mask & ((1 << (k - 1)) - 1)) | ((mask >> k) << (k - 1))
+def restrict_flips(mask: int, g: int, k: int) -> int:
+    """`restrict_final` on flip masks: drop bit g-k (index k) and shift the
+    bits above it, the indices below k, down by one.  The side plays no
+    part, since it is that bit."""
+    b = g - k
+    return (mask & ((1 << b) - 1)) | ((mask >> (b + 1)) << b)
 
 
-def flip_length(mask: int, g: int) -> int:
-    """Coxeter length of the final element with this flip mask:
-    the sum of g+1-i over the flipped indices i."""
-    return sum(g - i for i in range(g) if mask >> i & 1)
+def flip_length(mask: int) -> int:
+    """Coxeter length of the final element with this flip mask: the sum
+    of g+1-i over the flipped indices i, that is of b+1 over the set bits b."""
+    return sum(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
 
 
 def all_elements(g: int) -> list[WeylElement]:

@@ -231,6 +231,21 @@ class TestVerifyPartition:
         failed = {c.name: c.counterexample for c in report.failures()}
         assert failed["dichotomy-bijection"] == cex
 
+    @pytest.mark.parametrize(
+        "edit, cex",
+        [
+            (lambda terms: terms[:-1], "w=[456], k=[1, 2]"),
+            (lambda terms: terms[1:] + terms[:1], "w=[123], k=[2, 3]"),
+        ],
+        ids=["last-term-dropped", "first-term-moved-to-the-end"],
+    )
+    def test_each_w_is_one_block_with_k_ascending(self, monkeypatch, edit, cex):
+        real = eiscalc.boundary_terms
+        monkeypatch.setattr(eiscalc, "boundary_terms", lambda g, lam: edit(real(g, lam)))
+        report = verify_partition(3, (3, 1, 0))
+        failed = {c.name: c.counterexample for c in report.failures()}
+        assert failed["dichotomy-bijection"] == cex
+
     # counterexamples recorded before tau_prime, the u lengths and the
     # (k, side) groups were computed once per call; parity_pass is read
     # from the weight, so an odd entry sum fails the parity filter too

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from siegeleis import weylcomb
+from siegeleis import suites, weylcomb
 from siegeleis.weylcomb import (
     SideMismatchError,
     WeylElement,
@@ -10,7 +10,6 @@ from siegeleis.weylcomb import (
     final_element,
     flip_dichotomy,
     flip_length,
-    flip_mask,
     image_dichotomy,
     kostant_from_signs,
     restrict_final,
@@ -84,6 +83,13 @@ class TestEnumerateFinal:
         assert len(finals) == 2 ** g
         assert all(w.is_final() for w in finals)
         assert [w.images for w in finals] == sorted(w.images for w in finals)
+
+    def test_weyl_suite_gates_the_order(self, monkeypatch):
+        # the boundary pipeline reads each element's flip mask as its index
+        real = weylcomb.enumerate_final
+        monkeypatch.setattr(weylcomb, "enumerate_final", lambda g: real(g)[::-1])
+        failed = {c.name: c.counterexample for c in suites.verify_weyl(3).failures()}
+        assert failed["final-count-2^g"] == "g=1"
 
     def test_invalid_genus(self):
         with pytest.raises(ValueError):
@@ -255,21 +261,24 @@ class TestImageDichotomy:
 
 class TestFlipMasks:
     def test_examples(self):
-        assert flip_mask(W(2, 1, 2)) == 0b00
-        assert flip_mask(W(2, 1, 3)) == 0b10  # 3 = 2g+1-2
-        assert flip_mask(W(3, 1, 4, 5)) == 0b110
-        assert restrict_flips(0b1011, 2) == 0b101
+        # bit g-i stands for the index i
+        assert final_element(2, 0b00) == W(2, 1, 2)
+        assert final_element(2, 0b01) == W(2, 1, 3)  # 3 = 2g+1-2
+        assert final_element(3, 0b011) == W(3, 1, 4, 5)
+        assert restrict_flips(0b1011, 4, 3) == 0b101
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_inverse_of_kostant_from_signs(self, g):
         for mask in range(2 ** g):
-            flips = {i + 1 for i in range(g) if mask >> i & 1}
-            assert flip_mask(kostant_from_signs(g, flips)) == mask
+            flips = {g - b for b in range(g) if mask >> b & 1}
+            assert kostant_from_signs(g, flips) == final_element(g, mask)
 
-    @pytest.mark.parametrize("g", range(1, 10))
+    @pytest.mark.parametrize("g", range(1, 13))
     def test_final_element_inverts_flip_mask(self, g):
-        for w in enumerate_final(g):
-            assert final_element(g, flip_mask(w)) == w
+        """Position m of enumerate_final holds flip mask m, in image order."""
+        finals = enumerate_final(g)
+        assert finals == [final_element(g, m) for m in range(2 ** g)]
+        assert finals == sorted(finals, key=lambda w: w.images)
 
     def test_final_element_genus_zero(self):
         assert final_element(0, 0) == W(0)
@@ -278,14 +287,14 @@ class TestFlipMasks:
         # every final w and every k up to g = 10: 18,432 pairs
         pairs = 0
         for g in range(2, 11):
-            for w in enumerate_final(g):
-                mask = flip_mask(w)
-                assert flip_length(mask, g) == w.length()
+            lower = enumerate_final(g - 1)
+            for mask, w in enumerate(enumerate_final(g)):
+                assert flip_length(mask) == w.length()
                 for k in range(1, g + 1):
                     side, pos = image_dichotomy(w, k)
                     assert flip_dichotomy(mask, g, k) == (side, pos)
                     u = restrict_final(w, k, side)
-                    assert restrict_flips(mask, k) == flip_mask(u)
+                    assert lower[restrict_flips(mask, g, k)] == u
                     pairs += 1
         assert pairs == 18432
 
