@@ -11,6 +11,7 @@ import argparse
 import itertools
 import json
 import sys
+from typing import Iterable
 
 from . import __version__, eiscalc, suites
 
@@ -72,10 +73,23 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _table_records(g: int, lmax: int):
-    """One row per admissible weight, as it is computed: (lambda, [(key,
-    expression)]) with the keys in column order."""
-    for lam in eiscalc.admissible_weights(g, lmax):
+def _chunks(records, per_chunk: int, head: str, sep: str, tail: str):
+    """The text head + sep.join(records) + tail as a stream of chunks: the
+    head, then `per_chunk` records at a time (one write per chunk, not per
+    record), then the tail."""
+    records = iter(records)
+    yield head
+    lead = ""
+    while block := list(itertools.islice(records, per_chunk)):
+        yield lead + sep.join(block)
+        lead = sep
+    yield tail
+
+
+def _table_records(g: int, weights):
+    """One row per weight, as it is computed: (lambda, [(key, expression)])
+    with the keys in column order."""
+    for lam in weights:
         row = [("rank1", eiscalc.rank1(g, lam, expand=g <= 2))]
         if g == 2:
             l, m = lam
@@ -86,10 +100,10 @@ def _table_records(g: int, lmax: int):
         yield lam, row
 
 
-def _render_table(g: int, lmax: int, format: str) -> str:
+def _render_table(g: int, lmax: int, format: str):
     # Each row becomes its text line or its JSON record string as soon as
-    # it is built, so only the strings outlive their row's expressions.
-    rows = _table_records(g, lmax)
+    # it is built, and is one chunk, so no row outlives its chunk.
+    rows = _table_records(g, eiscalc.admissible_weights(g, lmax))
     if format == "json":
         # the bytes json.dumps gives for {"metadata": ..., "records": [...]},
         # one record at a time
@@ -100,7 +114,7 @@ def _render_table(g: int, lmax: int, format: str) -> str:
             )
             for lam, row in rows
         )
-        return f'{{"metadata": {metadata}, "records": [' + ", ".join(records) + "]}"
+        return _chunks(records, 1, f'{{"metadata": {metadata}, "records": [', ", ", "]}\n")
     lines = (
         "  ".join(
             [f"lambda=({','.join(map(str, lam))})"]
@@ -109,104 +123,135 @@ def _render_table(g: int, lmax: int, format: str) -> str:
         for lam, row in rows
     )
     header = f"# siegeleis table g={g} lmax={lmax} version={__version__}"
-    return "\n".join(itertools.chain([header], lines))
+    return _chunks(itertools.chain([header], lines), 1, "", "\n", "\n")
 
 
 def _render_bgg(g, lam, format):
     terms = eiscalc.bgg_complex(g, lam)
     if format == "json":
-        return json.dumps(
-            [
+        # json.dumps of the list of records, one record at a time
+        records = (
+            json.dumps(
                 {
                     "w": list(t.w.images),
                     "mu": list(t.mu.entries),
                     "degree": t.degree,
                     "filtration": t.filtration,
                 }
-                for t in terms
-            ]
+            )
+            for t in terms
         )
-    return "\n".join(
+        return _chunks(records, g, "[", ", ", "]\n")
+    records = (
         f"w={t.w} degree={t.degree} filtration={t.filtration} "
         f"mu=({','.join(str(a) for a in t.mu.entries)})"
         for t in terms
     )
+    return _chunks(records, g, "", "\n", "\n")
 
 
 def _render_boundary(g, lam, format):
-    terms = eiscalc.boundary_terms(g, lam)
-    # Name the 2^g + 2^(g-1) distinct Weyl elements, keyed by their images
-    # (w and u differ in length), before building any record: small
-    # strings made in between the records would pin memory that the
-    # records release.
-    elements = {}
-    for t in terms:
-        elements[t.source_w.images] = t.source_w
-        elements[t.u.images] = t.u
+    # One chunk per source-w block of g records (the block contract that
+    # verify_partition checks), made as the terms are generated: neither
+    # the term list nor the whole output is held.
+    terms = eiscalc.iter_boundary_terms(g, lam)
+    # The 2^g + 2^(g-1) distinct Weyl elements are named the first time
+    # they are seen, keyed by their images (w and u differ in length).
+    names = {}
+
+    def name(w):
+        label = names.get(w.images)
+        if label is None:
+            label = names[w.images] = (
+                "[" + ", ".join(map(str, w.images)) + "]" if format == "json" else str(w)
+            )
+        return label
+
     if format == "json":
         # the bytes json.dumps gives for the list of records: ints,
         # "A"/"B" and bools need no escaping
-        name = {imgs: "[" + ", ".join(map(str, imgs)) + "]" for imgs in elements}
-        return "[" + ", ".join(
-            f'{{"w": {name[t.source_w.images]}, "k": {t.k}, "side": "{t.side}", '
-            f'"u": {name[t.u.images]}, '
+        records = (
+            f'{{"w": {name(t.source_w)}, "k": {t.k}, "side": "{t.side}", '
+            f'"u": {name(t.u)}, '
             f'"weight": [{", ".join(map(str, t.weight.entries))}], '
             f'"sign": {t.sign}, "twist": {t.twist}, '
             f'"parity_pass": {"true" if t.parity_pass else "false"}}}'
             for t in terms
-        ) + "]"
-    name = {imgs: str(w) for imgs, w in elements.items()}
-    return "\n".join(
-        f"w={name[t.source_w.images]} k={t.k} side={t.side} u={name[t.u.images]} "
+        )
+        return _chunks(records, g, "[", ", ", "]\n")
+    records = (
+        f"w={name(t.source_w)} k={t.k} side={t.side} u={name(t.u)} "
         f"weight=({','.join(map(str, t.weight.entries))}) "
         f"sign={'+' if t.sign > 0 else '-'}1 twist={t.twist} "
         f"parity={'even' if t.parity_pass else 'odd'}"
         for t in terms
     )
+    return _chunks(records, g, "", "\n", "\n")
 
 
-def run(argv) -> tuple[int, str, str]:
-    """Execute one CLI invocation; returns (exit code, stdout, stderr)."""
+def _stream(argv) -> tuple[int, Iterable[str], str]:
+    """Execute one CLI invocation: (exit code, stdout chunks, stderr).
+
+    Every input is checked before this returns, so a bad one gives exit
+    code 2 and no chunk; the chunks of a good one are computed as they
+    are consumed.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
         if args.command == "rank1":
             expr = eiscalc.rank1(args.g, _parse_sp_weight(args.lam), expand=args.expand)
-            return 0, expr.render(args.format) + "\n", ""
+            return 0, [expr.render(args.format), "\n"], ""
         if args.command in ("total", "codim2", "kernel"):
             fn = getattr(eiscalc, f"{args.command}_g2")
             if args.command == "total" and args.form == 2:
                 fn = eiscalc.total_g2_alt
-            return 0, fn(args.l, args.m).render(args.format) + "\n", ""
+            return 0, [fn(args.l, args.m).render(args.format), "\n"], ""
         if args.command in ("bgg", "boundary"):
             render = _render_bgg if args.command == "bgg" else _render_boundary
-            return 0, render(args.g, _parse_sp_weight(args.lam), args.format) + "\n", ""
+            return 0, render(args.g, _parse_sp_weight(args.lam), args.format), ""
         if args.command == "table":
-            text = _render_table(args.g, args.lmax, args.format) + "\n"
+            chunks = _render_table(args.g, args.lmax, args.format)
             if args.output:
                 try:
                     with open(args.output, "w") as fh:
-                        fh.write(text)
+                        fh.writelines(chunks)
                 except OSError as exc:
                     msg = f"-o/--output: cannot write {args.output}: {exc}"
                     raise ValueError(msg) from exc
-                return 0, "", ""
-            return 0, text, ""
+                return 0, [], ""
+            return 0, chunks, ""
         if args.command == "verify":
             report = suites.run_suite(args.suite, args.max_g, args.max_entry)
-            out = report.render(args.format) + "\n"
-            return (0 if report.passed else 1), out, ""
+            return (0 if report.passed else 1), [report.render(args.format), "\n"], ""
         raise ValueError(f"unknown command {args.command!r}")
     except ValueError as exc:
-        return 2, "", f"error: {exc}\n"
+        return 2, [], f"error: {exc}\n"
+
+
+def run(argv) -> tuple[int, str, str]:
+    """Execute one CLI invocation; returns (exit code, stdout, stderr)."""
+    code, chunks, err = _stream(argv)
+    return code, "".join(chunks), err
 
 
 def main() -> None:
-    code, out, err = run(sys.argv[1:])
-    if out:
-        sys.stdout.write(out)
-    if err:
-        sys.stderr.write(err)
+    """The console entry: stdout is written chunk by chunk as it is made."""
+    code, chunks, err = _stream(sys.argv[1:])
+    try:
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush
+        # at interpreter exit raises no second BrokenPipeError (the "Note
+        # on SIGPIPE" in the `signal` docs), and report the cut-off output.
+        import os  # only this path needs it
+
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(1)
+    sys.stderr.write(err)
     sys.exit(code)
 
 

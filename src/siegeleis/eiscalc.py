@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, isqrt
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .glbranch import GlWeight, dominant_entries, is_dominant
 from .motivering import ONE, MotiveExpr, Symbol, VerificationReport, cusp_dim
@@ -28,9 +28,9 @@ from .weylcomb import (
 
 # Size limits, checked before work starts; times are the CLI's at the
 # limit with JSON output (2 cores, Python 3.11).
-# bgg: 2^g terms, 65,536 at g = 16 (1.4 s, 122 MB).
+# bgg: 2^g terms, 65,536 at g = 16 (1.4 s, 65 MB).
 MAX_BGG_G = 16
-# boundary: g*2^g terms, 229,376 at g = 14 (1.7 s, 220 MB).
+# boundary: g*2^g terms, 229,376 at g = 14, streamed (1.5 s, 25 MB).
 MAX_BOUNDARY_G = 14
 # table: rank1 (g terms over length-g weights) on the even ones of the
 # C(lmax+g, g) weights in [0, lmax]^g: g^2 * C(lmax+g, g) steps, worst at
@@ -119,29 +119,35 @@ class BoundaryTerm:
         return sum(self.weight.entries) % 2 == 0
 
 
-def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
-    """Expand the double sum over (w, k) of restricted telescope terms.
+def iter_boundary_terms(g: int, lam: Sequence[int]) -> Iterator[BoundaryTerm]:
+    """Expand the double sum over (w, k) of restricted telescope terms,
+    one term at a time.
 
-    Each final w is handled through its flip mask F, which is its index
-    in `enumerate_final`: the side and position of k (`flip_dichotomy`),
-    the length of w (`flip_length`) and the mask of the restriction
-    (`restrict_flips`) are bit operations, and the restricted element u
-    is looked up by that mask in a table of the 2^(g-1) final elements of
-    genus g-1 (`final_element`), built once per call, so every u is one of
-    those validated `WeylElement`s.  The GL(1,Z) parity filter,
-    `parity_pass`, is read from the term's own weight.
+    The genus bound and lam are checked when this is called, so a bad
+    input fails before the first term; the terms themselves come from a
+    generator.  Each final w is handled through its flip mask F, which is
+    its index in `enumerate_final`: the side and position of k
+    (`flip_dichotomy`), the length of w (`flip_length`) and the mask of
+    the restriction (`restrict_flips`) are bit operations, and the
+    restricted element u is looked up by that mask in a table of the
+    2^(g-1) final elements of genus g-1 (`final_element`), built once per
+    call, so every u is one of those validated `WeylElement`s.  The
+    GL(1,Z) parity filter, `parity_pass`, is read from the term's own
+    weight.
 
-    The table is contiguous per w, the blocks in `enumerate_final` order,
-    each with k = 1, ..., g ascending; `verify_partition` checks that each
-    w's terms form one such block.  Returns a list, not a generator:
-    callers take its length and walk it more than once.
+    The terms come in one contiguous block per w, the blocks in
+    `enumerate_final` order, each with k = 1, ..., g ascending;
+    `verify_partition` checks that block contract, and the CLI writes
+    its output one block at a time on the strength of it.
     """
     if g > MAX_BOUNDARY_G:
         raise ValueError(f"-g: boundary needs g <= {MAX_BOUNDARY_G}, got {g}")
-    lam = _check_sp_weight(lam, g)
+    return _generate_boundary(g, _check_sp_weight(lam, g))
+
+
+def _generate_boundary(g: int, lam: tuple[int, ...]) -> Iterator[BoundaryTerm]:
     restricted = [final_element(g - 1, m) for m in range(1 << (g - 1))]
     twists = [lam[k - 1] + g + 1 - k for k in range(1, g + 1)]
-    out = []
     for mask, w in enumerate(enumerate_final(g)):
         a = GlWeight(w.dot_action(lam)).dual().entries
         # telescope_surgery(a, l) is a[:l-1] + low[l:]
@@ -150,15 +156,20 @@ def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
         for k in range(1, g + 1):
             side, pos = flip_dichotomy(mask, g, k)
             l = g + 1 - pos
-            weight = GlWeight(a[: l - 1] + low[l:])
-            out.append(
-                BoundaryTerm(
-                    w, k, side, restricted[restrict_flips(mask, g, k)], weight,
-                    -1 if (lw + g - l) & 1 else 1,
-                    0 if side == "A" else twists[k - 1],
-                )
+            yield BoundaryTerm(
+                w, k, side, restricted[restrict_flips(mask, g, k)],
+                GlWeight(a[: l - 1] + low[l:]),
+                -1 if (lw + g - l) & 1 else 1,
+                0 if side == "A" else twists[k - 1],
             )
-    return out
+
+
+def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
+    """The terms of `iter_boundary_terms` as a list, for callers that take
+    its length or walk it more than once (`verify_partition`, the suites).
+    The CLI streams the generator instead: at g = 13 the list alone holds
+    106,496 terms in about 31 MB."""
+    return list(iter_boundary_terms(g, lam))
 
 
 def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
@@ -169,10 +180,19 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
     terms = boundary_terms(g, lam)
     surgered = {k: tau_prime(lam, k) for k in range(1, g + 1)}
 
-    # (i) each w's terms form one block with k = 1, ..., g in order; each
-    # term's side and restriction against the image-based oracles
-    def dichotomy(block):
+    # (i) the table is one block per final w, headed by enumerate_final(g)
+    # in order with no block missing or left over, each block with
+    # k = 1, ..., g in order; each term's side and restriction against
+    # the image-based oracles.  An empty table runs no case.
+    def dichotomy(case):
+        expected, block = case
+        if block is None:
+            return f"w={expected}: no block"
         w, ts = block
+        if expected is None:
+            return f"w={w}: block after the last final element"
+        if w != expected:
+            return f"w={w}: block where w={expected} is due"
         ts = list(ts)
         ks = [t.k for t in ts]
         if ks != list(range(1, g + 1)):
@@ -185,7 +205,8 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
             if t.u != u:
                 return f"w={w}, k={t.k}: u={t.u} != {u}"
     detail = f"g={g}, lambda={lam}"
-    blocks = itertools.groupby(terms, key=lambda t: t.source_w)
+    heads = enumerate_final(g) if terms else []
+    blocks = itertools.zip_longest(heads, itertools.groupby(terms, key=lambda t: t.source_w))
     report.check("dichotomy-bijection", detail, blocks, dichotomy)
 
     # (ii) weight identity against the restricted dot action

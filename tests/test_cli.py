@@ -1,13 +1,16 @@
 import hashlib
 import json
 import os
+import pathlib
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
 from siegeleis import eiscalc, suites
-from siegeleis.cli import _render_boundary, run
+from siegeleis.cli import _render_boundary, _stream, main, run
 from siegeleis.motivering import MotiveExpr, VerificationReport
 
 
@@ -17,6 +20,42 @@ def _assert_same(got: str, expected: str):
     if got != expected:
         i = len(os.path.commonprefix([got, expected]))
         pytest.fail(f"differ at {i}: {got[i:i + 60]!r} != {expected[i:i + 60]!r}")
+
+
+# Bad inputs and the stderr recorded for them before validation moved
+# from the CLI into eiscalc
+BAD_INPUT = [
+    ("rank1 -g 2 -l 1,x", "error: --lambda: could not parse '1,x' as integers\n"),
+    (
+        "rank1 -g 2 -l 1,2",
+        "error: --lambda: '1,2' is not weakly decreasing and nonnegative\n",
+    ),
+    ("rank1 -g 3 -l 2,0", "error: --lambda: expected 3 entries, got 2\n"),
+    ("total -l 2 -m 1", "error: -l/-m: need l = m (mod 2), got l=2, m=1\n"),
+    ("total -l 1 -m 3", "error: -l/-m: need l >= m >= 0, got l=1, m=3\n"),
+    (
+        "kernel -l 4 -m 0",
+        "error: -l/-m: kernel requires a regular weight (l > m > 0), "
+        "got l=4, m=0\n",
+    ),
+    (
+        "bgg -g 2 -l 3,-1",
+        "error: --lambda: '3,-1' is not weakly decreasing and nonnegative\n",
+    ),
+    ("table -g 0 --lmax 3", "error: -g: genus must be >= 1\n"),
+    # these named --lambda before
+    ("bgg -g 0 -l 1", "error: -g: genus must be >= 1\n"),
+    ("boundary -g -1 -l 1", "error: -g: genus must be >= 1\n"),
+    (
+        "verify --suite nope",
+        "error: argument --suite: invalid choice: 'nope' (choose from "
+        "'all', 'weyl', 'telescope', 'partition', 'g2', 'duality')\n",
+    ),
+]
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+# What the `siegeleis` console script runs.
+CLI_ENTRY = "import sys; from siegeleis.cli import main; sys.exit(main())"
 
 
 class TestRank1Command:
@@ -165,8 +204,8 @@ class TestStructureCommands:
 
     @pytest.mark.parametrize("g", range(1, 10))
     def test_boundary_renderer_matches_the_encoder(self, g):
-        """The f-string records against json.dumps of per-term dicts and
-        the per-term text built from str(w)."""
+        """The streamed f-string records against json.dumps of per-term
+        dicts and the per-term text built from str(w)."""
         rng = random.Random(g)
         for _ in range(2):
             lam = tuple(sorted((rng.randint(0, 12) for _ in range(g)), reverse=True))
@@ -185,18 +224,18 @@ class TestStructureCommands:
                 for t in terms
             ]
             _assert_same(
-                _render_boundary(g, lam, "json"),
-                json.dumps(records, separators=(", ", ": ")),
+                "".join(_render_boundary(g, lam, "json")),
+                json.dumps(records, separators=(", ", ": ")) + "\n",
             )
             _assert_same(
-                _render_boundary(g, lam, "text"),
+                "".join(_render_boundary(g, lam, "text")),
                 "\n".join(
                     f"w={t.source_w} k={t.k} side={t.side} u={t.u} "
                     f"weight=({','.join(str(a) for a in t.weight.entries)}) "
                     f"sign={'+' if t.sign > 0 else '-'}1 twist={t.twist} "
                     f"parity={'even' if t.parity_pass else 'odd'}"
                     for t in terms
-                ),
+                ) + "\n",
             )
 
 
@@ -474,37 +513,7 @@ class TestZeroCaseChecks:
 class TestPinnedOutput:
     """Bytes recorded before validation moved from the CLI into eiscalc."""
 
-    @pytest.mark.parametrize(
-        "argv, err",
-        [
-            ("rank1 -g 2 -l 1,x", "error: --lambda: could not parse '1,x' as integers\n"),
-            (
-                "rank1 -g 2 -l 1,2",
-                "error: --lambda: '1,2' is not weakly decreasing and nonnegative\n",
-            ),
-            ("rank1 -g 3 -l 2,0", "error: --lambda: expected 3 entries, got 2\n"),
-            ("total -l 2 -m 1", "error: -l/-m: need l = m (mod 2), got l=2, m=1\n"),
-            ("total -l 1 -m 3", "error: -l/-m: need l >= m >= 0, got l=1, m=3\n"),
-            (
-                "kernel -l 4 -m 0",
-                "error: -l/-m: kernel requires a regular weight (l > m > 0), "
-                "got l=4, m=0\n",
-            ),
-            (
-                "bgg -g 2 -l 3,-1",
-                "error: --lambda: '3,-1' is not weakly decreasing and nonnegative\n",
-            ),
-            ("table -g 0 --lmax 3", "error: -g: genus must be >= 1\n"),
-            # these named --lambda before
-            ("bgg -g 0 -l 1", "error: -g: genus must be >= 1\n"),
-            ("boundary -g -1 -l 1", "error: -g: genus must be >= 1\n"),
-            (
-                "verify --suite nope",
-                "error: argument --suite: invalid choice: 'nope' (choose from "
-                "'all', 'weyl', 'telescope', 'partition', 'g2', 'duality')\n",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("argv, err", BAD_INPUT)
     def test_bad_input_stderr(self, argv, err):
         assert run(argv.split()) == (2, "", err)
 
@@ -621,3 +630,115 @@ class TestUsageErrors:
     def test_bad_genus(self):
         code, _, err = run(["rank1", "-g", "0", "-l", ""])
         assert code == 2
+
+
+# Every other argv in this file that exits with code 2: the size limits
+# (their next size up), the verify size flags, usage errors and an
+# unwritable table file.
+EXIT_2 = [argv for argv, _ in BAD_INPUT] + [
+    "bgg -g 17 -l " + ",".join(["0"] * 17),
+    "boundary -g 15 -l " + ",".join(["0"] * 15),
+    "table -g 4 --lmax 26",
+    "table -g 657 --lmax 0",
+    "table -g 10 --lmax 64",
+    "rank1 -g 657 -l " + ",".join(["0"] * 657),
+    "verify --suite weyl --max-g 0",
+    "verify --max-g 17",
+    "verify --suite telescope --max-entry -1",
+    "verify --max-entry 13",
+    "frobnicate",
+    "rank1",
+    "rank1 -g 0 -l ",
+    "table -g 1 --lmax 2 -o /nonexistent/dir/x.json",
+]
+
+
+def main_output(argv, monkeypatch, capsys) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of the console entry `main` on argv."""
+    monkeypatch.setattr(sys, "argv", ["siegeleis", *argv])
+    with pytest.raises(SystemExit) as info:
+        main()
+    out, err = capsys.readouterr()
+    return info.value.code, out, err
+
+
+class TestStream:
+    """`main` writes each chunk as it is made; `run` joins the same chunks."""
+
+    @pytest.mark.parametrize("format", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "boundary -g 6 -l 7,5,5,3,2,0",
+            "boundary -g 1 -l 4",
+            "bgg -g 5 -l 9,7,5,3,1",
+            "table -g 2 --lmax 12",
+            "table -g 3 --lmax 2",
+        ],
+    )
+    def test_main_writes_what_run_returns(self, monkeypatch, capsys, argv, format):
+        argv = [*argv.split(), "--format", format]
+        code, out, err = run(argv)
+        assert (code, err) == (0, "") and out.endswith("\n")
+        assert main_output(argv, monkeypatch, capsys) == (code, out, err)
+
+    @pytest.mark.parametrize("format", ["text", "json"])
+    def test_table_file_through_main(self, monkeypatch, capsys, tmp_path, format):
+        argv = ["table", "-g", "2", "--lmax", "12", "--format", format]
+        path = tmp_path / "table.out"
+        assert main_output([*argv, "-o", str(path)], monkeypatch, capsys) == (0, "", "")
+        assert path.read_text() == run(argv)[1]
+
+    @pytest.mark.parametrize("argv", EXIT_2)
+    def test_bad_input_writes_no_stdout(self, monkeypatch, capsys, argv):
+        # every input is checked before the first chunk is written
+        code, out, err = main_output(argv.split(" "), monkeypatch, capsys)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert run(argv.split(" ")) == (code, out, err)
+
+    def test_boundary_peak_memory(self):
+        """Draining the chunks holds about one block of records, not the
+        table: the traced peak is at most a quarter of the output."""
+        argv = ["boundary", "-g", "12", "-l", "23,21,19,17,15,13,11,9,7,5,3,1",
+                "--format", "json"]
+        # warm free lists outside the trace, e.g. those of the 12-tuples
+        for _ in _stream(argv)[1]:
+            pass
+        tracemalloc.start()
+        try:
+            code, chunks, _ = _stream(argv)
+            size = sum(map(len, chunks))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and size > 10_000_000
+        assert peak <= size // 4, (peak, size)
+
+    def test_console_entry_on_the_benchmark_argv(self):
+        """The genus-13 boundary table of the benchmark's seed-1 weight,
+        written chunk by chunk through the console script's entry."""
+        argv = ["boundary", "-g", "13", "-l", "20,18,15,15,15,14,12,8,6,4,3,3,2",
+                "--format", "json"]
+        proc = subprocess.run(
+            [sys.executable, "-c", CLI_ENTRY, *argv], capture_output=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert hashlib.sha256(proc.stdout).hexdigest() == (
+            "3fe505d0e4e032cb25c5a818d536a31025535a2ee314170a7fb2aaba985a53df"
+        )
+
+    def test_closed_pipe(self):
+        """A reader that stops early (`| head -c 100`) ends the run with
+        exit code 1 and no traceback."""
+        argv = ["boundary", "-g", "10", "-l", "19,17,15,13,11,9,7,5,3,1", "--format", "json"]
+        proc = subprocess.Popen(
+            [sys.executable, "-c", CLI_ENTRY, *argv], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(timeout=60), err) == (1, b"")
+        assert head.decode() == run(argv)[1][:100]

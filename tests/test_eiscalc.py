@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -13,6 +14,7 @@ from siegeleis.eiscalc import (
     check_duality,
     codim2_g2,
     consistency_g2,
+    iter_boundary_terms,
     kernel_g2,
     rank1,
     tau_prime,
@@ -184,6 +186,45 @@ class TestBoundaryTerms:
         for t in terms:
             assert t.u == restrict_final(t.source_w, t.k, t.side)
 
+    @pytest.mark.parametrize("g", range(1, 10))
+    def test_stream_matches_the_list(self, g):
+        # two streams of the same input, drained in step, share no state
+        rng = random.Random(g)
+        for _ in range(2):
+            lam = tuple(sorted((rng.randint(0, 12) for _ in range(g)), reverse=True))
+            rows = itertools.zip_longest(
+                iter_boundary_terms(g, lam), iter_boundary_terms(g, lam),
+                boundary_terms(g, lam),
+            )
+            assert all(a == b == c for a, b, c in rows)
+
+    def test_stream_makes_one_block_at_a_time(self, monkeypatch):
+        """After the first g terms only the first w's weights exist: its dot
+        action, its dual and one weight per term."""
+        made = []
+        check = GlWeight.__post_init__
+        monkeypatch.setattr(
+            GlWeight, "__post_init__", lambda self: made.append(self) or check(self)
+        )
+        g = 8
+        terms = iter_boundary_terms(g, tuple(range(2 * g, 0, -2)))
+        block = list(itertools.islice(terms, g))
+        assert len(made) == 2 + g
+        assert {t.source_w for t in block} == {eiscalc.enumerate_final(g)[0]}
+
+    @pytest.mark.parametrize(
+        "g, lam, message",
+        [
+            (15, (0,) * 15, "-g: boundary needs g <= 14, got 15"),
+            (2, (3, -1), "--lambda: '3,-1' is not weakly decreasing and nonnegative"),
+            (3, (2, 0), "--lambda: expected 3 entries, got 2"),
+        ],
+    )
+    def test_stream_checks_its_input_when_called(self, g, lam, message):
+        # the error comes from the call itself, before any term is asked for
+        with pytest.raises(ValueError, match=re.escape(message)):
+            iter_boundary_terms(g, lam)
+
 
 class TestVerifyPartition:
     def test_g1_trivial(self):
@@ -245,6 +286,27 @@ class TestVerifyPartition:
         report = verify_partition(3, (3, 1, 0))
         failed = {c.name: c.counterexample for c in report.failures()}
         assert failed["dichotomy-bijection"] == cex
+
+    @pytest.mark.parametrize(
+        "edit, cex",
+        [
+            (lambda terms: terms[3:], "w=[124]: block where w=[123] is due"),
+            (lambda terms: terms[3:] + terms[:3], "w=[124]: block where w=[123] is due"),
+            (lambda terms: terms[:-3], "w=[456]: no block"),
+            (lambda terms: terms + terms[:3], "w=[123]: block after the last final element"),
+        ],
+        ids=[
+            "first-block-dropped", "first-block-moved-to-the-end", "last-block-dropped",
+            "block-after-the-last",
+        ],
+    )
+    def test_blocks_are_headed_by_the_final_elements_in_order(self, monkeypatch, edit, cex):
+        # each edit keeps every remaining block whole, with k = 1, 2, 3
+        real = eiscalc.boundary_terms
+        monkeypatch.setattr(eiscalc, "boundary_terms", lambda g, lam: edit(real(g, lam)))
+        report = verify_partition(3, (3, 1, 0))
+        failed = {c.name: c.counterexample for c in report.failures()}
+        assert failed == {"dichotomy-bijection": cex}
 
     # counterexamples recorded before tau_prime, the u lengths and the
     # (k, side) groups were computed once per call; parity_pass is read
