@@ -6,7 +6,7 @@ symbolic beyond g=2.  Also dumps the boundary-term table feeding the
 formula.
 """
 
-from siegeleis import boundary_terms, rank1
+from siegeleis import boundary_terms, enumerate_final, rank1
 
 print("Genus 1 (Eichler-Shimura territory)")
 print("===================================")
@@ -28,11 +28,12 @@ print()
 
 print("Boundary terms for g=2, lambda=(5,3)")
 print("====================================")
+finals = enumerate_final(2)  # a term's w is its source element's index in this list
 for t in boundary_terms(2, (5, 3)):
     sign = "+" if t.sign > 0 else "-"
     twist = f" <nu^{t.twist}>" if t.twist else ""
     parity = "kept" if t.parity_pass else "killed by GL(1,Z)"
     print(
-        f"  w={t.source_w} k={t.k} side={t.side}: "
-        f"{sign}W({','.join(str(a) for a in t.weight.entries)}){twist}  [{parity}]"
+        f"  w={finals[t.w]} k={t.k} side={t.side}: "
+        f"{sign}W({','.join(str(a) for a in t.weight)}){twist}  [{parity}]"
     )

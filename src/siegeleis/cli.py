@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Iterable
 
-from . import __version__, eiscalc, suites
+from . import __version__, eiscalc, suites, weylcomb
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,36 +155,33 @@ def _render_boundary(g, lam, format):
     # verify_partition checks), made as the terms are generated: neither
     # the term list nor the whole output is held.
     terms = eiscalc.iter_boundary_terms(g, lam)
-    # The 2^g + 2^(g-1) distinct Weyl elements are named the first time
-    # they are seen, keyed by their images (w and u differ in length).
-    names = {}
-
-    def name(w):
-        label = names.get(w.images)
-        if label is None:
-            label = names[w.images] = (
-                "[" + ", ".join(map(str, w.images)) + "]" if format == "json" else str(w)
-            )
-        return label
+    # A term's w and u are flip masks, that is indices into the 2^g final
+    # elements of genus g and the 2^(g-1) of genus g-1, each named once.
+    if format == "json":
+        def label(w):
+            return "[" + ", ".join(map(str, w.images)) + "]"
+    else:
+        label = str
+    ws = [label(w) for w in weylcomb.enumerate_final(g)]
+    us = [label(weylcomb.final_element(g - 1, m)) for m in range(1 << (g - 1))]
 
     if format == "json":
         # the bytes json.dumps gives for the list of records: ints,
         # "A"/"B" and bools need no escaping
         records = (
-            f'{{"w": {name(t.source_w)}, "k": {t.k}, "side": "{t.side}", '
-            f'"u": {name(t.u)}, '
-            f'"weight": [{", ".join(map(str, t.weight.entries))}], '
-            f'"sign": {t.sign}, "twist": {t.twist}, '
-            f'"parity_pass": {"true" if t.parity_pass else "false"}}}'
-            for t in terms
+            f'{{"w": {ws[w]}, "k": {k}, "side": "{side}", "u": {us[u]}, '
+            f'"weight": [{", ".join(map(str, wt))}], '
+            f'"sign": {sign}, "twist": {twist}, '
+            f'"parity_pass": {"false" if sum(wt) & 1 else "true"}}}'
+            for w, k, side, u, wt, sign, twist in terms
         )
         return _chunks(records, g, "[", ", ", "]\n")
     records = (
-        f"w={name(t.source_w)} k={t.k} side={t.side} u={name(t.u)} "
-        f"weight=({','.join(map(str, t.weight.entries))}) "
-        f"sign={'+' if t.sign > 0 else '-'}1 twist={t.twist} "
-        f"parity={'even' if t.parity_pass else 'odd'}"
-        for t in terms
+        f"w={ws[w]} k={k} side={side} u={us[u]} "
+        f"weight=({','.join(map(str, wt))}) "
+        f"sign={'+' if sign > 0 else '-'}1 twist={twist} "
+        f"parity={'odd' if sum(wt) & 1 else 'even'}"
+        for w, k, side, u, wt, sign, twist in terms
     )
     return _chunks(records, g, "", "\n", "\n")
 

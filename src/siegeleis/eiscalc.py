@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, isqrt
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .glbranch import GlWeight, dominant_entries, is_dominant
 from .motivering import ONE, MotiveExpr, Symbol, VerificationReport, cusp_dim
@@ -30,7 +30,7 @@ from .weylcomb import (
 # limit with JSON output (2 cores, Python 3.11).
 # bgg: 2^g terms, 65,536 at g = 16 (1.4 s, 65 MB).
 MAX_BGG_G = 16
-# boundary: g*2^g terms, 229,376 at g = 14, streamed (1.5 s, 25 MB).
+# boundary: g*2^g terms, 229,376 at g = 14, streamed (0.8 s, 22 MB).
 MAX_BOUNDARY_G = 14
 # table: rank1 (g terms over length-g weights) on the even ones of the
 # C(lmax+g, g) weights in [0, lmax]^g: g^2 * C(lmax+g, g) steps, worst at
@@ -103,20 +103,23 @@ def bgg_complex(g: int, lam: Sequence[int]) -> list[BggTerm]:
     return terms
 
 
-@dataclass(frozen=True, slots=True)
-class BoundaryTerm:
-    source_w: WeylElement
+class BoundaryTerm(NamedTuple):
+    """One boundary term as plain values.  `w` and `u` are flip masks: the
+    source element is `enumerate_final(g)[w]` and the restricted one is
+    `final_element(g - 1, u)`.  `weight` is the GL(g-1) entry tuple."""
+
+    w: int
     k: int
     side: str
-    u: WeylElement
-    weight: GlWeight
+    u: int
+    weight: tuple[int, ...]
     sign: int
     twist: int
 
     @property
     def parity_pass(self) -> bool:
         """The GL(1,Z) parity filter: the weight's entry sum is even."""
-        return sum(self.weight.entries) % 2 == 0
+        return sum(self.weight) % 2 == 0
 
 
 def iter_boundary_terms(g: int, lam: Sequence[int]) -> Iterator[BoundaryTerm]:
@@ -128,12 +131,11 @@ def iter_boundary_terms(g: int, lam: Sequence[int]) -> Iterator[BoundaryTerm]:
     generator.  Each final w is handled through its flip mask F, which is
     its index in `enumerate_final`: the side and position of k
     (`flip_dichotomy`), the length of w (`flip_length`) and the mask of
-    the restriction (`restrict_flips`) are bit operations, and the
-    restricted element u is looked up by that mask in a table of the
-    2^(g-1) final elements of genus g-1 (`final_element`), built once per
-    call, so every u is one of those validated `WeylElement`s.  The
-    GL(1,Z) parity filter, `parity_pass`, is read from the term's own
-    weight.
+    the restriction (`restrict_flips`) are bit operations, and a term
+    carries the masks of w and u, not the elements.  Each w's dot action
+    is a validated `GlWeight`; each term's weight is an entry tuple whose
+    dominance is checked as it is made.  The GL(1,Z) parity filter,
+    `parity_pass`, is read from the term's own weight.
 
     The terms come in one contiguous block per w, the blocks in
     `enumerate_final` order, each with k = 1, ..., g ascending;
@@ -146,7 +148,6 @@ def iter_boundary_terms(g: int, lam: Sequence[int]) -> Iterator[BoundaryTerm]:
 
 
 def _generate_boundary(g: int, lam: tuple[int, ...]) -> Iterator[BoundaryTerm]:
-    restricted = [final_element(g - 1, m) for m in range(1 << (g - 1))]
     twists = [lam[k - 1] + g + 1 - k for k in range(1, g + 1)]
     for mask, w in enumerate(enumerate_final(g)):
         a = GlWeight(w.dot_action(lam)).dual().entries
@@ -156,9 +157,11 @@ def _generate_boundary(g: int, lam: tuple[int, ...]) -> Iterator[BoundaryTerm]:
         for k in range(1, g + 1):
             side, pos = flip_dichotomy(mask, g, k)
             l = g + 1 - pos
+            weight = a[: l - 1] + low[l:]
+            if not is_dominant(weight):
+                raise ValueError(f"weight {weight} is not weakly decreasing")
             yield BoundaryTerm(
-                w, k, side, restricted[restrict_flips(mask, g, k)],
-                GlWeight(a[: l - 1] + low[l:]),
+                mask, k, side, restrict_flips(mask, g, k), weight,
                 -1 if (lw + g - l) & 1 else 1,
                 0 if side == "A" else twists[k - 1],
             )
@@ -168,17 +171,23 @@ def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
     """The terms of `iter_boundary_terms` as a list, for callers that take
     its length or walk it more than once (`verify_partition`, the suites).
     The CLI streams the generator instead: at g = 13 the list alone holds
-    106,496 terms in about 31 MB."""
+    106,496 terms in about 32 MB."""
     return list(iter_boundary_terms(g, lam))
 
 
 def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
     """Check that the (w, k) double sum reassembles, weight by weight and
-    sign by sign, into the genus-(g-1) BGG data of the surgered weights."""
+    sign by sign, into the genus-(g-1) BGG data of the surgered weights.
+
+    The terms' masks are read back as elements (`enumerate_final(g)` and
+    the final elements of genus g-1, each built once), and every oracle
+    works on those elements, apart from the `flip_*` helpers."""
     lam = _check_sp_weight(lam, g)
     report = VerificationReport()
     terms = boundary_terms(g, lam)
     surgered = {k: tau_prime(lam, k) for k in range(1, g + 1)}
+    finals = enumerate_final(g)
+    restricted = [final_element(g - 1, m) for m in range(1 << (g - 1))]
 
     # (i) the table is one block per final w, headed by enumerate_final(g)
     # in order with no block missing or left over, each block with
@@ -187,12 +196,13 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
     def dichotomy(case):
         expected, block = case
         if block is None:
-            return f"w={expected}: no block"
-        w, ts = block
+            return f"w={finals[expected]}: no block"
+        mask, ts = block
+        w = finals[mask]
         if expected is None:
             return f"w={w}: block after the last final element"
-        if w != expected:
-            return f"w={w}: block where w={expected} is due"
+        if mask != expected:
+            return f"w={w}: block where w={finals[expected]} is due"
         ts = list(ts)
         ks = [t.k for t in ts]
         if ks != list(range(1, g + 1)):
@@ -202,23 +212,26 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
             if t.side != side:
                 return f"w={w}, k={t.k}: side {t.side} != {side}"
             u = restrict_final(w, t.k, side)
-            if t.u != u:
-                return f"w={w}, k={t.k}: u={t.u} != {u}"
+            if restricted[t.u] != u:
+                return f"w={w}, k={t.k}: u={restricted[t.u]} != {u}"
     detail = f"g={g}, lambda={lam}"
-    heads = enumerate_final(g) if terms else []
-    blocks = itertools.zip_longest(heads, itertools.groupby(terms, key=lambda t: t.source_w))
+    heads = range(len(finals)) if terms else []
+    blocks = itertools.zip_longest(heads, itertools.groupby(terms, key=lambda t: t.w))
     report.check("dichotomy-bijection", detail, blocks, dichotomy)
 
     # (ii) weight identity against the restricted dot action
     def weight_identity(t):
         tp = surgered[t.k]
-        expected = GlWeight(t.u.dot_action(tp)).dual()
-        if t.weight != expected:
-            return f"w={t.source_w}, k={t.k}: {t.weight} != {expected}"
+        expected = GlWeight(restricted[t.u].dot_action(tp)).dual()
+        if t.weight != expected.entries:
+            # str(GlWeight(t.weight)) without its check: a bad term's
+            # weight need not be dominant
+            got = "W(" + ",".join(map(str, t.weight)) + ")"
+            return f"w={finals[t.w]}, k={t.k}: {got} != {expected}"
     report.check("weight-identity", detail, terms, weight_identity)
 
     # (iii)+(iv) sign constancy per (k, side)
-    lengths = {u: u.length() for u in {t.u for t in terms}}
+    lengths = {m: restricted[m].length() for m in {t.u for t in terms}}
     ratios_by: dict[tuple[int, str], set[int]] = {}
     for t in terms:
         ratios_by.setdefault((t.k, t.side), set()).add(t.sign * (-1) ** lengths[t.u])
@@ -239,7 +252,7 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
     report.check(
         "parity-filter", detail, terms,
         lambda t: None if t.parity_pass == (sum(surgered[t.k]) % 2 == 0)
-        else f"w={t.source_w}, k={t.k}",
+        else f"w={finals[t.w]}, k={t.k}",
     )
     return report
 

@@ -218,13 +218,13 @@ def verify_partition_suite(max_g: int = 4, max_entry: int = 6) -> VerificationRe
     # telescope of the dual-side weight, scaled by (-1)^len(w)
     def reindexes(lam):
         g = len(lam)
-        by_w: dict[weylcomb.WeylElement, list] = {}
+        by_w: dict[int, list] = {}
         for t in eiscalc.boundary_terms(g, lam):
-            by_w.setdefault(t.source_w, []).append((t.weight, t.sign))
-        for w in weylcomb.enumerate_final(g):
+            by_w.setdefault(t.w, []).append((GlWeight(t.weight), t.sign))
+        for mask, w in enumerate(weylcomb.enumerate_final(g)):
             a = GlWeight(w.dot_action(lam)).dual()
             expected = glbranch.telescope_closed(a).scale((-1) ** w.length())
-            if glbranch.VirtualBundle(g - 1, by_w.get(w, ())) != expected:
+            if glbranch.VirtualBundle(g - 1, by_w.get(mask, ())) != expected:
                 return f"g={g}, lambda={lam}, w={w}"
     g_max = min(max_g, 5)
     report.check(

@@ -9,7 +9,7 @@ import tracemalloc
 
 import pytest
 
-from siegeleis import eiscalc, suites
+from siegeleis import eiscalc, suites, weylcomb
 from siegeleis.cli import _render_boundary, _stream, main, run
 from siegeleis.motivering import MotiveExpr, VerificationReport
 
@@ -210,13 +210,15 @@ class TestStructureCommands:
         for _ in range(2):
             lam = tuple(sorted((rng.randint(0, 12) for _ in range(g)), reverse=True))
             terms = eiscalc.boundary_terms(g, lam)
+            finals = weylcomb.enumerate_final(g)
+            restricted = [weylcomb.final_element(g - 1, m) for m in range(1 << (g - 1))]
             records = [
                 {
-                    "w": list(t.source_w.images),
+                    "w": list(finals[t.w].images),
                     "k": t.k,
                     "side": t.side,
-                    "u": list(t.u.images),
-                    "weight": list(t.weight.entries),
+                    "u": list(restricted[t.u].images),
+                    "weight": list(t.weight),
                     "sign": t.sign,
                     "twist": t.twist,
                     "parity_pass": t.parity_pass,
@@ -230,8 +232,8 @@ class TestStructureCommands:
             _assert_same(
                 "".join(_render_boundary(g, lam, "text")),
                 "\n".join(
-                    f"w={t.source_w} k={t.k} side={t.side} u={t.u} "
-                    f"weight=({','.join(str(a) for a in t.weight.entries)}) "
+                    f"w={finals[t.w]} k={t.k} side={t.side} u={restricted[t.u]} "
+                    f"weight=({','.join(str(a) for a in t.weight)}) "
                     f"sign={'+' if t.sign > 0 else '-'}1 twist={t.twist} "
                     f"parity={'even' if t.parity_pass else 'odd'}"
                     for t in terms

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -7,6 +8,7 @@ import re
 import pytest
 
 from siegeleis import eiscalc
+from siegeleis.cli import _stream
 from siegeleis.eiscalc import (
     admissible_weights,
     bgg_complex,
@@ -24,7 +26,15 @@ from siegeleis.eiscalc import (
 )
 from siegeleis.glbranch import GlWeight
 from siegeleis.motivering import MotiveExpr, cusp_dim
-from siegeleis.weylcomb import WeylElement, restrict_final
+from siegeleis.weylcomb import (
+    WeylElement,
+    enumerate_final,
+    final_element,
+    flip_dichotomy,
+    flip_length,
+    restrict_final,
+    restrict_flips,
+)
 
 one = MotiveExpr.unit
 L = MotiveExpr.lefschetz
@@ -131,10 +141,11 @@ class TestBoundaryTerms:
     def test_g2_table(self, l, m):
         terms = boundary_terms(2, (l, m))
         assert len(terms) == 8
+        finals = enumerate_final(2)
         got = {}
         for t in terms:
-            got.setdefault(t.source_w.images, []).append(
-                (t.weight.entries, t.sign, t.twist)
+            got.setdefault(finals[t.w].images, []).append(
+                (t.weight, t.sign, t.twist)
             )
         expected = _g2_rows(l, m)
         for imgs, rows in expected.items():
@@ -142,30 +153,43 @@ class TestBoundaryTerms:
 
     def test_g2_sides(self):
         terms = boundary_terms(2, (5, 3))
-        sides = {(t.source_w.images, t.k): t.side for t in terms}
+        finals = enumerate_final(2)
+        sides = {(finals[t.w].images, t.k): t.side for t in terms}
         assert sides[((1, 2), 1)] == "A"
         assert sides[((1, 3), 2)] == "B"
         assert sides[((3, 4), 1)] == "B"
         assert sides[((2, 4), 2)] == "A"
 
-    @pytest.mark.parametrize("g", range(2, 9))
+    @pytest.mark.parametrize("g", range(2, 11))
     def test_every_value_object_is_validated(self, monkeypatch, g):
-        """2 weights per w (its dot action and dual) and one per term; the
-        final elements of genus g and g-1."""
-        counts = {GlWeight: 0, WeylElement: 0}
-        for cls in counts:
+        """Draining the CLI's boundary stream builds no value object per
+        term: 2 weights per w (its dot action and dual); each final element
+        of genus g twice (the generator's dot action, the renderer's label)
+        and each of genus g-1 once (its label).  Every term's weight is
+        still checked for dominance."""
+        built = {GlWeight: [], WeylElement: []}
+        for cls in built:
             check = cls.__post_init__
 
             def counted(self, check=check, cls=cls):
-                counts[cls] += 1
                 check(self)
+                built[cls].append(self)
 
             monkeypatch.setattr(cls, "__post_init__", counted)
-        lam = tuple(range(2 * g, 0, -2))
-        terms = boundary_terms(g, lam)
-        assert len(terms) == g * 2**g
-        assert counts[GlWeight] == g * 2**g + 2 * 2**g
-        assert counts[WeylElement] == 2**g + 2 ** (g - 1)
+        dominance = []
+        real = eiscalc.is_dominant
+        monkeypatch.setattr(
+            eiscalc, "is_dominant", lambda v: dominance.append(v) or real(v)
+        )
+        lam = ",".join(map(str, range(2 * g, 0, -2)))
+        code, chunks, _ = _stream(["boundary", "-g", str(g), "-l", lam, "--format", "json"])
+        records = sum(chunk.count('"parity_pass"') for chunk in chunks)
+        assert (code, records) == (0, g * 2**g)
+        assert len(built[GlWeight]) == 2 * 2**g
+        elements = collections.Counter((w.g, w.images) for w in built[WeylElement])
+        assert len(elements) == 2**g + 2 ** (g - 1)
+        assert all(n == (2 if genus == g else 1) for (genus, _), n in elements.items())
+        assert len(dominance) >= g * 2**g
 
     def test_twist_is_zero_exactly_on_side_a(self):
         lam = (4, 2, 0)
@@ -183,8 +207,9 @@ class TestBoundaryTerms:
     def test_restrictions_match_the_oracle(self):
         terms = boundary_terms(7, (9, 7, 7, 4, 2, 2, 0))
         assert len(terms) == 7 * 2 ** 7
+        finals = enumerate_final(7)
         for t in terms:
-            assert t.u == restrict_final(t.source_w, t.k, t.side)
+            assert final_element(6, t.u) == restrict_final(finals[t.w], t.k, t.side)
 
     @pytest.mark.parametrize("g", range(1, 10))
     def test_stream_matches_the_list(self, g):
@@ -199,18 +224,21 @@ class TestBoundaryTerms:
             assert all(a == b == c for a, b, c in rows)
 
     def test_stream_makes_one_block_at_a_time(self, monkeypatch):
-        """After the first g terms only the first w's weights exist: its dot
-        action, its dual and one weight per term."""
-        made = []
+        """After the first g terms only the first w's work is done: its dot
+        action, its dual and one dominance check per term."""
+        made, checked = [], []
         check = GlWeight.__post_init__
         monkeypatch.setattr(
             GlWeight, "__post_init__", lambda self: made.append(self) or check(self)
         )
+        real = eiscalc.is_dominant
         g = 8
         terms = iter_boundary_terms(g, tuple(range(2 * g, 0, -2)))
+        monkeypatch.setattr(eiscalc, "is_dominant", lambda v: checked.append(v) or real(v))
         block = list(itertools.islice(terms, g))
-        assert len(made) == 2 + g
-        assert {t.source_w for t in block} == {eiscalc.enumerate_final(g)[0]}
+        assert (len(made), len(checked)) == (2, g)
+        assert [t.weight for t in block] == checked
+        assert {t.w for t in block} == {0}
 
     @pytest.mark.parametrize(
         "g, lam, message",
@@ -224,6 +252,71 @@ class TestBoundaryTerms:
         # the error comes from the call itself, before any term is asked for
         with pytest.raises(ValueError, match=re.escape(message)):
             iter_boundary_terms(g, lam)
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _ValidatedTerm:
+    source_w: WeylElement
+    k: int
+    side: str
+    u: WeylElement
+    weight: GlWeight
+    sign: int
+    twist: int
+
+    @property
+    def parity_pass(self) -> bool:
+        return sum(self.weight.entries) % 2 == 0
+
+
+def _validated_boundary_terms(g, lam):
+    """The boundary generator as it was before terms became mask tuples:
+    each term holds its source and restricted `WeylElement`s and a
+    `GlWeight` built, and so validated, for that term alone."""
+    lam = tuple(lam)
+    restricted = [final_element(g - 1, m) for m in range(1 << (g - 1))]
+    twists = [lam[k - 1] + g + 1 - k for k in range(1, g + 1)]
+    for mask, w in enumerate(enumerate_final(g)):
+        a = GlWeight(w.dot_action(lam)).dual().entries
+        low = tuple(x - 1 for x in a)
+        lw = flip_length(mask)
+        for k in range(1, g + 1):
+            side, pos = flip_dichotomy(mask, g, k)
+            l = g + 1 - pos
+            yield _ValidatedTerm(
+                w, k, side, restricted[restrict_flips(mask, g, k)],
+                GlWeight(a[: l - 1] + low[l:]),
+                -1 if (lw + g - l) & 1 else 1,
+                0 if side == "A" else twists[k - 1],
+            )
+
+
+class TestBoundaryAgainstTheValidatedPath:
+    """Differential test of the mask-tuple terms against the per-term
+    validated objects, beyond the g <= 5 of the partition suite."""
+
+    @staticmethod
+    def weights(g):
+        rng = random.Random(g)
+        for _ in range(3):
+            yield tuple(sorted((rng.randint(0, 12) for _ in range(g)), reverse=True))
+        yield tuple(range(g, 0, -1))  # the staircase
+
+    @pytest.mark.parametrize("g", range(1, 10))
+    def test_field_by_field(self, g):
+        finals = enumerate_final(g)
+        for lam in self.weights(g):
+            rows = itertools.zip_longest(
+                boundary_terms(g, lam), _validated_boundary_terms(g, lam)
+            )
+            for t, old in rows:
+                assert t is not None and old is not None, lam
+                assert finals[t.w] == old.source_w
+                assert final_element(g - 1, t.u) == old.u
+                assert t.weight == old.weight.entries
+                assert (t.k, t.side, t.sign, t.twist, t.parity_pass) == (
+                    old.k, old.side, old.sign, old.twist, old.parity_pass
+                ), (lam, t)
 
 
 class TestVerifyPartition:
@@ -257,7 +350,7 @@ class TestVerifyPartition:
         "field, value, cex",
         [
             ("side", "A", "w=[456], k=3: side A != B"),
-            ("u", WeylElement(2, (1, 2)), "w=[456], k=3: u=[12] != [34]"),
+            ("u", 0, "w=[456], k=3: u=[12] != [34]"),
         ],
     )
     def test_term_side_and_u_are_checked(self, monkeypatch, field, value, cex):
@@ -265,7 +358,7 @@ class TestVerifyPartition:
 
         def corrupt_last(g, lam):
             terms = real(g, lam)
-            return terms[:-1] + [dataclasses.replace(terms[-1], **{field: value})]
+            return terms[:-1] + [terms[-1]._replace(**{field: value})]
 
         monkeypatch.setattr(eiscalc, "boundary_terms", corrupt_last)
         report = verify_partition(3, (3, 1, 0))
@@ -315,11 +408,11 @@ class TestVerifyPartition:
         "field, value, failed",
         [
             ("sign", -1, {"sign-constancy": "k=3, side=B, ratios=[-1, 1]"}),
-            ("weight", GlWeight((8, 5)), {
+            ("weight", (8, 5), {
                 "weight-identity": "w=[456], k=3: W(8,5) != W(7,5)",
                 "parity-filter": "w=[456], k=3",
             }),
-            ("weight", GlWeight((9, 9)), {
+            ("weight", (9, 9), {
                 "weight-identity": "w=[456], k=3: W(9,9) != W(7,5)",
             }),
         ],
@@ -330,7 +423,7 @@ class TestVerifyPartition:
 
         def corrupt_last(g, lam):
             terms = real(g, lam)
-            return terms[:-1] + [dataclasses.replace(terms[-1], **{field: value})]
+            return terms[:-1] + [terms[-1]._replace(**{field: value})]
 
         monkeypatch.setattr(eiscalc, "boundary_terms", corrupt_last)
         report = verify_partition(3, (3, 1, 0))
@@ -667,14 +760,13 @@ class TestReindexingCompleteness:
     @pytest.mark.parametrize("g", [2, 3, 4])
     def test_boundary_matches_telescope(self, g):
         from siegeleis.glbranch import VirtualBundle, telescope_closed
-        from siegeleis.weylcomb import enumerate_final
 
         lam = tuple(range(2 * g - 2, -2, -2))
         terms = boundary_terms(g, lam)
-        for w in enumerate_final(g):
+        for mask, w in enumerate(enumerate_final(g)):
             a = GlWeight(w.dot_action(lam)).dual()
             expected = telescope_closed(a).scale((-1) ** w.length())
-            got = ((t.weight, t.sign) for t in terms if t.source_w == w)
+            got = ((GlWeight(t.weight), t.sign) for t in terms if t.w == mask)
             assert VirtualBundle(g - 1, got) == expected
 
 
