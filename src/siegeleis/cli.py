@@ -69,6 +69,10 @@ def _build_parser() -> _Parser:
     )
     sp.add_argument("--max-g", type=int, default=4)
     sp.add_argument("--max-entry", type=int, default=6)
+    sp.add_argument(
+        "--timings", action="store_true",
+        help="write each check's case count and seconds to stderr",
+    )
     add_format(sp)
     return p
 
@@ -220,7 +224,11 @@ def _stream(argv) -> tuple[int, Iterable[str], str]:
             return 0, chunks, ""
         if args.command == "verify":
             report = suites.run_suite(args.suite, args.max_g, args.max_entry)
-            return (0 if report.passed else 1), [report.render(args.format), "\n"], ""
+            timings = "".join(
+                f"time {c.name}: {c.cases} cases, {c.seconds:.4f} s\n"
+                for c in report.checks
+            ) if args.timings else ""
+            return (0 if report.passed else 1), [report.render(args.format), "\n"], timings
         raise ValueError(f"unknown command {args.command!r}")
     except ValueError as exc:
         return 2, [], f"error: {exc}\n"

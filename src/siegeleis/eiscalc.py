@@ -219,10 +219,15 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
     blocks = itertools.zip_longest(heads, itertools.groupby(terms, key=lambda t: t.w))
     report.check("dichotomy-bijection", detail, blocks, dichotomy)
 
-    # (ii) weight identity against the restricted dot action
+    # (ii) weight identity against the restricted dot action, which
+    # depends only on (u, k): each pair's expected weight is built once
+    expected_by: dict[tuple[int, int], GlWeight] = {}
+
     def weight_identity(t):
-        tp = surgered[t.k]
-        expected = GlWeight(restricted[t.u].dot_action(tp)).dual()
+        expected = expected_by.get((t.u, t.k))
+        if expected is None:
+            expected = GlWeight(restricted[t.u].dot_action(surgered[t.k])).dual()
+            expected_by[t.u, t.k] = expected
         if t.weight != expected.entries:
             # str(GlWeight(t.weight)) without its check: a bad term's
             # weight need not be dominant

@@ -41,17 +41,18 @@ class GlWeight:
         return GlWeight(tuple(-a for a in reversed(self.entries)))
 
 
-def _interlacing(a: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-    """Entry tuples of the GL(g-1) weights interlacing a, lexicographically."""
+def _interlacing(a: tuple[int, ...]) -> list[range]:
+    """The branching box of a: the range a[i+1]..a[i] of the i-th entry of
+    a GL(g-1) weight interlacing a, for i < g-1.  Their product is every
+    such weight, lexicographically."""
     if len(a) == 0:
         raise ValueError("cannot branch the empty weight")
-    ranges = [range(a[i + 1], a[i] + 1) for i in range(len(a) - 1)]
-    return itertools.product(*ranges)
+    return [range(a[i + 1], a[i] + 1) for i in range(len(a) - 1)]
 
 
 def branch(mu: GlWeight) -> list[GlWeight]:
     """All GL(g-1) weights interlacing mu, in lexicographic order."""
-    return [GlWeight(b) for b in _interlacing(mu.entries)]
+    return [GlWeight(b) for b in itertools.product(*_interlacing(mu.entries))]
 
 
 def straighten(v: Sequence[int]):
@@ -184,17 +185,29 @@ def telescope_bruteforce(a: GlWeight) -> VirtualBundle:
     """Independent oracle: branch to GL(g-1), then tensor with the
     alternating sum of exterior powers of the dual standard rep.
 
-    Works on entry tuples with the deletion rule and builds a weight only
-    for each term of the result, the nonzero sums."""
+    That is the double sum over branches b of a and subsets S of the g-1
+    positions of (-1)^|S| [b - e_S], keeping the dominant b - e_S (the
+    deletion rule of `wedge_dual_tensor`).  The sums are exchanged: for
+    each S, the vectors b - e_S over all b are the branching box with the
+    range at each position in S shifted down by 1, so v runs over that
+    shifted box and is kept when it is dominant.  Every pair (b, S) is
+    still visited once, so this is the same finite sum term by term, not
+    a closed form.  Works on entry tuples and builds a weight only for
+    each term of the result, the nonzero sums."""
     g = len(a)
     if g == 0:
         raise ValueError("need a nonempty weight")
+    box = _interlacing(a.entries)
     acc: dict[tuple[int, ...], int] = {}
-    for b in _interlacing(a.entries):
-        for k in range(g):
-            sign = -1 if k % 2 else 1
-            for v in _deletions(b, k):
-                acc[v] = acc.get(v, 0) + sign
+    for k in range(g):
+        sign = -1 if k % 2 else 1
+        for subset in itertools.combinations(range(g - 1), k):
+            shifted = list(box)
+            for i in subset:
+                shifted[i] = range(box[i].start - 1, box[i].stop - 1)
+            for v in itertools.product(*shifted):
+                if all(map(operator.ge, v, v[1:])):  # is_dominant(v), inlined
+                    acc[v] = acc.get(v, 0) + sign
     return VirtualBundle(g - 1, ((GlWeight(v), c) for v, c in acc.items() if c))
 
 

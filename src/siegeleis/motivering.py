@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -326,6 +327,10 @@ class Check:
     passed: bool
     detail: str = ""
     counterexample: str | None = None
+    # what the check cost, not what it found: the cases it ran (up to and
+    # including a counterexample) and its wall time in seconds
+    cases: int = field(default=0, compare=False)
+    seconds: float = field(default=0.0, compare=False)
 
 
 @dataclass
@@ -339,18 +344,21 @@ class VerificationReport:
         """Record one check: `test(case)` is None when the case holds, else
         a counterexample string.  The check fails at the first
         counterexample, running no later case; a check that ran no case
-        fails with detail "0 cases" and counterexample `empty`."""
-        ran = False
+        fails with detail "0 cases" and counterexample `empty`.  The
+        record carries the number of cases run and the time taken."""
+        start = time.perf_counter()
+        ran, cex = 0, None
         for case in cases:
-            ran = True
+            ran += 1
             cex = test(case)
             if cex is not None:
-                self.checks.append(Check(name, False, detail, cex))
-                return
-        if ran:
-            self.checks.append(Check(name, True, detail))
-        else:
-            self.checks.append(Check(name, False, "0 cases", empty))
+                break
+        passed = ran > 0 and cex is None
+        if not ran:
+            detail, cex = "0 cases", empty
+        self.checks.append(
+            Check(name, passed, detail, cex, ran, time.perf_counter() - start)
+        )
 
     def extend(self, other: "VerificationReport"):
         self.checks.extend(other.checks)

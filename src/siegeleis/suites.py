@@ -161,10 +161,11 @@ def verify_telescope(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
         empty=f"--max-g {max_g} admits no g in {{4,5}}; needs --max-g >= 3",
     )
 
-    # the telescope oracle above tensors each branch b of a (n = g-1
-    # entries, all within a's range) by the deletion rule of
-    # wedge_dual_tensor; cross-check that rule against the straightening
-    # route on every such (b, k)
+    # the telescope oracle above applies the deletion rule of
+    # wedge_dual_tensor over shifted branching boxes, not through
+    # _deletions: it keeps b - e_S when dominant, for every branch b of a
+    # (n = g-1 entries, all within a's range) and k-subset S.  Cross-check
+    # that rule against the straightening route on every such (b, k)
     def routes_agree(case):
         mu, k = case
         oracle = glbranch.wedge_dual_tensor_straightened(mu, k)

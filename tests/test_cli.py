@@ -3,6 +3,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -364,6 +365,42 @@ class TestVerify:
         (line,) = [ln for ln in out.splitlines() if "telescope-random" in ln]
         assert line.startswith("FAIL telescope-random: 0 cases")
         assert "counterexample: --max-g 2" in line
+
+    @pytest.mark.parametrize("format", ["text", "json"])
+    def test_timings_go_to_stderr_one_line_per_check(self, format):
+        argv = ["verify", "--suite", "telescope", "--format", format]
+        plain = run(argv)
+        code, out, err = run([*argv, "--timings"])
+        assert (code, out) == plain[:2] and plain[2] == ""
+        parsed = [
+            re.fullmatch(r"time (\S+): (\d+) cases, (\d+\.\d{4}) s", ln).groups()
+            for ln in err.splitlines()
+        ]
+        assert [name for name, _, _ in parsed] == [
+            "telescope-exhaustive", "telescope-random", "wedge-dual-route",
+            "branch-count-interlacing", "dual-involution",
+        ]
+        cases = {name: int(n) for name, n, _ in parsed}
+        assert cases["telescope-exhaustive"] == 119
+        assert cases["telescope-random"] == 500
+        assert cases["wedge-dual-route"] == 11220
+
+    def test_timings_count_the_cases_a_failing_check_ran(self):
+        code, _, err = run(["verify", "--suite", "telescope", "--max-g", "2", "--timings"])
+        assert code == 1
+        assert "time telescope-random: 0 cases, " in err
+        report = VerificationReport()
+        report.check("stops-at-3", "", range(10), lambda i: "three" if i == 3 else None)
+        (check,) = report.checks
+        assert (check.passed, check.counterexample, check.cases) == (False, "three", 4)
+        assert check.seconds >= 0
+
+    def test_check_cost_is_not_part_of_its_result(self):
+        first, second = VerificationReport(), VerificationReport()
+        first.check("c", "d", range(3), lambda i: None)
+        second.check("c", "d", range(5), lambda i: None)
+        assert first.checks[0].cases != second.checks[0].cases
+        assert first.checks == second.checks
 
     def test_partition_suite(self):
         code, out, _ = run(["verify", "--suite", "partition", "--max-g", "3"])

@@ -346,6 +346,28 @@ class TestVerifyPartition:
             report = verify_partition(g, lam)
             assert report.passed, [c.counterexample for c in report.failures()]
 
+    def test_weight_identity_builds_each_expected_weight_once(self, monkeypatch):
+        # the expected weight depends only on (u, k): two weights (the dot
+        # action and its dual) per distinct pair, not per term
+        g, lam = 8, (9, 7, 7, 4, 2, 2, 0, 0)
+        terms = eiscalc.boundary_terms(g, lam)
+        pairs = {(t.u, t.k) for t in terms}
+        assert (len(terms), len(pairs)) == (2048, 1024)
+        monkeypatch.setattr(eiscalc, "boundary_terms", lambda g, lam: terms)
+        built = 0
+        check = GlWeight.__post_init__
+
+        def counted(self):
+            nonlocal built
+            built += 1
+            check(self)
+
+        monkeypatch.setattr(GlWeight, "__post_init__", counted)
+        report = verify_partition(g, lam)
+        monkeypatch.undo()
+        assert report.passed
+        assert built == 2 * len(pairs) == 2048
+
     @pytest.mark.parametrize(
         "field, value, cex",
         [

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -188,6 +189,18 @@ class TestWedgeDualTensor:
         assert check.counterexample.startswith("mu=")
 
 
+def _branch_first(a: tuple[int, ...]) -> VirtualBundle:
+    """The telescope double sum in its first order: each branch b of a,
+    then each k, then the deletion rule on b."""
+    g = len(a)
+    acc: dict[tuple[int, ...], int] = {}
+    for b in itertools.product(*(range(a[i + 1], a[i] + 1) for i in range(g - 1))):
+        for k in range(g):
+            for v in glbranch._deletions(b, k):
+                acc[v] = acc.get(v, 0) + (-1) ** k
+    return VirtualBundle(g - 1, ((GlWeight(v), c) for v, c in acc.items() if c))
+
+
 class TestTelescope:
     def test_g1(self):
         assert telescope_closed(gw(7)) == VirtualBundle(0, [(gw(), 1)])
@@ -265,6 +278,32 @@ class TestTelescope:
         monkeypatch.undo()
         assert vb == telescope_closed(a)
         assert built == len(vb.items()) == 4
+
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda g: st.lists(st.integers(-8, 8), min_size=g, max_size=g).map(
+                lambda v: tuple(sorted(v, reverse=True))
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bruteforce_matches_the_branch_first_order(self, entries):
+        # beyond the gate (g <= 5, entries in [-6,6]): the exchanged sums
+        # against the same double sum taken branch by branch
+        assert telescope_bruteforce(GlWeight(entries)) == _branch_first(entries)
+
+    def test_telescope_random_fails_on_a_wrong_closed_form(self, monkeypatch):
+        closed = glbranch.telescope_closed
+
+        def negated_at_g5(a):
+            vb = closed(a)
+            return vb.scale(-1) if len(a) == 5 else vb
+
+        monkeypatch.setattr(glbranch, "telescope_closed", negated_at_g5)
+        report = suites.verify_telescope()
+        failed = {c.name: c.counterexample for c in report.failures()}
+        assert list(failed) == ["telescope-random"]
+        assert failed["telescope-random"].startswith("a=W(")
 
     @given(dominant_tuples)
     @settings(max_examples=60)
