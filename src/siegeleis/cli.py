@@ -130,26 +130,30 @@ def _render_table(g: int, lmax: int, format: str):
     return _chunks(itertools.chain([header], lines), 1, "", "\n", "\n")
 
 
+def _labels(g: int, format: str) -> list[str]:
+    """The name of each final element of genus g in `format`, indexed by
+    its flip mask, so that each element is built once per command."""
+    finals = (weylcomb.final_element(g, m) for m in range(1 << g))
+    if format == "json":
+        return ["[" + ", ".join(map(str, w.images)) + "]" for w in finals]
+    return [str(w) for w in finals]
+
+
 def _render_bgg(g, lam, format):
     terms = eiscalc.bgg_complex(g, lam)
+    ws = _labels(g, format)
     if format == "json":
-        # json.dumps of the list of records, one record at a time
+        # the bytes json.dumps gives for the list of records
         records = (
-            json.dumps(
-                {
-                    "w": list(t.w.images),
-                    "mu": list(t.mu.entries),
-                    "degree": t.degree,
-                    "filtration": t.filtration,
-                }
-            )
-            for t in terms
+            f'{{"w": {ws[w]}, "mu": [{", ".join(map(str, mu))}], '
+            f'"degree": {degree}, "filtration": {filtration}}}'
+            for w, mu, degree, filtration in terms
         )
         return _chunks(records, g, "[", ", ", "]\n")
     records = (
-        f"w={t.w} degree={t.degree} filtration={t.filtration} "
-        f"mu=({','.join(str(a) for a in t.mu.entries)})"
-        for t in terms
+        f"w={ws[w]} degree={degree} filtration={filtration} "
+        f"mu=({','.join(map(str, mu))})"
+        for w, mu, degree, filtration in terms
     )
     return _chunks(records, g, "", "\n", "\n")
 
@@ -160,14 +164,8 @@ def _render_boundary(g, lam, format):
     # the term list nor the whole output is held.
     terms = eiscalc.iter_boundary_terms(g, lam)
     # A term's w and u are flip masks, that is indices into the 2^g final
-    # elements of genus g and the 2^(g-1) of genus g-1, each named once.
-    if format == "json":
-        def label(w):
-            return "[" + ", ".join(map(str, w.images)) + "]"
-    else:
-        label = str
-    ws = [label(w) for w in weylcomb.enumerate_final(g)]
-    us = [label(weylcomb.final_element(g - 1, m)) for m in range(1 << (g - 1))]
+    # elements of genus g and the 2^(g-1) of genus g-1.
+    ws, us = _labels(g, format), _labels(g - 1, format)
 
     if format == "json":
         # the bytes json.dumps gives for the list of records: ints,

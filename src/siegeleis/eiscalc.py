@@ -8,17 +8,16 @@ formulas, and the cross-consistency checks tying them together.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import comb, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
 from .glbranch import GlWeight, dominant_entries, is_dominant
 from .motivering import ONE, MotiveExpr, Symbol, VerificationReport, cusp_dim
 from .weylcomb import (
-    WeylElement,
     enumerate_final,
     final_element,
     flip_dichotomy,
+    flip_dot_action,
     flip_length,
     image_dichotomy,
     restrict_final,
@@ -28,7 +27,7 @@ from .weylcomb import (
 
 # Size limits, checked before work starts; times are the CLI's at the
 # limit with JSON output (2 cores, Python 3.11).
-# bgg: 2^g terms, 65,536 at g = 16 (1.4 s, 65 MB).
+# bgg: 2^g terms, 65,536 at g = 16 (0.9 s, 54 MB).
 MAX_BGG_G = 16
 # boundary: g*2^g terms, 229,376 at g = 14, streamed (0.8 s, 22 MB).
 MAX_BOUNDARY_G = 14
@@ -80,27 +79,36 @@ def tau_prime(lam: Sequence[int], k: int) -> tuple[int, ...]:
     return tuple(a + 1 for a in lam[: k - 1]) + lam[k:]
 
 
-@dataclass(frozen=True, slots=True)
-class BggTerm:
-    w: WeylElement
-    mu: GlWeight  # dual-side weight of the bundle in this degree
+class BggTerm(NamedTuple):
+    """One BGG term as plain values.  `w` is the flip mask of the final
+    element, so the element is `enumerate_final(g)[w]`; `mu` is the
+    dual-side entry tuple of the bundle in this degree."""
+
+    w: int
+    mu: tuple[int, ...]
     degree: int
     filtration: int
 
 
 def bgg_complex(g: int, lam: Sequence[int]) -> list[BggTerm]:
-    """One term per final element: dual-side weight, degree, filtration."""
+    """One term per final element: dual-side weight, degree, filtration,
+    sorted by degree and then weight."""
     if g > MAX_BGG_G:
         raise ValueError(f"-g: bgg needs g <= {MAX_BGG_G}, got {g}")
     lam = _check_sp_weight(lam, g)
-    terms = []
-    for mask, w in enumerate(enumerate_final(g)):
-        mu = GlWeight(w.dot_action(lam)).dual()
-        num = sum(lam) + sum(mu.entries)
+    return sorted(_bgg_terms(g, lam), key=lambda t: (t.degree, t.mu))
+
+
+def _bgg_terms(g: int, lam: tuple[int, ...]) -> Iterator[BggTerm]:
+    """The BGG terms in flip-mask order, for lam already checked.  The dot
+    action and the length are bit operations on the mask (`flip_dot_action`,
+    `flip_length`); the dual is a validated `GlWeight`."""
+    total = sum(lam)
+    for mask in range(1 << g):
+        mu = GlWeight(flip_dot_action(mask, lam)).dual().entries
+        num = total + sum(mu)
         assert num % 2 == 0
-        terms.append(BggTerm(w, mu, flip_length(mask), num // 2))
-    terms.sort(key=lambda t: (t.degree, t.mu.entries))
-    return terms
+        yield BggTerm(mask, mu, flip_length(mask), num // 2)
 
 
 class BoundaryTerm(NamedTuple):
@@ -129,13 +137,14 @@ def iter_boundary_terms(g: int, lam: Sequence[int]) -> Iterator[BoundaryTerm]:
     The genus bound and lam are checked when this is called, so a bad
     input fails before the first term; the terms themselves come from a
     generator.  Each final w is handled through its flip mask F, which is
-    its index in `enumerate_final`: the side and position of k
-    (`flip_dichotomy`), the length of w (`flip_length`) and the mask of
-    the restriction (`restrict_flips`) are bit operations, and a term
-    carries the masks of w and u, not the elements.  Each w's dot action
-    is a validated `GlWeight`; each term's weight is an entry tuple whose
-    dominance is checked as it is made.  The GL(1,Z) parity filter,
-    `parity_pass`, is read from the term's own weight.
+    its index in `enumerate_final`, and arrives as its BGG term
+    (`_bgg_terms`): the term's `mu` is telescoped and its degree gives
+    the sign.  The side and position of k (`flip_dichotomy`) and the mask
+    of the restriction (`restrict_flips`) are bit operations, and a term
+    carries the masks of w and u, not the elements.  Each term's weight
+    is an entry tuple whose dominance is checked as it is made.  The
+    GL(1,Z) parity filter, `parity_pass`, is read from the term's own
+    weight.
 
     The terms come in one contiguous block per w, the blocks in
     `enumerate_final` order, each with k = 1, ..., g ascending;
@@ -149,11 +158,9 @@ def iter_boundary_terms(g: int, lam: Sequence[int]) -> Iterator[BoundaryTerm]:
 
 def _generate_boundary(g: int, lam: tuple[int, ...]) -> Iterator[BoundaryTerm]:
     twists = [lam[k - 1] + g + 1 - k for k in range(1, g + 1)]
-    for mask, w in enumerate(enumerate_final(g)):
-        a = GlWeight(w.dot_action(lam)).dual().entries
+    for mask, a, degree, _ in _bgg_terms(g, lam):
         # telescope_surgery(a, l) is a[:l-1] + low[l:]
         low = tuple(x - 1 for x in a)
-        lw = flip_length(mask)
         for k in range(1, g + 1):
             side, pos = flip_dichotomy(mask, g, k)
             l = g + 1 - pos
@@ -162,7 +169,7 @@ def _generate_boundary(g: int, lam: tuple[int, ...]) -> Iterator[BoundaryTerm]:
                 raise ValueError(f"weight {weight} is not weakly decreasing")
             yield BoundaryTerm(
                 mask, k, side, restrict_flips(mask, g, k), weight,
-                -1 if (lw + g - l) & 1 else 1,
+                -1 if (degree + g - l) & 1 else 1,
                 0 if side == "A" else twists[k - 1],
             )
 

@@ -10,8 +10,8 @@ bitmask with index i at bit g-i (`final_element` builds the element from
 it).  In that convention the masks count upward in the images'
 lexicographic order, so the element at position m of `enumerate_final`
 has flip mask m.  The `flip_*` helpers are the bit-operation twins of
-`image_dichotomy`, `restrict_final` and `WeylElement.length`, which stay
-as their oracles.
+`image_dichotomy`, `restrict_final`, `WeylElement.length` and
+`WeylElement.dot_action`, which stay as their oracles.
 """
 
 from __future__ import annotations
@@ -190,6 +190,19 @@ def flip_length(mask: int) -> int:
     """Coxeter length of the final element with this flip mask: the sum
     of g+1-i over the flipped indices i, that is of b+1 over the set bits b."""
     return sum(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
+
+
+def flip_dot_action(mask: int, lam: Sequence[int]) -> tuple[int, ...]:
+    """`WeylElement.dot_action` of the final element of genus len(lam) with
+    this flip mask.  Its images are the unflipped indices ascending, then
+    2g+1-i for the flipped indices i descending, so w(lam + rho) is the
+    unflipped entries of lam + rho in order, then the flipped ones negated
+    and reversed; index i is bit g-i."""
+    g = len(lam)
+    shifted = [a + g - i for i, a in enumerate(lam)]
+    kept = [s for i, s in enumerate(shifted) if not mask >> (g - 1 - i) & 1]
+    flipped = [-s for i, s in enumerate(shifted) if mask >> (g - 1 - i) & 1]
+    return tuple(x - g + j for j, x in enumerate(kept + flipped[::-1]))
 
 
 def all_elements(g: int) -> list[WeylElement]:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import tracemalloc
 import pytest
 
 from siegeleis import eiscalc, suites, weylcomb
-from siegeleis.cli import _render_boundary, _stream, main, run
+from siegeleis.cli import _render_bgg, _render_boundary, _stream, main, run
 from siegeleis.motivering import MotiveExpr, VerificationReport
 
 
@@ -241,6 +242,39 @@ class TestStructureCommands:
                 ) + "\n",
             )
 
+    @pytest.mark.parametrize("g", range(1, 10))
+    def test_bgg_renderer_matches_the_encoder(self, g):
+        """The streamed f-string records against json.dumps of per-term
+        dicts and the per-term text built from str(w); every g has a mu
+        with negative entries."""
+        rng = random.Random(g)
+        for _ in range(2):
+            lam = tuple(sorted((rng.randint(0, 12) for _ in range(g)), reverse=True))
+            terms = eiscalc.bgg_complex(g, lam)
+            assert any(a < 0 for t in terms for a in t.mu)
+            finals = [weylcomb.final_element(g, t.w) for t in terms]
+            records = [
+                {
+                    "w": list(w.images),
+                    "mu": list(t.mu),
+                    "degree": t.degree,
+                    "filtration": t.filtration,
+                }
+                for w, t in zip(finals, terms)
+            ]
+            _assert_same(
+                "".join(_render_bgg(g, lam, "json")),
+                json.dumps(records, separators=(", ", ": ")) + "\n",
+            )
+            _assert_same(
+                "".join(_render_bgg(g, lam, "text")),
+                "\n".join(
+                    f"w={w} degree={t.degree} filtration={t.filtration} "
+                    f"mu=({','.join(str(a) for a in t.mu)})"
+                    for w, t in zip(finals, terms)
+                ) + "\n",
+            )
+
 
 class TestTable:
     def test_g1(self):
@@ -304,7 +338,11 @@ class TestTable:
     )
     def test_streamed_peak_memory(self, argv):
         # each row becomes its string as soon as it is built, so the traced
-        # peak stays within 3x the output
+        # peak stays within 3x the output.  A full collection empties the
+        # free lists, and one that fell due inside the trace would count
+        # their refill (3.89x here); collecting first means the warm-up
+        # refills them and no full collection falls due during the trace.
+        gc.collect()
         run(argv.split())  # warm caches and free lists outside the trace
         tracemalloc.start()
         try:
@@ -429,6 +467,21 @@ class TestVerify:
             "reindexing-completeness",
         }
         assert all("[counterexample: " in ln for ln in failed)
+
+    def test_suites_catch_a_misread_dot_action(self, monkeypatch):
+        # the BGG and boundary terms take each w's dot action from its flip
+        # mask; reading the neighbouring mask's must fail the gate
+        real = weylcomb.flip_dot_action
+        monkeypatch.setattr(eiscalc, "flip_dot_action", lambda m, lam: real(m ^ 1, lam))
+        code, out, _ = run(["verify", "--suite", "all"])
+        assert code == 1
+        failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+        assert {ln.split(":")[0].split()[1] for ln in failed} == {
+            "partition-identity-g2",
+            "partition-identity-g3",
+            "partition-identity-g4",
+            "reindexing-completeness",
+        }
 
     @pytest.mark.parametrize(
         "flag, value, ok",
@@ -598,8 +651,9 @@ class TestSizeLimits:
         [("bgg", 16, True), ("bgg", 17, False), ("boundary", 14, True), ("boundary", 15, False)],
     )
     def test_genus_limits(self, monkeypatch, command, g, ok):
+        # the per-w generator both commands draw their terms from
         calls = []
-        monkeypatch.setattr(eiscalc, "enumerate_final", lambda g: calls.append(g) or [])
+        monkeypatch.setattr(eiscalc, "_bgg_terms", lambda g, lam: calls.append(g) or [])
         code, out, err = run([command, "-g", str(g), "-l", ",".join(["0"] * g)])
         if ok:
             assert code == 0 and err == "" and calls

@@ -69,7 +69,7 @@ class TestBggComplex:
     def test_g1(self):
         k = 6
         terms = bgg_complex(1, (k,))
-        assert [(t.degree, t.mu.entries, t.filtration) for t in terms] == [
+        assert [(t.degree, t.mu, t.filtration) for t in terms] == [
             (0, (-k,), 0),
             (1, (k + 2,), k + 1),
         ]
@@ -77,7 +77,7 @@ class TestBggComplex:
     @pytest.mark.parametrize("l,m", [(0, 0), (5, 3), (7, 1), (4, 2)])
     def test_g2_dual_weights(self, l, m):
         terms = bgg_complex(2, (l, m))
-        assert [t.mu.entries for t in terms] == [
+        assert [t.mu for t in terms] == [
             (-m, -l), (m + 2, -l), (l + 3, 1 - m), (l + 3, m + 3),
         ]
         assert [t.degree for t in terms] == [0, 1, 2, 3]
@@ -102,9 +102,10 @@ class TestBggComplex:
         terms = bgg_complex(3, (l, m, n))
         assert len(terms) == 8
         for t in terms:
-            wdot = expected_wdot[t.w.images]
-            assert t.mu.entries == tuple(-x for x in reversed(wdot))
-            assert t.degree == t.w.length()
+            w = final_element(3, t.w)
+            wdot = expected_wdot[w.images]
+            assert t.mu == tuple(-x for x in reversed(wdot))
+            assert t.degree == w.length()
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_degree_from_the_flip_mask(self, monkeypatch, g):
@@ -112,7 +113,9 @@ class TestBggComplex:
         rng = random.Random(g)
         lam = tuple(sorted((rng.randint(0, 2 * g) for _ in range(g)), reverse=True))
         expected = bgg_complex(g, lam)
-        assert [t.degree for t in expected] == [t.w.length() for t in expected]
+        assert [t.degree for t in expected] == [
+            final_element(g, t.w).length() for t in expected
+        ]
 
         def no_length(self):
             raise AssertionError("bgg_complex called WeylElement.length")
@@ -123,7 +126,84 @@ class TestBggComplex:
     def test_filtration_parity_integrality(self):
         for lam in [(4, 2, 0), (3, 3, 2), (6, 1, 1)]:
             for t in bgg_complex(3, lam):
-                assert (sum(lam) + sum(t.mu.entries)) % 2 == 0
+                assert (sum(lam) + sum(t.mu)) % 2 == 0
+
+
+def _count_value_objects(monkeypatch):
+    """From here on, record every `GlWeight` and `WeylElement` built, each
+    still validated: {class: [objects]}."""
+    built = {GlWeight: [], WeylElement: []}
+    for cls in built:
+        check = cls.__post_init__
+
+        def counted(self, check=check, cls=cls):
+            check(self)
+            built[cls].append(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    return built
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _ObjectBggTerm:
+    w: WeylElement
+    mu: GlWeight
+    degree: int
+    filtration: int
+
+
+def _object_bgg_complex(g, lam):
+    """`bgg_complex` as it was before its terms became mask tuples: each
+    term holds its `WeylElement` and the `GlWeight` of its dot action's
+    dual."""
+    terms = []
+    for mask, w in enumerate(enumerate_final(g)):
+        mu = GlWeight(w.dot_action(lam)).dual()
+        num = sum(lam) + sum(mu.entries)
+        assert num % 2 == 0
+        terms.append(_ObjectBggTerm(w, mu, flip_length(mask), num // 2))
+    terms.sort(key=lambda t: (t.degree, t.mu.entries))
+    return terms
+
+
+class TestBggAgainstTheObjectPath:
+    """Differential test of the mask-tuple BGG terms against the terms
+    that held their element and weight objects."""
+
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_field_by_field(self, g):
+        finals = enumerate_final(g)
+        rng = random.Random(g)
+        weights = [tuple(range(g, 0, -1))] + [
+            tuple(sorted((rng.randint(0, 12) for _ in range(g)), reverse=True))
+            for _ in range(3)
+        ]
+        for lam in weights:
+            rows = itertools.zip_longest(bgg_complex(g, lam), _object_bgg_complex(g, lam))
+            for t, old in rows:
+                assert t is not None and old is not None, lam
+                assert finals[t.w] == old.w
+                assert t.mu == old.mu.entries
+                assert (t.degree, t.filtration) == (old.degree, old.filtration), (lam, t)
+
+    @pytest.mark.parametrize("g", [1, 2, 5, 8, 10])
+    def test_one_command_builds_each_final_element_once(self, monkeypatch, g):
+        """Draining the CLI's bgg output builds 2 weights per w (its dot
+        action and dual) and each final element of genus g once, for its
+        label; the terms hold only ints and int tuples."""
+        built = _count_value_objects(monkeypatch)
+        lam = tuple(range(2 * g, 0, -2))
+        argv = ["bgg", "-g", str(g), "-l", ",".join(map(str, lam)), "--format", "json"]
+        code, chunks, _ = _stream(argv)
+        records = sum(chunk.count('"filtration"') for chunk in chunks)
+        assert (code, records) == (0, 2**g)
+        assert len(built[GlWeight]) == 2 * 2**g
+        elements = collections.Counter((w.g, w.images) for w in built[WeylElement])
+        assert len(elements) == 2**g and set(elements.values()) == {1}
+        assert {genus for genus, _ in elements} == {g}
+        for t in bgg_complex(g, lam):
+            assert type(t.mu) is tuple
+            assert {type(x) for x in (t.w, *t.mu, t.degree, t.filtration)} == {int}
 
 
 def _g2_rows(l, m):
@@ -164,18 +244,9 @@ class TestBoundaryTerms:
     def test_every_value_object_is_validated(self, monkeypatch, g):
         """Draining the CLI's boundary stream builds no value object per
         term: 2 weights per w (its dot action and dual); each final element
-        of genus g twice (the generator's dot action, the renderer's label)
-        and each of genus g-1 once (its label).  Every term's weight is
-        still checked for dominance."""
-        built = {GlWeight: [], WeylElement: []}
-        for cls in built:
-            check = cls.__post_init__
-
-            def counted(self, check=check, cls=cls):
-                check(self)
-                built[cls].append(self)
-
-            monkeypatch.setattr(cls, "__post_init__", counted)
+        of genus g once and each of genus g-1 once (their labels).  Every
+        term's weight is still checked for dominance."""
+        built = _count_value_objects(monkeypatch)
         dominance = []
         real = eiscalc.is_dominant
         monkeypatch.setattr(
@@ -188,7 +259,7 @@ class TestBoundaryTerms:
         assert len(built[GlWeight]) == 2 * 2**g
         elements = collections.Counter((w.g, w.images) for w in built[WeylElement])
         assert len(elements) == 2**g + 2 ** (g - 1)
-        assert all(n == (2 if genus == g else 1) for (genus, _), n in elements.items())
+        assert set(elements.values()) == {1}
         assert len(dominance) >= g * 2**g
 
     def test_twist_is_zero_exactly_on_side_a(self):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from siegeleis.weylcomb import (
     enumerate_final,
     final_element,
     flip_dichotomy,
+    flip_dot_action,
     flip_length,
     image_dichotomy,
     kostant_from_signs,
@@ -282,6 +284,17 @@ class TestFlipMasks:
 
     def test_final_element_genus_zero(self):
         assert final_element(0, 0) == W(0)
+        assert flip_dot_action(0, ()) == ()
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_dot_action_against_the_element(self, g):
+        """Every mask on seeded weights, dominant or not: the bit-operation
+        twin against `WeylElement.dot_action` of the element it names."""
+        rng = random.Random(g)
+        for _ in range(4):
+            lam = tuple(rng.randint(-8, 8) for _ in range(g))
+            for mask in range(2**g):
+                assert flip_dot_action(mask, lam) == final_element(g, mask).dot_action(lam)
 
     def test_differential_against_image_oracles(self):
         # every final w and every k up to g = 10: 18,432 pairs
