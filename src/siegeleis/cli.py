@@ -132,11 +132,16 @@ def _render_table(g: int, lmax: int, format: str):
 
 def _labels(g: int, format: str) -> list[str]:
     """The name of each final element of genus g in `format`, indexed by
-    its flip mask, so that each element is built once per command."""
-    finals = (weylcomb.final_element(g, m) for m in range(1 << g))
+    its flip mask and formatted from the mask's images, so no element is
+    built."""
+    images = (weylcomb.flip_images(m, g) for m in range(1 << g))
     if format == "json":
-        return ["[" + ", ".join(map(str, w.images)) + "]" for w in finals]
-    return [str(w) for w in finals]
+        return [str(list(imgs)) for imgs in images]
+    return [weylcomb.images_text(g, imgs) for imgs in images]
+
+
+# JSON integer arrays below are `str(list(entries))`: a list of ints
+# prints exactly as json.dumps prints it with its ", " separator.
 
 
 def _render_bgg(g, lam, format):
@@ -145,7 +150,7 @@ def _render_bgg(g, lam, format):
     if format == "json":
         # the bytes json.dumps gives for the list of records
         records = (
-            f'{{"w": {ws[w]}, "mu": [{", ".join(map(str, mu))}], '
+            f'{{"w": {ws[w]}, "mu": {str(list(mu))}, '
             f'"degree": {degree}, "filtration": {filtration}}}'
             for w, mu, degree, filtration in terms
         )
@@ -172,8 +177,7 @@ def _render_boundary(g, lam, format):
         # "A"/"B" and bools need no escaping
         records = (
             f'{{"w": {ws[w]}, "k": {k}, "side": "{side}", "u": {us[u]}, '
-            f'"weight": [{", ".join(map(str, wt))}], '
-            f'"sign": {sign}, "twist": {twist}, '
+            f'"weight": {str(list(wt))}, "sign": {sign}, "twist": {twist}, '
             f'"parity_pass": {"false" if sum(wt) & 1 else "true"}}}'
             for w, k, side, u, wt, sign, twist in terms
         )

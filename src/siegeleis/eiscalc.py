@@ -16,21 +16,24 @@ from .motivering import ONE, MotiveExpr, Symbol, VerificationReport, cusp_dim
 from .weylcomb import (
     enumerate_final,
     final_element,
-    flip_dichotomy,
     flip_dot_action,
     flip_length,
+    flip_restrictions,
     image_dichotomy,
     restrict_final,
-    restrict_flips,
 )
 
 
 # Size limits, checked before work starts; times are the CLI's at the
 # limit with JSON output (2 cores, Python 3.11).
-# bgg: 2^g terms, 65,536 at g = 16 (0.9 s, 54 MB).
+# bgg: 2^g terms, 65,536 at g = 16 (0.8 s, 54 MB).
 MAX_BGG_G = 16
-# boundary: g*2^g terms, 229,376 at g = 14, streamed (0.8 s, 22 MB).
+# boundary: g*2^g terms, 229,376 at g = 14, streamed (0.7 s, 19 MB).
 MAX_BOUNDARY_G = 14
+# lambda's entries (rank1, bgg, boundary): output grows with their digits,
+# so a 4,300-digit entry would make boundary -g 14 write ~13 GB.  At this
+# bound it writes 72 MB of JSON (0.7 s, 19 MB), bgg -g 16 17 MB (0.8 s, 77 MB).
+MAX_LAMBDA_ENTRY = 10**6
 # table: rank1 (g terms over length-g weights) on the even ones of the
 # C(lmax+g, g) weights in [0, lmax]^g: g^2 * C(lmax+g, g) steps, worst at
 # g = 3, lmax = 64 (0.6 s, 32 MB).  C alone would admit g = 14, lmax = 6
@@ -44,7 +47,8 @@ MAX_RANK1_G = isqrt(MAX_TABLE_WORK)
 
 
 def _check_sp_weight(lam: Sequence[int], g: int) -> tuple[int, ...]:
-    """lam as a tuple, if it is a dominant Sp(2g) weight; errors name the CLI flag."""
+    """lam as a tuple, if it is a dominant Sp(2g) weight with entries at
+    most MAX_LAMBDA_ENTRY; errors name the CLI flag."""
     if g < 1:
         raise ValueError("-g: genus must be >= 1")
     lam = tuple(lam)
@@ -53,6 +57,8 @@ def _check_sp_weight(lam: Sequence[int], g: int) -> tuple[int, ...]:
     if not is_dominant(lam) or lam[-1] < 0:
         text = ",".join(map(str, lam))
         raise ValueError(f"--lambda: {text!r} is not weakly decreasing and nonnegative")
+    if lam[0] > MAX_LAMBDA_ENTRY:
+        raise ValueError(f"--lambda: entries must be <= {MAX_LAMBDA_ENTRY}")
     return lam
 
 
@@ -138,13 +144,15 @@ def iter_boundary_terms(g: int, lam: Sequence[int]) -> Iterator[BoundaryTerm]:
     input fails before the first term; the terms themselves come from a
     generator.  Each final w is handled through its flip mask F, which is
     its index in `enumerate_final`, and arrives as its BGG term
-    (`_bgg_terms`): the term's `mu` is telescoped and its degree gives
-    the sign.  The side and position of k (`flip_dichotomy`) and the mask
-    of the restriction (`restrict_flips`) are bit operations, and a term
+    (`_bgg_terms`): the term's `mu` is telescoped once into its g weights,
+    one per position, and its degree gives the signs.  One pass over the
+    mask (`flip_restrictions`) gives each k its side, its position and
+    the mask of the restriction; the positions of k = 1, ..., g are
+    1, ..., g once each (the dichotomy-position-bijection invariant), so
+    each term takes the telescope weight at its own position.  A term
     carries the masks of w and u, not the elements.  Each term's weight
-    is an entry tuple whose dominance is checked as it is made.  The
-    GL(1,Z) parity filter, `parity_pass`, is read from the term's own
-    weight.
+    is an entry tuple whose dominance is checked as the term is made.
+    The GL(1,Z) parity filter, `parity_pass`, is read from the weight.
 
     The terms come in one contiguous block per w, the blocks in
     `enumerate_final` order, each with k = 1, ..., g ascending;
@@ -157,20 +165,26 @@ def iter_boundary_terms(g: int, lam: Sequence[int]) -> Iterator[BoundaryTerm]:
 
 
 def _generate_boundary(g: int, lam: tuple[int, ...]) -> Iterator[BoundaryTerm]:
-    twists = [lam[k - 1] + g + 1 - k for k in range(1, g + 1)]
+    ks = range(1, g + 1)
+    twists = [lam[k - 1] + g + 1 - k for k in ks]
+    # BoundaryTerm(*fields) is tuple.__new__(BoundaryTerm, fields) behind
+    # a Python-level __new__; calling the latter directly skips that frame
+    new_term = tuple.__new__
     for mask, a, degree, _ in _bgg_terms(g, lam):
-        # telescope_surgery(a, l) is a[:l-1] + low[l:]
+        # telescope[pos - 1] is telescope_surgery(a, l) = a[:l-1] + low[l:]
+        # at l = g+1-pos, with its sign (-1)^(degree+g-l)
         low = tuple(x - 1 for x in a)
-        for k in range(1, g + 1):
-            side, pos = flip_dichotomy(mask, g, k)
-            l = g + 1 - pos
-            weight = a[: l - 1] + low[l:]
+        telescope = [
+            (a[: l - 1] + low[l:], -1 if (degree + g - l) & 1 else 1)
+            for l in range(g, 0, -1)
+        ]
+        for k, twist, (side, pos, u) in zip(ks, twists, flip_restrictions(mask, g)):
+            weight, sign = telescope[pos - 1]
             if not is_dominant(weight):
                 raise ValueError(f"weight {weight} is not weakly decreasing")
-            yield BoundaryTerm(
-                mask, k, side, restrict_flips(mask, g, k), weight,
-                -1 if (degree + g - l) & 1 else 1,
-                0 if side == "A" else twists[k - 1],
+            yield new_term(
+                BoundaryTerm,
+                (mask, k, side, u, weight, sign, 0 if side == "A" else twist),
             )
 
 

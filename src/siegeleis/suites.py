@@ -107,7 +107,8 @@ def verify_weyl(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
             u = weylcomb.restrict_final(w, k, side)
             imgs.add(u)
             # the flip-mask twin used by the boundary pipeline
-            if lower[weylcomb.restrict_flips(mask, g, k)] != u:
+            flip_side, _, flip_u = weylcomb.flip_restrictions(mask, g)[k - 1]
+            if (flip_side, lower[flip_u]) != (side, u):
                 return f"g={g}, k={k}, side={side}, w={w}"
         if len(pool) != 2 ** (g - 1) or imgs != set(lower):
             return f"g={g}, k={k}, side={side}"

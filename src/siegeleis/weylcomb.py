@@ -10,13 +10,15 @@ bitmask with index i at bit g-i (`final_element` builds the element from
 it).  In that convention the masks count upward in the images'
 lexicographic order, so the element at position m of `enumerate_final`
 has flip mask m.  The `flip_*` helpers are the bit-operation twins of
-`image_dichotomy`, `restrict_final`, `WeylElement.length` and
+the element's sorted images (`flip_images`), of `image_dichotomy` with
+`restrict_final` (`flip_restrictions`), of `WeylElement.length` and of
 `WeylElement.dot_action`, which stay as their oracles.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -56,9 +58,7 @@ class WeylElement:
             raise ValueError("images contain a complementary pair")
 
     def __str__(self):
-        if 2 * self.g <= 9:
-            return "[" + "".join(str(m) for m in self.images) + "]"
-        return "[" + ",".join(str(m) for m in self.images) + "]"
+        return images_text(self.g, self.images)
 
     def length(self) -> int:
         """Coxeter length from the two-part inversion count."""
@@ -101,12 +101,27 @@ class WeylElement:
         return tuple(a - b for a, b in zip(self.signed_apply(shifted), r))
 
 
-def final_element(g: int, mask: int) -> WeylElement:
-    """The final element with flip mask `mask`: bit b stands for the index
-    g-b, whose image is g+1+b if the bit is set and g-b if not, sorted."""
-    return WeylElement(
-        g, tuple(sorted(g + 1 + b if mask >> b & 1 else g - b for b in range(g)))
+def images_text(g: int, images: Iterable[int]) -> str:
+    """The text name of an element of W_g by its images: the digits run
+    together while 2g <= 9, comma-separated beyond."""
+    return "[" + ("" if 2 * g <= 9 else ",").join(map(str, images)) + "]"
+
+
+def flip_images(mask: int, g: int) -> tuple[int, ...]:
+    """The images of the final element of genus g with flip mask `mask`:
+    bit b stands for the index g-b, whose image is g+1+b if the bit is set
+    and g-b if not.  In increasing order that is the unflipped indices
+    ascending, then 2g+1-i for the flipped indices i descending."""
+    bits = range(g)
+    return (
+        *[g - b for b in reversed(bits) if not mask >> b & 1],
+        *[g + 1 + b for b in bits if mask >> b & 1],
     )
+
+
+def final_element(g: int, mask: int) -> WeylElement:
+    """The final element with flip mask `mask` (`flip_images`)."""
+    return WeylElement(g, flip_images(mask, g))
 
 
 def enumerate_final(g: int) -> list[WeylElement]:
@@ -163,27 +178,31 @@ def restrict_final(w: WeylElement, k: int, side: str) -> WeylElement:
     return WeylElement(g - 1, tuple(renamed))
 
 
-def flip_dichotomy(mask: int, g: int, k: int) -> tuple[str, int]:
-    """`image_dichotomy` on the flip mask of a final element of genus g.
+def flip_restrictions(mask: int, g: int) -> list[tuple[str, int, int]]:
+    """`image_dichotomy` and `restrict_final` on the flip mask of a final
+    element of genus g, for k = 1, ..., g in one pass: the side and
+    position of k and the flip mask of the restriction, per k.
 
-    Side A (k is an image) iff bit b = g-k is clear; its position counts
-    the unflipped indices <= k, whose bits are those >= b.  On side B,
-    2g+1-k sits after every unflipped image and after the flipped images
-    of the indices >= k, whose bits are those <= b."""
-    if not 1 <= k <= g:
-        raise ValueError("k out of range")
-    b = g - k
-    if not mask >> b & 1:
-        return "A", k - (mask >> b).bit_count()
-    return "B", g - mask.bit_count() + (mask & ((2 << b) - 1)).bit_count()
-
-
-def restrict_flips(mask: int, g: int, k: int) -> int:
-    """`restrict_final` on flip masks: drop bit g-k (index k) and shift the
-    bits above it, the indices below k, down by one.  The side plays no
-    part, since it is that bit."""
-    b = g - k
-    return (mask & ((1 << b) - 1)) | ((mask >> (b + 1)) << b)
+    Index k is bit b = g-k.  Side A (k is an image) iff that bit is clear;
+    its position counts the unflipped indices <= k.  On side B, 2g+1-k
+    sits after every unflipped image and after the flipped images of the
+    indices >= k.  The restriction drops bit b and shifts the bits above
+    it, the indices below k, down by one; the side plays no part there."""
+    if not 0 <= mask < 1 << g:
+        raise ValueError(f"flip mask {mask} out of range for genus {g}")
+    flipped_from_k = mask.bit_count()
+    unflipped = g - flipped_from_k
+    unflipped_to_k = 0
+    out = []
+    for b in range(g - 1, -1, -1):
+        restricted = (mask & ((1 << b) - 1)) | (mask >> (b + 1) << b)
+        if mask >> b & 1:
+            out.append(("B", unflipped + flipped_from_k, restricted))
+            flipped_from_k -= 1
+        else:
+            unflipped_to_k += 1
+            out.append(("A", unflipped_to_k, restricted))
+    return out
 
 
 def flip_length(mask: int) -> int:
@@ -194,15 +213,15 @@ def flip_length(mask: int) -> int:
 
 def flip_dot_action(mask: int, lam: Sequence[int]) -> tuple[int, ...]:
     """`WeylElement.dot_action` of the final element of genus len(lam) with
-    this flip mask.  Its images are the unflipped indices ascending, then
-    2g+1-i for the flipped indices i descending, so w(lam + rho) is the
-    unflipped entries of lam + rho in order, then the flipped ones negated
-    and reversed; index i is bit g-i."""
+    this flip mask: w(lam + rho) - rho, where w(v) reads each image m
+    (`flip_images`) off v followed by its entries negated and reversed,
+    as `signed_apply` does."""
     g = len(lam)
-    shifted = [a + g - i for i, a in enumerate(lam)]
-    kept = [s for i, s in enumerate(shifted) if not mask >> (g - 1 - i) & 1]
-    flipped = [-s for i, s in enumerate(shifted) if mask >> (g - 1 - i) & 1]
-    return tuple(x - g + j for j, x in enumerate(kept + flipped[::-1]))
+    r = rho(g)
+    shifted = list(map(operator.add, lam, r))
+    extended = [0, *shifted, *[-s for s in reversed(shifted)]]  # from index 1
+    images = flip_images(mask, g)
+    return tuple(map(operator.sub, map(extended.__getitem__, images), r))
 
 
 def all_elements(g: int) -> list[WeylElement]:

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 from siegeleis import eiscalc, suites, weylcomb
-from siegeleis.cli import _render_bgg, _render_boundary, _stream, main, run
+from siegeleis.cli import _labels, _render_bgg, _render_boundary, _stream, main, run
 from siegeleis.motivering import MotiveExpr, VerificationReport
 
 
@@ -241,6 +241,17 @@ class TestStructureCommands:
                     for t in terms
                 ) + "\n",
             )
+
+    @pytest.mark.parametrize("g", range(0, 11))
+    def test_labels_name_the_elements(self, g):
+        """Labels formatted from the masks' images against the elements
+        they name: str(w) for text, whose separator changes between g = 4
+        and g = 5, and json.dumps of the images for JSON.  g = 0 is the
+        restricted label table of genus 1.  (The images themselves are
+        tested against their sorted definition in test_weylcomb.)"""
+        finals = [weylcomb.final_element(g, m) for m in range(2**g)]
+        assert _labels(g, "text") == [str(w) for w in finals]
+        assert _labels(g, "json") == [json.dumps(list(w.images)) for w in finals]
 
     @pytest.mark.parametrize("g", range(1, 10))
     def test_bgg_renderer_matches_the_encoder(self, g):
@@ -705,6 +716,24 @@ class TestSizeLimits:
             assert (code, out, calls) == (2, "", [])
             assert err == f"error: -g: rank1 needs g <= {g - 1}, got {g}\n"
 
+    @pytest.mark.parametrize("command", ["rank1", "bgg", "boundary"])
+    @pytest.mark.parametrize(
+        "top, ok", [(eiscalc.MAX_LAMBDA_ENTRY, True), (eiscalc.MAX_LAMBDA_ENTRY + 1, False)]
+    )
+    def test_lambda_entry_limit(self, command, top, ok):
+        code, out, err = run([command, "-g", "3", "-l", f"{top},{top},0", "--format", "json"])
+        if ok:
+            assert (code, err) == (0, "")
+            assert json.loads(out)
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"error: --lambda: entries must be <= {top - 1}\n"
+
+    def test_lambda_entry_limit_is_in_the_readme(self):
+        readme = (SRC.parent / "README.md").read_text()
+        row = next(ln for ln in readme.splitlines() if ln.startswith("| λ entries"))
+        assert f"{eiscalc.MAX_LAMBDA_ENTRY:,}" in row and "--lambda" in row
+
     def test_rank1_limit_is_the_largest_genus_the_table_admits(self):
         # g^2 * C(0 + g, g) is the table's work at lmax = 0
         g = eiscalc.MAX_RANK1_G
@@ -735,6 +764,7 @@ EXIT_2 = [argv for argv, _ in BAD_INPUT] + [
     "table -g 657 --lmax 0",
     "table -g 10 --lmax 64",
     "rank1 -g 657 -l " + ",".join(["0"] * 657),
+    f"boundary -g 2 -l {eiscalc.MAX_LAMBDA_ENTRY + 1},0",
     "verify --suite weyl --max-g 0",
     "verify --max-g 17",
     "verify --suite telescope --max-entry -1",

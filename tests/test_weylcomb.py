@@ -9,13 +9,14 @@ from siegeleis.weylcomb import (
     WeylElement,
     enumerate_final,
     final_element,
-    flip_dichotomy,
     flip_dot_action,
+    flip_images,
     flip_length,
+    flip_restrictions,
     image_dichotomy,
+    images_text,
     kostant_from_signs,
     restrict_final,
-    restrict_flips,
     rho,
 )
 
@@ -267,7 +268,10 @@ class TestFlipMasks:
         assert final_element(2, 0b00) == W(2, 1, 2)
         assert final_element(2, 0b01) == W(2, 1, 3)  # 3 = 2g+1-2
         assert final_element(3, 0b011) == W(3, 1, 4, 5)
-        assert restrict_flips(0b1011, 4, 3) == 0b101
+        # indices 1, 3, 4 are flipped, so the images are 2, then 9-4, 9-3,
+        # 9-1; k = 3 is on side B, with 9-3 = 6 at position 3
+        assert flip_images(0b1011, 4) == (2, 5, 6, 8)
+        assert flip_restrictions(0b1011, 4)[2] == ("B", 3, 0b101)
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_inverse_of_kostant_from_signs(self, g):
@@ -303,16 +307,41 @@ class TestFlipMasks:
             lower = enumerate_final(g - 1)
             for mask, w in enumerate(enumerate_final(g)):
                 assert flip_length(mask) == w.length()
-                for k in range(1, g + 1):
-                    side, pos = image_dichotomy(w, k)
-                    assert flip_dichotomy(mask, g, k) == (side, pos)
-                    u = restrict_final(w, k, side)
-                    assert lower[restrict_flips(mask, g, k)] == u
+                rows = flip_restrictions(mask, g)
+                assert len(rows) == g
+                for k, (side, pos, u) in enumerate(rows, 1):
+                    assert (side, pos) == image_dichotomy(w, k)
+                    assert lower[u] == restrict_final(w, k, side)
                     pairs += 1
         assert pairs == 18432
 
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            flip_dichotomy(0, 2, 0)
-        with pytest.raises(ValueError):
-            flip_dichotomy(0, 2, 3)
+    def test_restrictions_genus_one(self):
+        # the restriction of a genus-1 element is the empty one, mask 0
+        assert flip_restrictions(0, 1) == [("A", 1, 0)]
+        assert flip_restrictions(1, 1) == [("B", 1, 0)]
+        assert flip_restrictions(0, 0) == []
+
+    def test_mask_out_of_range(self):
+        for mask, g in [(-1, 2), (4, 2), (1, 0)]:
+            with pytest.raises(ValueError, match="flip mask"):
+                flip_restrictions(mask, g)
+
+    @pytest.mark.parametrize("g", range(0, 11))
+    def test_images_against_the_sorted_definition(self, g):
+        """Every mask: the bit-operation images against the definition by
+        sorting (bit b is the index g-b, with image g+1+b if set and g-b
+        if not) and against the element they name.  g = 0 is the
+        restricted label table of genus 1."""
+        for mask in range(2**g):
+            images = tuple(
+                sorted(g + 1 + b if mask >> b & 1 else g - b for b in range(g))
+            )
+            assert flip_images(mask, g) == images
+            assert final_element(g, mask).images == images
+
+    def test_images_text(self):
+        # digits run together up to 2g = 8, comma-separated from g = 5 on
+        assert images_text(0, ()) == "[]"
+        assert images_text(4, (1, 2, 5, 6)) == "[1256]"
+        assert images_text(5, (1, 2, 3, 6, 7)) == "[1,2,3,6,7]"
+        assert str(W(4, 1, 2, 5, 6)) == "[1256]"
