@@ -11,7 +11,7 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import __version__, eiscalc, suites, weylcomb
 
@@ -130,14 +130,17 @@ def _render_table(g: int, lmax: int, format: str):
     return _chunks(itertools.chain([header], lines), 1, "", "\n", "\n")
 
 
-def _labels(g: int, format: str) -> list[str]:
-    """The name of each final element of genus g in `format`, indexed by
-    its flip mask and formatted from the mask's images, so no element is
-    built."""
-    images = (weylcomb.flip_images(m, g) for m in range(1 << g))
+def _label(g: int, format: str) -> Callable[[int], str]:
+    """The name in `format` of a final element of genus g by its flip
+    mask, formatted from the mask's images, so no element is built."""
     if format == "json":
-        return [str(list(imgs)) for imgs in images]
-    return [weylcomb.images_text(g, imgs) for imgs in images]
+        return lambda m: str(list(weylcomb.flip_images(m, g)))
+    return lambda m: weylcomb.images_text(g, weylcomb.flip_images(m, g))
+
+
+def _labels(g: int, format: str) -> list[str]:
+    """`_label` of every final element of genus g, indexed by flip mask."""
+    return list(map(_label(g, format), range(1 << g)))
 
 
 # JSON integer arrays below are `str(list(entries))`: a list of ints
@@ -146,17 +149,18 @@ def _labels(g: int, format: str) -> list[str]:
 
 def _render_bgg(g, lam, format):
     terms = eiscalc.bgg_complex(g, lam)
-    ws = _labels(g, format)
+    # each label is used once, so it is made as its record is written
+    label = _label(g, format)
     if format == "json":
         # the bytes json.dumps gives for the list of records
         records = (
-            f'{{"w": {ws[w]}, "mu": {str(list(mu))}, '
+            f'{{"w": {label(w)}, "mu": {str(list(mu))}, '
             f'"degree": {degree}, "filtration": {filtration}}}'
             for w, mu, degree, filtration in terms
         )
         return _chunks(records, g, "[", ", ", "]\n")
     records = (
-        f"w={ws[w]} degree={degree} filtration={filtration} "
+        f"w={label(w)} degree={degree} filtration={filtration} "
         f"mu=({','.join(map(str, mu))})"
         for w, mu, degree, filtration in terms
     )

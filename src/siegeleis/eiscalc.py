@@ -11,7 +11,7 @@ import itertools
 from math import comb, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
-from .glbranch import GlWeight, dominant_entries, is_dominant
+from .glbranch import GlWeight, dominant_entries, is_dominant, weight_text
 from .motivering import ONE, MotiveExpr, Symbol, VerificationReport, cusp_dim
 from .weylcomb import (
     enumerate_final,
@@ -26,13 +26,13 @@ from .weylcomb import (
 
 # Size limits, checked before work starts; times are the CLI's at the
 # limit with JSON output (2 cores, Python 3.11).
-# bgg: 2^g terms, 65,536 at g = 16 (0.8 s, 54 MB).
+# bgg: 2^g terms, 65,536 at g = 16 (0.8 s, 51 MB).
 MAX_BGG_G = 16
 # boundary: g*2^g terms, 229,376 at g = 14, streamed (0.7 s, 19 MB).
 MAX_BOUNDARY_G = 14
 # lambda's entries (rank1, bgg, boundary): output grows with their digits,
 # so a 4,300-digit entry would make boundary -g 14 write ~13 GB.  At this
-# bound it writes 72 MB of JSON (0.7 s, 19 MB), bgg -g 16 17 MB (0.8 s, 77 MB).
+# bound it writes 72 MB of JSON (0.7 s, 19 MB), bgg -g 16 17 MB (0.8 s, 74 MB).
 MAX_LAMBDA_ENTRY = 10**6
 # table: rank1 (g terms over length-g weights) on the even ones of the
 # C(lmax+g, g) weights in [0, lmax]^g: g^2 * C(lmax+g, g) steps, worst at
@@ -250,9 +250,9 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
             expected = GlWeight(restricted[t.u].dot_action(surgered[t.k])).dual()
             expected_by[t.u, t.k] = expected
         if t.weight != expected.entries:
-            # str(GlWeight(t.weight)) without its check: a bad term's
-            # weight need not be dominant
-            got = "W(" + ",".join(map(str, t.weight)) + ")"
+            # not str(GlWeight(t.weight)): a bad term's weight need not
+            # be dominant
+            got = weight_text(t.weight)
             return f"w={finals[t.w]}, k={t.k}: {got} != {expected}"
     report.check("weight-identity", detail, terms, weight_identity)
 

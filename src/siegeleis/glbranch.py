@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -17,6 +18,11 @@ from typing import Iterable, Sequence
 def is_dominant(v: Sequence[int]) -> bool:
     """v[i] >= v[i+1] for every i; v is a list or a tuple."""
     return all(map(operator.ge, v, v[1:]))
+
+
+def weight_text(entries: Iterable[int]) -> str:
+    """The text form W(a,b,...) of a weight by its entries."""
+    return "W(" + ",".join(map(str, entries)) + ")"
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,7 +40,7 @@ class GlWeight:
         return len(self.entries)
 
     def __str__(self):
-        return "W(" + ",".join(str(a) for a in self.entries) + ")"
+        return weight_text(self.entries)
 
     def dual(self) -> "GlWeight":
         """Reverse and negate (conjugation by the longest element of S_g)."""
@@ -59,40 +65,52 @@ def straighten(v: Sequence[int]):
     """Straighten a virtual character index via the rho-shifted sort.
 
     Returns None when v + rho has a repeated entry (the zero character),
-    otherwise (sign, GlWeight) with the sign of the sorting permutation.
+    otherwise (sign, entries): the dominant entry tuple and the sign of the
+    sorting permutation.
     """
-    n = len(v)
-    shifted = [x + (n - 1 - i) for i, x in enumerate(v)]
-    if len(set(shifted)) != n:
+    rho = range(len(v) - 1, -1, -1)
+    shifted = list(map(operator.add, v, rho))
+    if len(set(shifted)) != len(shifted):
         return None
     # sign of the permutation taking `shifted` to strictly decreasing
     # order: the parity of its ascending pairs
-    ascents = sum(x < y for x, y in itertools.combinations(shifted, 2))
+    ascents = sum(itertools.starmap(operator.lt, itertools.combinations(shifted, 2)))
     sign = -1 if ascents & 1 else 1
-    sorted_shifted = sorted(shifted, reverse=True)
-    weight = tuple(x - (n - 1 - i) for i, x in enumerate(sorted_shifted))
-    return sign, GlWeight(weight)
+    shifted.sort(reverse=True)
+    return sign, tuple(map(operator.sub, shifted, rho))
 
 
 class VirtualBundle:
-    """Integer-linear combination of GlWeights of one length, the genus."""
+    """Integer-linear combination of dominant weights of one length, the
+    genus, keyed by their entry tuples."""
 
     __slots__ = ("genus", "_terms")
 
-    def __init__(self, genus: int, terms: Iterable[tuple] = ()):
-        """From (weight, coeff) pairs; repeated weights are summed and zero
-        sums dropped.  A dict is not pairs: its GlWeight keys do not unpack,
-        so it raises TypeError."""
+    def __init__(self, genus: int, pairs: Iterable[tuple] = ()):
+        """From (entries, coeff) pairs; repeated entries are summed and zero
+        sums dropped.  Every distinct key is checked first, so a bad key
+        whose coefficients cancel still raises: TypeError for a key that is
+        not a tuple (a GlWeight, say) or for a dict, which is not pairs;
+        ValueError for a key whose length is not the genus or that is not
+        weakly decreasing."""
+        if isinstance(pairs, dict):
+            raise TypeError("VirtualBundle takes (entries, coeff) pairs, not a mapping")
         self.genus = genus
-        acc: dict[GlWeight, int] = {}
-        for wt, c in terms:
-            if len(wt.entries) != genus:
+        acc: dict[tuple[int, ...], int] = {}
+        for key, c in pairs:
+            acc[key] = acc.get(key, 0) + c
+        for key in acc:
+            if type(key) is not tuple:
+                raise TypeError(f"weight key {key!r} is not an entry tuple")
+            if len(key) != genus:
                 raise ValueError("weight length must equal the bundle genus")
-            acc[wt] = acc.get(wt, 0) + c
-        self._terms = {wt: c for wt, c in acc.items() if c}
+            if not is_dominant(key):
+                raise ValueError(f"weight {key} is not weakly decreasing")
+        self._terms = {key: c for key, c in acc.items() if c}
 
-    def items(self) -> list[tuple[GlWeight, int]]:
-        return sorted(self._terms.items(), key=lambda kv: kv[0].entries)
+    def items(self) -> list[tuple[tuple[int, ...], int]]:
+        """The (entries, coeff) pairs, sorted by entries."""
+        return sorted(self._terms.items())
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -112,7 +130,7 @@ class VirtualBundle:
             return "0"
         parts = []
         for wt, c in self.items():
-            body = f"W({','.join(str(a) for a in wt.entries)})"
+            body = weight_text(wt)
             if abs(c) != 1:
                 body = f"{abs(c)}*{body}"
             if not parts:
@@ -145,7 +163,7 @@ def wedge_dual_tensor(mu: GlWeight, k: int) -> VirtualBundle:
     n = len(mu)
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-    return VirtualBundle(n, ((GlWeight(v), 1) for v in _deletions(mu.entries, k)))
+    return VirtualBundle(n, zip(_deletions(mu.entries, k), itertools.repeat(1)))
 
 
 def wedge_dual_tensor_straightened(mu: GlWeight, k: int) -> VirtualBundle:
@@ -175,8 +193,7 @@ def telescope_closed(a: GlWeight) -> VirtualBundle:
     if g == 0:
         raise ValueError("need a nonempty weight")
     terms = (
-        (GlWeight(telescope_surgery(a.entries, k)), (-1) ** (g - k))
-        for k in range(1, g + 1)
+        (telescope_surgery(a.entries, k), (-1) ** (g - k)) for k in range(1, g + 1)
     )
     return VirtualBundle(g - 1, terms)
 
@@ -189,26 +206,28 @@ def telescope_bruteforce(a: GlWeight) -> VirtualBundle:
     positions of (-1)^|S| [b - e_S], keeping the dominant b - e_S (the
     deletion rule of `wedge_dual_tensor`).  The sums are exchanged: for
     each S, the vectors b - e_S over all b are the branching box with the
-    range at each position in S shifted down by 1, so v runs over that
-    shifted box and is kept when it is dominant.  Every pair (b, S) is
-    still visited once, so this is the same finite sum term by term, not
-    a closed form.  Works on entry tuples and builds a weight only for
-    each term of the result, the nonzero sums."""
+    range at each position in S shifted down by 1.  Each shifted box is
+    counted into one of two tallies, by the parity of |S|, and the odd
+    tally is subtracted from the even one; the vectors left with a nonzero
+    sum that are dominant are the terms.  The deletion rule drops each
+    non-dominant b - e_S on its own, so dropping a vector after its visits
+    are summed drops exactly the same terms.  Every pair (b, S) is still
+    visited once, so this is the same finite sum term by term, not a
+    closed form.  Works on entry tuples and builds no weight."""
     g = len(a)
     if g == 0:
         raise ValueError("need a nonempty weight")
     box = _interlacing(a.entries)
-    acc: dict[tuple[int, ...], int] = {}
+    tallies = (Counter(), Counter())  # by the parity of |S|
     for k in range(g):
-        sign = -1 if k % 2 else 1
         for subset in itertools.combinations(range(g - 1), k):
             shifted = list(box)
             for i in subset:
                 shifted[i] = range(box[i].start - 1, box[i].stop - 1)
-            for v in itertools.product(*shifted):
-                if all(map(operator.ge, v, v[1:])):  # is_dominant(v), inlined
-                    acc[v] = acc.get(v, 0) + sign
-    return VirtualBundle(g - 1, ((GlWeight(v), c) for v, c in acc.items() if c))
+            tallies[k & 1].update(itertools.product(*shifted))
+    even, odd = tallies
+    even.subtract(odd)
+    return VirtualBundle(g - 1, ((v, c) for v, c in even.items() if c and is_dominant(v)))
 
 
 def dominant_entries(g: int, lo: int, hi: int) -> Iterable[tuple[int, ...]]:

@@ -222,7 +222,7 @@ def verify_partition_suite(max_g: int = 4, max_entry: int = 6) -> VerificationRe
         g = len(lam)
         by_w: dict[int, list] = {}
         for t in eiscalc.boundary_terms(g, lam):
-            by_w.setdefault(t.w, []).append((GlWeight(t.weight), t.sign))
+            by_w.setdefault(t.w, []).append((t.weight, t.sign))
         for mask, w in enumerate(weylcomb.enumerate_final(g)):
             a = GlWeight(w.dot_action(lam)).dual()
             expected = glbranch.telescope_closed(a).scale((-1) ** w.length())

@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from siegeleis import eiscalc, suites, weylcomb
+from siegeleis import cli, eiscalc, suites, weylcomb
 from siegeleis.cli import _labels, _render_bgg, _render_boundary, _stream, main, run
 from siegeleis.motivering import MotiveExpr, VerificationReport
 
@@ -252,6 +252,28 @@ class TestStructureCommands:
         finals = [weylcomb.final_element(g, m) for m in range(2**g)]
         assert _labels(g, "text") == [str(w) for w in finals]
         assert _labels(g, "json") == [json.dumps(list(w.images)) for w in finals]
+
+    @pytest.mark.parametrize("format", ["text", "json"])
+    def test_bgg_formats_each_label_as_it_writes_it(self, monkeypatch, format):
+        """bgg uses each label once, so it builds no label table and
+        formats one label per record, in record order."""
+        lam = (9, 7, 5, 3, 1)
+        expected = "".join(_render_bgg(5, lam, format))
+
+        def refuse(g, format):
+            raise AssertionError("bgg built the label table")
+
+        formatted = []
+        label = cli._label
+
+        def counted(g, format):
+            name = label(g, format)
+            return lambda m: formatted.append(m) or name(m)
+
+        monkeypatch.setattr(cli, "_labels", refuse)
+        monkeypatch.setattr(cli, "_label", counted)
+        assert "".join(_render_bgg(5, lam, format)) == expected
+        assert formatted == [t.w for t in eiscalc.bgg_complex(5, lam)]
 
     @pytest.mark.parametrize("g", range(1, 10))
     def test_bgg_renderer_matches_the_encoder(self, g):

@@ -506,8 +506,12 @@ class TestVerifyPartition:
             ("weight", (9, 9), {
                 "weight-identity": "w=[456], k=3: W(9,9) != W(7,5)",
             }),
+            # a weight that is not dominant is still named, W(...) as ever
+            ("weight", (5, 9), {
+                "weight-identity": "w=[456], k=3: W(5,9) != W(7,5)",
+            }),
         ],
-        ids=["sign", "odd-weight", "even-weight"],
+        ids=["sign", "odd-weight", "even-weight", "non-dominant-weight"],
     )
     def test_corrupted_term_fails_its_check(self, monkeypatch, field, value, failed):
         real = eiscalc.boundary_terms
@@ -857,7 +861,7 @@ class TestReindexingCompleteness:
         for mask, w in enumerate(enumerate_final(g)):
             a = GlWeight(w.dot_action(lam)).dual()
             expected = telescope_closed(a).scale((-1) ** w.length())
-            got = ((GlWeight(t.weight), t.sign) for t in terms if t.w == mask)
+            got = ((t.weight, t.sign) for t in terms if t.w == mask)
             assert VirtualBundle(g - 1, got) == expected
 
 

@@ -57,6 +57,11 @@ class TestDominanceAndDual:
             GlWeight((1, 2))
         assert not hasattr(GlWeight((2, 1)), "__dict__")
 
+    def test_weight_text(self):
+        assert glbranch.weight_text((3, -1, -12)) == str(gw(3, -1, -12)) == "W(3,-1,-12)"
+        assert glbranch.weight_text(()) == str(gw()) == "W()"
+        assert glbranch.weight_text([0, 5]) == "W(0,5)"  # no dominance check
+
     def test_dual_examples(self):
         assert gw(0, 0).dual() == gw(0, 0)
         assert gw(5, -5).dual() == gw(5, -5)
@@ -96,20 +101,20 @@ class TestBranch:
 
 class TestStraighten:
     def test_dominant_fixed(self):
-        assert straighten((3, 1, 0)) == (1, gw(3, 1, 0))
+        assert straighten((3, 1, 0)) == (1, (3, 1, 0))
 
     def test_zero_on_repeat(self):
         assert straighten((0, 1)) is None
 
     def test_one_transposition(self):
-        assert straighten((0, 2)) == (-1, gw(1, 1))
+        assert straighten((0, 2)) == (-1, (1, 1))
 
     def test_idempotent_on_weight_part(self):
         for v in [(0, 3, -2), (2, -1, 4, 0), (-3, 5)]:
             res = straighten(v)
             if res is not None:
                 _, wt = res
-                assert straighten(wt.entries) == (1, wt)
+                assert straighten(wt) == (1, wt)
 
     def test_adjacent_swap_flips_sign(self):
         # rho-shifted swap of adjacent coordinates negates the class
@@ -152,21 +157,42 @@ class TestStraighten:
                 sign = -sign
         ordered = sorted(shifted, reverse=True)
         weight = tuple(x - (n - 1 - i) for i, x in enumerate(ordered))
-        assert straighten(v) == (sign, gw(*weight))
+        assert straighten(v) == (sign, weight)
+
+    @settings(max_examples=500)
+    @given(st.lists(st.integers(-8, 8), max_size=7), st.booleans())
+    def test_matches_the_comprehension_form(self, v, as_tuple):
+        # straighten as written with per-element generator expressions
+        # before it moved to map/starmap
+        def reference(v):
+            n = len(v)
+            shifted = [x + (n - 1 - i) for i, x in enumerate(v)]
+            if len(set(shifted)) != n:
+                return None
+            ascents = sum(x < y for x, y in itertools.combinations(shifted, 2))
+            sign = -1 if ascents & 1 else 1
+            ordered = sorted(shifted, reverse=True)
+            return sign, tuple(x - (n - 1 - i) for i, x in enumerate(ordered))
+
+        v = tuple(v) if as_tuple else v
+        got = straighten(v)
+        assert got == reference(v)
+        if got is not None:
+            assert type(got[1]) is tuple and is_dominant(got[1])
 
 
 class TestWedgeDualTensor:
     def test_k_zero(self):
         vb = wedge_dual_tensor(gw(2, 1), 0)
-        assert vb == VirtualBundle(2, [(gw(2, 1), 1)])
+        assert vb == VirtualBundle(2, [((2, 1), 1)])
 
     def test_discard(self):
         vb = wedge_dual_tensor(gw(1, 1), 1)
-        assert vb == VirtualBundle(2, [(gw(1, 0), 1)])
+        assert vb == VirtualBundle(2, [((1, 0), 1)])
 
     def test_both_dominant(self):
         vb = wedge_dual_tensor(gw(2, 1), 1)
-        assert vb == VirtualBundle(2, [(gw(1, 1), 1), (gw(2, 0), 1)])
+        assert vb == VirtualBundle(2, [((1, 1), 1), ((2, 0), 1)])
 
     def test_routes_agree_sweep(self):
         # the deletion rule against the straightening oracle: every branch
@@ -198,23 +224,48 @@ def _branch_first(a: tuple[int, ...]) -> VirtualBundle:
         for k in range(g):
             for v in glbranch._deletions(b, k):
                 acc[v] = acc.get(v, 0) + (-1) ** k
-    return VirtualBundle(g - 1, ((GlWeight(v), c) for v, c in acc.items() if c))
+    return VirtualBundle(g - 1, ((v, c) for v, c in acc.items() if c))
+
+
+def _counted(a: GlWeight, keep_all=False, add_odd=False) -> VirtualBundle:
+    """A copy of `telescope_bruteforce`'s box counting that can drop its
+    dominance filter (`keep_all`) or add the odd tally instead of
+    subtracting it (`add_odd`)."""
+    e = a.entries
+    box = [range(e[i + 1], e[i] + 1) for i in range(len(e) - 1)]
+    tallies = (Counter(), Counter())
+    for k in range(len(e)):
+        for subset in itertools.combinations(range(len(box)), k):
+            shifted = [
+                range(r.start - (i in subset), r.stop - (i in subset))
+                for i, r in enumerate(box)
+            ]
+            tallies[k & 1].update(itertools.product(*shifted))
+    even, odd = tallies
+    (even.update if add_odd else even.subtract)(odd)
+    kept = ((v, c) for v, c in even.items() if c and (keep_all or is_dominant(v)))
+    return VirtualBundle(len(box), kept)
+
+
+def _telescope_failures(monkeypatch, oracle) -> dict[str, str]:
+    monkeypatch.setattr(glbranch, "telescope_bruteforce", oracle)
+    return {c.name: c.counterexample for c in suites.verify_telescope().failures()}
 
 
 class TestTelescope:
     def test_g1(self):
-        assert telescope_closed(gw(7)) == VirtualBundle(0, [(gw(), 1)])
+        assert telescope_closed(gw(7)) == VirtualBundle(0, [((), 1)])
         assert telescope_bruteforce(gw(7)) == telescope_closed(gw(7))
 
     def test_g2_shape(self):
         a, b = 4, 1
         assert telescope_closed(gw(a, b)) == VirtualBundle(
-            1, [(gw(a), 1), (gw(b - 1), -1)]
+            1, [((a,), 1), ((b - 1,), -1)]
         )
 
     def test_g2_bruteforce_example(self):
         assert telescope_bruteforce(gw(2, 0)) == VirtualBundle(
-            1, [(gw(2), 1), (gw(-1), -1)]
+            1, [((2,), 1), ((-1,), -1)]
         )
 
     def test_g3_shape(self):
@@ -222,15 +273,15 @@ class TestTelescope:
         assert telescope_closed(gw(a, b, c)) == VirtualBundle(
             2,
             [
-                (gw(a, b), 1),
-                (gw(a, c - 1), -1),
-                (gw(b - 1, c - 1), 1),
+                ((a, b), 1),
+                ((a, c - 1), -1),
+                ((b - 1, c - 1), 1),
             ],
         )
 
     def test_g3_bruteforce_example(self):
         assert telescope_bruteforce(gw(1, 1, 0)) == VirtualBundle(
-            2, [(gw(1, 1), 1), (gw(1, -1), -1), (gw(0, -1), 1)]
+            2, [((1, 1), 1), ((1, -1), -1), ((0, -1), 1)]
         )
 
     @pytest.mark.parametrize("g", [1, 2, 3])
@@ -263,7 +314,7 @@ class TestTelescope:
         for a in [gw(7), gw(2, 0), gw(1, 1, 0), gw(3, 1, -1, -2), gw(4, 2, 2, 0, -3)]:
             assert telescope_bruteforce(a) == telescope_closed(a)
 
-    def test_bruteforce_builds_one_weight_per_term(self, monkeypatch):
+    def test_bruteforce_builds_no_weight(self, monkeypatch):
         built = 0
         check = GlWeight.__post_init__
 
@@ -277,7 +328,8 @@ class TestTelescope:
         vb = telescope_bruteforce(a)
         monkeypatch.undo()
         assert vb == telescope_closed(a)
-        assert built == len(vb.items()) == 4
+        assert built == 0
+        assert len(vb.items()) == 4
 
     @given(
         st.integers(1, 6).flatmap(
@@ -291,6 +343,62 @@ class TestTelescope:
         # beyond the gate (g <= 5, entries in [-6,6]): the exchanged sums
         # against the same double sum taken branch by branch
         assert telescope_bruteforce(GlWeight(entries)) == _branch_first(entries)
+
+    def test_oracles_stay_independent(self, monkeypatch):
+        cases = [gw(7), gw(2, 0), gw(1, 1, 0), gw(3, 1, -1, -2), gw(4, 2, 2, 0, -3)]
+        expected = [telescope_closed(a) for a in cases]
+        wedges = [(mu, k) for mu in (gw(2, 1, 1, -1), gw(3, 0, 0)) for k in range(len(mu) + 1)]
+        wedge_expected = [wedge_dual_tensor(mu, k) for mu, k in wedges]
+
+        def refuse(*args):
+            raise AssertionError("an oracle called the route it checks")
+
+        for name in ("telescope_closed", "telescope_surgery", "straighten", "_deletions"):
+            monkeypatch.setattr(glbranch, name, refuse)
+        assert [telescope_bruteforce(a) for a in cases] == expected
+        monkeypatch.undo()
+        monkeypatch.setattr(glbranch, "_deletions", refuse)
+        assert [wedge_dual_tensor_straightened(mu, k) for mu, k in wedges] == wedge_expected
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5])
+    def test_the_counting_copy_is_the_oracle(self, g):
+        rng = random.Random(g)
+        for _ in range(20):
+            a = GlWeight(tuple(sorted((rng.randint(-5, 5) for _ in range(g)), reverse=True)))
+            assert _counted(a) == telescope_bruteforce(a), a
+
+    def test_the_counting_copy_passes_the_gate(self, monkeypatch):
+        assert _telescope_failures(monkeypatch, _counted) == {}
+
+    def test_dropped_dominance_filter_is_caught(self, monkeypatch):
+        def keep_all(a):
+            return _counted(a, keep_all=True)
+
+        # the bundle refuses the first non-dominant term (from g = 3 on) ...
+        monkeypatch.setattr(glbranch, "telescope_bruteforce", keep_all)
+        with pytest.raises(ValueError, match="not weakly decreasing"):
+            suites.verify_telescope()
+        # ... and with that refusal lifted the comparison fails on its own
+        monkeypatch.setattr(glbranch, "is_dominant", lambda v: True)
+        failed = _telescope_failures(monkeypatch, keep_all)
+        assert "telescope-exhaustive" in failed
+        assert failed["telescope-exhaustive"].startswith("a=W(")
+
+    def test_added_odd_tally_fails(self, monkeypatch):
+        failed = _telescope_failures(monkeypatch, lambda a: _counted(a, add_odd=True))
+        assert list(failed) == ["telescope-exhaustive", "telescope-random"]
+        assert all(cex.startswith("a=W(") for cex in failed.values())
+
+    def test_flipped_straighten_parity_fails_the_route_check(self, monkeypatch):
+        def flipped(v):
+            res = straighten(v)
+            return res and (-res[0], res[1])
+
+        monkeypatch.setattr(glbranch, "straighten", flipped)
+        report = suites.verify_telescope()
+        failed = {c.name: c.counterexample for c in report.failures()}
+        assert list(failed) == ["wedge-dual-route"]
+        assert failed["wedge-dual-route"].startswith("mu=W(")
 
     def test_telescope_random_fails_on_a_wrong_closed_form(self, monkeypatch):
         closed = glbranch.telescope_closed
@@ -312,25 +420,28 @@ class TestTelescope:
         vb = telescope_closed(a)
         assert len(list(vb.items())) <= len(entries)
         for wt, _ in vb.items():
-            assert is_dominant(wt.entries)
+            assert type(wt) is tuple and is_dominant(wt)
 
 
 class TestVirtualBundle:
     def test_genus_mismatch(self):
         with pytest.raises(ValueError):
-            VirtualBundle(2, [(gw(1), 1)])
+            VirtualBundle(2, [((1,), 1)])
         with pytest.raises(ValueError):
-            VirtualBundle(2, [(gw(1), 1), (gw(1), -1)])
+            VirtualBundle(2, [((1,), 1), ((1,), -1)])
 
     def test_render(self):
-        vb = VirtualBundle(1, [(gw(2), 1), (gw(-1), -2)])
+        vb = VirtualBundle(1, [((2,), 1), ((-1,), -2)])
         assert str(vb) == "-2*W(-1) + W(2)"
+        assert str(VirtualBundle(2)) == "0"
+        vb = VirtualBundle(2, [((3, -1), 1), ((0, 0), 3), ((2, 2), -1)])
+        assert str(vb) == "3*W(0,0) - W(2,2) + W(3,-1)"
 
     @given(
         st.integers(0, 3).flatmap(
             lambda g: st.tuples(st.just(g), st.lists(st.tuples(
                 st.lists(st.integers(-2, 2), min_size=g, max_size=g).map(
-                    lambda v: gw(*sorted(v, reverse=True))
+                    lambda v: tuple(sorted(v, reverse=True))
                 ),
                 st.integers(-3, 3),
             ), max_size=12))
@@ -351,4 +462,37 @@ class TestVirtualBundle:
 
     def test_a_dict_is_not_pairs(self):
         with pytest.raises(TypeError):
+            VirtualBundle(1, {(2,): 1, (-1,): -2})
+        with pytest.raises(TypeError):
+            VirtualBundle(2, {(2, 1): 1})
+        with pytest.raises(TypeError):
             VirtualBundle(1, {gw(2): 1, gw(-1): -2})
+
+    def test_a_weight_key_is_not_an_entry_tuple(self):
+        with pytest.raises(TypeError, match="not an entry tuple"):
+            VirtualBundle(1, [(gw(2), 1)])
+        with pytest.raises(TypeError):  # a list is not even hashable
+            VirtualBundle(2, [((2, 1), 1), ([1, 0], 1)])
+        with pytest.raises(TypeError, match="not an entry tuple"):
+            VirtualBundle(1, [(gw(2), 1), (gw(2), -1)])
+
+    def test_wrong_length_key(self):
+        with pytest.raises(ValueError, match="genus"):
+            VirtualBundle(3, [((2, 1), 1)])
+        with pytest.raises(ValueError, match="genus"):
+            VirtualBundle(0, [((2, 1), 1), ((2, 1), -1)])
+
+    def test_non_dominant_key(self):
+        with pytest.raises(ValueError, match="not weakly decreasing"):
+            VirtualBundle(2, [((0, 1), 1)])
+        # checked before the zero sums are dropped
+        with pytest.raises(ValueError, match="not weakly decreasing"):
+            VirtualBundle(2, [((2, 2), 1), ((0, 1), 1), ((0, 1), -1)])
+        with pytest.raises(ValueError, match="not weakly decreasing"):
+            VirtualBundle(3, [((1, 0, 0), 5), ((0, 0, 1), 0)])
+
+    def test_keys_are_the_sorted_entry_tuples(self):
+        vb = VirtualBundle(2, [((1, -1), 2), ((3, 0), -1), ((1, -1), -2), ((0, 0), 4)])
+        assert vb.items() == [((0, 0), 4), ((3, 0), -1)]
+        assert vb.scale(-2).items() == [((0, 0), -8), ((3, 0), 2)]
+        assert vb.scale(0).is_zero()
