@@ -113,9 +113,9 @@ def _render_table(g: int, lmax: int, format: str):
         # one record at a time
         metadata = json.dumps({"g": g, "lmax": lmax, "engine-version": __version__})
         records = (
-            json.dumps(
-                {"lambda": list(lam), **{key: expr.to_obj() for key, expr in row}}
-            )
+            '{"lambda": ' + str(list(lam))
+            + "".join([f', "{key}": {expr.render("json")}' for key, expr in row])
+            + "}"
             for lam, row in rows
         )
         return _chunks(records, 1, f'{{"metadata": {metadata}, "records": [', ", ", "]}\n")

@@ -11,7 +11,7 @@ import itertools
 from math import comb, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
-from .glbranch import GlWeight, dominant_entries, is_dominant, weight_text
+from .glbranch import GlWeight, is_dominant, weight_text
 from .motivering import ONE, MotiveExpr, Symbol, VerificationReport, cusp_dim
 from .weylcomb import (
     enumerate_final,
@@ -36,7 +36,7 @@ MAX_BOUNDARY_G = 14
 MAX_LAMBDA_ENTRY = 10**6
 # table: rank1 (g terms over length-g weights) on the even ones of the
 # C(lmax+g, g) weights in [0, lmax]^g: g^2 * C(lmax+g, g) steps, worst at
-# g = 3, lmax = 64 (0.6 s, 32 MB).  C alone would admit g = 14, lmax = 6
+# g = 3, lmax = 64 (0.3 s, 16 MB).  C alone would admit g = 14, lmax = 6
 # (18.9 s, 303 MB), and any g at lmax = 0.
 MAX_TABLE_LMAX = 64
 MAX_TABLE_WORK = 3**2 * comb(MAX_TABLE_LMAX + 3, 3)
@@ -62,9 +62,13 @@ def _check_sp_weight(lam: Sequence[int], g: int) -> tuple[int, ...]:
     return lam
 
 
-def admissible_weights(g: int, lmax: int) -> list[tuple[int, ...]]:
+def admissible_weights(g: int, lmax: int) -> Iterator[tuple[int, ...]]:
     """The dominant genus-g weights with entries in [0, lmax] and even
-    entry sum, in lexicographic order: the rows of a regression table."""
+    entry sum, in lexicographic order: the rows of a regression table.
+
+    g, lmax and the work bound are checked when this is called, so bad
+    arguments fail before the first weight; the weights themselves come
+    from a generator, one pass each."""
     if g < 1:
         raise ValueError("-g: genus must be >= 1")
     if not 0 <= lmax <= MAX_TABLE_LMAX:
@@ -74,7 +78,24 @@ def admissible_weights(g: int, lmax: int) -> list[tuple[int, ...]]:
         raise ValueError(
             f"-g/--lmax: need g^2*C(lmax+g, g) <= {MAX_TABLE_WORK}, got {work}"
         )
-    return sorted(lam for lam in dominant_entries(g, 0, lmax) if sum(lam) % 2 == 0)
+    return (lam for lam in _ascending_entries(g, lmax) if sum(lam) % 2 == 0)
+
+
+def _ascending_entries(g: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """The weakly decreasing length-g entry tuples with entries in
+    [0, hi], in ascending lexicographic order, made in that order: each
+    next tuple raises the last entry that stays at most its left
+    neighbour (or hi) and zeroes the entries after it."""
+    lam = [0] * g
+    while True:
+        yield tuple(lam)
+        i = g - 1
+        while i and lam[i] == lam[i - 1]:
+            i -= 1
+        if lam[i] == hi:  # i == 0: every entry is hi
+            return
+        lam[i] += 1
+        lam[i + 1:] = [0] * (g - 1 - i)
 
 
 def tau_prime(lam: Sequence[int], k: int) -> tuple[int, ...]:

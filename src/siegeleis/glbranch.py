@@ -139,7 +139,10 @@ class VirtualBundle:
                 parts.append(("- " if c < 0 else "+ ") + body)
         return " ".join(parts)
 
-    __repr__ = __str__
+    def __repr__(self):
+        if not hasattr(self, "_terms"):  # __init__ raised
+            return f"<{type(self).__name__}: not constructed>"
+        return str(self)
 
 
 def _deletions(v: tuple[int, ...], k: int) -> Iterable[tuple[int, ...]]:

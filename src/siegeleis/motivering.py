@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -41,39 +42,45 @@ def cusp_dim(k: int) -> int:
 _KIND_RANK = {"one": 0, "S": 1, "Ec": 2}
 
 
-@dataclass(frozen=True, slots=True)
-class Symbol:
+class Symbol(tuple):
     """The unit, a cusp-form motive S[k], or an Euler-characteristic
-    symbol Ec(g; lambda)."""
+    symbol Ec(g; lambda).
 
-    kind: str
-    k: int = 0
-    g: int = 0
-    lam: tuple[int, ...] = ()
-    _hash: int = field(init=False, repr=False, compare=False)
+    A Symbol is the tuple (kind rank, k, g, lambda, kind).  Its first four
+    entries are the term order, so tuple order is the order in which
+    terms print, and hashing and equality are tuple operations.  A Symbol
+    compares equal to, and hashes as, its plain tuple.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(self.lam))
-        if self.kind == "S":
-            if self.k < 2 or self.k % 2:
+    __slots__ = ()
+
+    def __new__(cls, kind: str, k: int = 0, g: int = 0, lam: Sequence[int] = ()):
+        lam = tuple(lam)
+        if kind == "S":
+            if k < 2 or k % 2:
                 raise ValueError("S[k] needs even k >= 2")
-        elif self.kind == "Ec":
-            if self.g < 0 or len(self.lam) != self.g:
+        elif kind == "Ec":
+            if g < 0 or len(lam) != g:
                 raise ValueError("Ec needs a length-g weight")
-            if not is_dominant(self.lam):
+            if not is_dominant(lam):
                 raise ValueError("Ec weight must be weakly decreasing")
-            if self.lam and self.lam[-1] < 0:
+            if lam and lam[-1] < 0:
                 raise ValueError("Ec weight must be nonnegative")
-        elif self.kind != "one":
-            raise ValueError(f"unknown symbol kind {self.kind!r}")
-        # every dict operation on a term key hashes its symbol
-        object.__setattr__(self, "_hash", hash((self.kind, self.k, self.g, self.lam)))
+        elif kind != "one":
+            raise ValueError(f"unknown symbol kind {kind!r}")
+        return tuple.__new__(cls, (_KIND_RANK[kind], k, g, lam, kind))
 
-    def __hash__(self):
-        return self._hash
+    k = property(operator.itemgetter(1))
+    g = property(operator.itemgetter(2))
+    lam = property(operator.itemgetter(3))
+    kind = property(operator.itemgetter(4))
 
-    def sort_key(self):
-        return (_KIND_RANK[self.kind], self.k, self.g, self.lam)
+    def __getnewargs__(self):
+        # copy and pickle rebuild a Symbol through __new__
+        return self.kind, self.k, self.g, self.lam
+
+    def __repr__(self):
+        return f"Symbol(kind={self.kind!r}, k={self.k!r}, g={self.g!r}, lam={self.lam!r})"
 
     def __str__(self):
         if self.kind == "one":
@@ -107,13 +114,17 @@ class MotiveExpr:
 
     def __init__(self, terms: Iterable[tuple] = ()):
         """From ((symbol, L-exponent), coeff) pairs; repeated keys are
-        summed and zero sums dropped.  A dict is not pairs: unpacking its
-        keys makes it raise TypeError."""
+        summed and zero sums dropped.  A dict is not pairs: TypeError."""
+        if isinstance(terms, dict):
+            raise TypeError(
+                "MotiveExpr takes ((symbol, L-exponent), coeff) pairs, not a mapping"
+            )
         acc: dict[tuple[Symbol, int], int] = {}
         for key, c in terms:
-            sym, exp = key  # from a dict, key is a bare Symbol: TypeError
             acc[key] = acc.get(key, 0) + c
-        self._terms = {k: c for k, c in acc.items() if c}
+        if 0 in acc.values():  # a scan in C: most sums drop nothing
+            acc = {k: c for k, c in acc.items() if c}
+        self._terms = acc
 
     # -- constructors ------------------------------------------------
     @staticmethod
@@ -138,9 +149,9 @@ class MotiveExpr:
 
     # -- ring structure ----------------------------------------------
     def items(self):
-        return sorted(
-            self._terms.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1])
-        )
+        """The ((symbol, L-exponent), coeff) pairs in term order: by symbol,
+        then exponent, which is the order of the tuple keys themselves."""
+        return sorted(self._terms.items())
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -191,7 +202,8 @@ class MotiveExpr:
         """
         # one rewrite per distinct symbol, so the terms carrying Ec(1;(k))
         # share one S[k+2]
-        rules = {sym: _rewrite(sym, expand_genus_one) for sym, _ in self._terms}
+        symbols = {sym for sym, _ in self._terms}
+        rules = {sym: _rewrite(sym, expand_genus_one) for sym in symbols}
         return MotiveExpr(
             ((s, a + shift), sign * c)
             for (sym, a), c in self._terms.items()
@@ -226,7 +238,8 @@ class MotiveExpr:
     # -- rendering ----------------------------------------------------
     def render(self, format: str = "text") -> str:
         if format == "json":
-            return json.dumps(self.to_obj())
+            # the bytes json.dumps(self.to_obj()) gives
+            return "[" + ", ".join(map(_term_json, self.items())) + "]"
         if format != "text":
             raise ValueError(f"unknown format {format!r}")
         if self.is_zero():
@@ -243,9 +256,14 @@ class MotiveExpr:
     def __str__(self):
         return self.render()
 
-    __repr__ = __str__
+    def __repr__(self):
+        if not hasattr(self, "_terms"):  # __init__ raised
+            return f"<{type(self).__name__}: not constructed>"
+        return self.render()
 
     def to_obj(self) -> list[dict]:
+        """The terms as JSON-ready records; `render("json")` writes the
+        same records directly."""
         out = []
         for (sym, a), c in self.items():
             rec: dict = {"coeff": c, "Lexp": a}
@@ -269,18 +287,39 @@ class MotiveExpr:
         )
 
 
+def _term_json(item) -> str:
+    """One `to_obj` record as the bytes json.dumps gives for it: ints and
+    the fixed keys need no escaping, and a list of ints prints as JSON."""
+    (sym, a), c = item
+    kind = sym.kind
+    if kind == "one":
+        body = '{"type": "one"}'
+    elif kind == "S":
+        body = f'{{"type": "S", "k": {sym.k}}}'
+    else:
+        body = f'{{"type": "Ec", "g": {sym.g}, "lambda": {str(list(sym.lam))}}}'
+    return f'{{"coeff": {c}, "Lexp": {a}, "symbol": {body}}}'
+
+
 def _rewrite(sym: Symbol, expand_genus_one: bool):
     """The normal form of sym, as (symbol, L-shift, sign) triples whose
     symbols no rule applies to; sym itself when it is already normal."""
-    if sym.kind == "Ec":
+    kind = sym.kind
+    if kind == "Ec":
         if sym.g == 0:
             return ((ONE, 0, 1),)
         if sum(sym.lam) % 2:
             return ()
         if expand_genus_one and sym.g == 1:
-            cusp = _rewrite(Symbol("S", k=sym.lam[0] + 2), True)
-            return tuple((s, a, -c) for s, a, c in cusp) + ((ONE, 0, -1),)
-    elif sym.kind == "S" and expand_genus_one:
+            # Eichler-Shimura, Ec(1;(k)) -> -S[k+2] - 1, with S[k+2] taken
+            # to its own normal form: -(-L - 1) - 1 = L for k = 0
+            k = sym.lam[0]
+            if k == 0:
+                return ((ONE, 1, 1),)
+            if cusp_dim(k + 2) == 0:
+                return ((ONE, 0, -1),)
+            return ((Symbol("S", k=k + 2), 0, -1), (ONE, 0, -1))
+    elif kind == "S" and expand_genus_one:
         if sym.k == 2:
             return ((ONE, 1, -1), (ONE, 0, -1))
         if cusp_dim(sym.k) == 0:

@@ -250,9 +250,9 @@ def verify_g2(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
         "total-g2-ground-truth", "(l,m)=(0,0)", [base],
         lambda b: None if b == expected else b.render(),
     )
-    grid = eiscalc.admissible_weights(2, G2_LMAX)
     report.check(
-        "consistency-grid", f"0 <= m <= l <= {G2_LMAX}", grid,
+        "consistency-grid", f"0 <= m <= l <= {G2_LMAX}",
+        eiscalc.admissible_weights(2, G2_LMAX),
         lambda lm: _failures(eiscalc.consistency_g2(*lm), f"(l,m)=({lm[0]},{lm[1]})"),
     )
 
@@ -261,7 +261,10 @@ def verify_g2(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
         filts = sorted(t.filtration for t in eiscalc.bgg_complex(2, lm))
         if filts != sorted([0, m + 1, l + 2, l + m + 3]):
             return f"(l,m)=({l},{m}), filtrations={filts}"
-    report.check("filtration-exponents", f"grid up to {G2_LMAX}", grid, filtrations)
+    report.check(
+        "filtration-exponents", f"grid up to {G2_LMAX}",
+        eiscalc.admissible_weights(2, G2_LMAX), filtrations,
+    )
 
     table = {12: 1, 16: 1, 18: 1, 20: 1, 22: 1, 24: 2, 26: 1, 2: -1,
              4: 0, 6: 0, 8: 0, 10: 0, 14: 0}

@@ -1,3 +1,4 @@
+import cProfile
 import gc
 import hashlib
 import json
@@ -8,6 +9,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -392,6 +394,35 @@ class TestTable:
         )
         assert code == 2 and err.startswith("error: -o/--output: cannot write ")
 
+    def test_renders_are_history_free(self):
+        # The benchmark's self-test compares call counts taken in process,
+        # after earlier runs, with those of a fresh process, so a render
+        # must do the same work whatever ran before it in the process.
+        # cProfile counts the Python functions themselves, so a memo
+        # wrapped around one (functools.cache, say) shows as fewer calls.
+        def render(g):
+            prof = cProfile.Profile()
+            prof.enable()
+            try:
+                out = "".join(cli._render_table(g, 12, "json"))
+            finally:
+                prof.disable()
+            calls = Counter()
+            for entry in prof.getstats():
+                code = entry.code
+                if not isinstance(code, str) and "siegeleis" in code.co_filename:
+                    path = os.path.basename(code.co_filename)
+                    calls[path, code.co_name, code.co_firstlineno] += entry.callcount
+            return out, calls
+
+        first = render(2)
+        render(3)
+        second = render(2)
+        assert first == second
+        ran = {(path, name) for path, name, _ in first[1]}
+        # MotiveExpr.__init__ is the only __init__ in motivering.py
+        assert {("motivering.py", "__init__"), ("motivering.py", "_rewrite")} <= ran
+
 
 class TestVerify:
     def test_weyl_suite(self):
@@ -708,11 +739,11 @@ class TestSizeLimits:
     def test_table_limit(self, monkeypatch, g, lmax, ok):
         calls = []
         monkeypatch.setattr(
-            eiscalc, "dominant_entries", lambda *args: calls.append(args) or []
+            eiscalc, "_ascending_entries", lambda *args: calls.append(args) or []
         )
         code, out, err = run(["table", "-g", str(g), "--lmax", str(lmax)])
         if ok:
-            assert code == 0 and err == "" and calls == [(g, 0, lmax)]
+            assert code == 0 and err == "" and calls == [(g, lmax)]
         else:
             assert (code, out, calls) == (2, "", [])
             assert err.startswith("error: -g/--lmax: need g^2*C(lmax+g, g) <= 431145")

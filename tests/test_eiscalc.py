@@ -23,7 +23,7 @@ from siegeleis.eiscalc import (
     total_g2_alt,
     verify_partition,
 )
-from siegeleis.glbranch import GlWeight
+from siegeleis.glbranch import GlWeight, dominant_entries
 from siegeleis.motivering import MotiveExpr, cusp_dim
 from siegeleis.weylcomb import (
     WeylElement,
@@ -749,7 +749,7 @@ class TestGenus2OnePass:
     @staticmethod
     def weights(fn):
         # every (l, m) the formula accepts up to the table's lmax
-        lms = admissible_weights(2, 64)
+        lms = list(admissible_weights(2, 64))
         return [(l, m) for l, m in lms if l > m > 0] if fn is kernel_g2 else lms
 
     @pytest.mark.parametrize("fn, chained", CHAINED, ids=lambda f: f.__name__)
@@ -911,5 +911,14 @@ class TestWeightLayer:
             combos = itertools.combinations_with_replacement(range(lmax + 1), g)
             return sorted(tuple(reversed(c)) for c in combos if sum(c) % 2 == 0)
 
-        for lmax in range(9):
-            assert eiscalc.admissible_weights(g, lmax) == table_weights(g, lmax)
+        # the sorted list admissible_weights returned before it streamed
+        def sorted_weights(g, lmax):
+            return sorted(
+                lam for lam in dominant_entries(g, 0, lmax) if sum(lam) % 2 == 0
+            )
+
+        for lmax in range(13):
+            weights = eiscalc.admissible_weights(g, lmax)
+            assert iter(weights) is weights  # a stream, not a list
+            expected = table_weights(g, lmax)
+            assert list(weights) == expected == sorted_weights(g, lmax)

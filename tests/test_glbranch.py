@@ -476,6 +476,14 @@ class TestVirtualBundle:
         with pytest.raises(TypeError, match="not an entry tuple"):
             VirtualBundle(1, [(gw(2), 1), (gw(2), -1)])
 
+    def test_repr_after_a_failed_init(self):
+        # pytest shows the locals of a failing test through repr
+        vb = VirtualBundle.__new__(VirtualBundle)
+        with pytest.raises(ValueError):
+            vb.__init__(2, [((0, 1), 1)])
+        assert repr(vb) == "<VirtualBundle: not constructed>"
+        assert repr(VirtualBundle(2, [((1, 0), -2)])) == "-2*W(1,0)"
+
     def test_wrong_length_key(self):
         with pytest.raises(ValueError, match="genus"):
             VirtualBundle(3, [((2, 1), 1)])

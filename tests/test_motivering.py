@@ -1,8 +1,10 @@
+import copy
 import json
+import pickle
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from siegeleis.motivering import (
@@ -226,17 +228,66 @@ class TestRingProperties:
 
 symbols = st.one_of(
     st.just(ONE),
-    st.integers(1, 20).map(lambda h: Symbol("S", k=2 * h)),
-    st.integers(0, 3).flatmap(
-        lambda g: st.lists(st.integers(0, 9), min_size=g, max_size=g).map(
+    st.integers(1, 30).map(lambda h: Symbol("S", k=2 * h)),
+    st.integers(0, 4).flatmap(
+        lambda g: st.lists(st.integers(0, 30), min_size=g, max_size=g).map(
             lambda lam: Symbol("Ec", g=g, lam=tuple(sorted(lam, reverse=True)))
         )
     ),
 )
 exprs = st.lists(
-    st.tuples(symbols, st.integers(-6, 6), st.integers(-4, 4)), max_size=6
+    st.tuples(symbols, st.integers(-20, 20), st.integers(-50, 50)), max_size=8
 ).map(lambda terms: sum((MotiveExpr([((s, a), c)]) for s, a, c in terms), MotiveExpr()))
 
+
+def old_sort_key(sym):
+    """The term order before a Symbol was its own sort key."""
+    return ({"one": 0, "S": 1, "Ec": 2}[sym.kind], sym.k, sym.g, sym.lam)
+
+
+class TestSymbolTuple:
+    @given(st.lists(symbols, max_size=12))
+    def test_tuple_order_is_the_term_order(self, syms):
+        assert sorted(syms) == sorted(syms, key=old_sort_key)
+
+    @given(exprs)
+    def test_items_in_the_old_order(self, x):
+        keys = [key for key, _ in x.items()]
+        assert keys == sorted(keys, key=lambda key: (old_sort_key(key[0]), key[1]))
+
+    @given(symbols)
+    def test_equal_to_its_plain_tuple(self, sym):
+        plain = tuple(sym)
+        assert sym == plain and hash(sym) == hash(plain)
+        assert plain == (old_sort_key(sym)[0], sym.k, sym.g, sym.lam, sym.kind)
+
+    @given(symbols)
+    def test_copies_are_symbols(self, sym):
+        for twin in (copy.copy(sym), copy.deepcopy(sym), pickle.loads(pickle.dumps(sym))):
+            assert type(twin) is Symbol and twin == sym
+            assert (twin.kind, twin.k, twin.g, twin.lam) == (sym.kind, sym.k, sym.g, sym.lam)
+
+    def test_repr(self):
+        assert repr(Symbol("Ec", g=2, lam=[3, 1])) == (
+            "Symbol(kind='Ec', k=0, g=2, lam=(3, 1))"
+        )
+        assert repr(ONE) == "Symbol(kind='one', k=0, g=0, lam=())"
+
+
+class TestJsonWriter:
+    @given(exprs)
+    @example(S(12) * L(-4) * 3 - Ec(3, (10, 4, 2)) * 17 + Ec(2, (2, 0)) * L(-1) + one() * -2)
+    @example(MotiveExpr.zero())
+    def test_matches_json_dumps_of_to_obj(self, x):
+        assert x.render("json") == json.dumps(x.to_obj())
+
+    def test_repr_after_a_failed_init(self):
+        # pytest shows the locals of a failing test through repr
+        x = MotiveExpr.__new__(MotiveExpr)
+        with pytest.raises(TypeError):
+            x.__init__({(ONE, 0): 1})
+        assert repr(x) == "<MotiveExpr: not constructed>"
+        assert repr(one() - L(2)) == "1 - L^2"
 
 
 
@@ -280,6 +331,7 @@ class TestSummingConstructor:
         assert twin == sym and twin is not sym
         assert hash(twin) == hash(sym)
         assert {(sym, 0): 1}[(twin, 0)] == 1
+        assert type(twin.lam) is tuple
 
     @given(exprs)
     def test_normalize_reaches_a_fixed_point(self, x):
