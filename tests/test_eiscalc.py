@@ -920,5 +920,4 @@ class TestWeightLayer:
         for lmax in range(13):
             weights = eiscalc.admissible_weights(g, lmax)
             assert iter(weights) is weights  # a stream, not a list
-            expected = table_weights(g, lmax)
-            assert list(weights) == expected == sorted_weights(g, lmax)
+            assert list(weights) == table_weights(g, lmax) == sorted_weights(g, lmax)

@@ -290,7 +290,6 @@ class TestJsonWriter:
         assert repr(one() - L(2)) == "1 - L^2"
 
 
-
 def with_cancellations(pairs):
     """The pairs with a negated copy of some of them appended, so that
     exact cancellations occur; draws (pairs, flags)."""
