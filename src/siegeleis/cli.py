@@ -62,17 +62,11 @@ def _build_parser() -> _Parser:
     add_format(sp)
 
     sp = sub.add_parser("verify", help="run verification suites")
-    sp.add_argument(
-        "--suite",
-        choices=("all", *suites.SUITES),
-        default="all",
-    )
-    sp.add_argument("--max-g", type=int, default=4)
-    sp.add_argument("--max-entry", type=int, default=6)
-    sp.add_argument(
-        "--timings", action="store_true",
-        help="write each check's case count and seconds to stderr",
-    )
+    sp.add_argument("--suite", choices=("all", *suites.SUITES), default="all")
+    sp.add_argument("--max-g", type=int, default=suites.DEFAULT_MAX_G)
+    sp.add_argument("--max-entry", type=int, default=suites.DEFAULT_MAX_ENTRY)
+    sp.add_argument("--timings", action="store_true",
+                    help="write each check's case count and seconds to stderr")
     add_format(sp)
     return p
 

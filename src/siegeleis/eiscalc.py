@@ -11,7 +11,7 @@ import itertools
 from math import comb, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
-from .glbranch import GlWeight, is_dominant, weight_text
+from .glbranch import dominant_entries, is_dominant, weight_text
 from .motivering import ONE, MotiveExpr, Symbol, VerificationReport, cusp_dim
 from .weylcomb import (
     enumerate_final,
@@ -64,11 +64,9 @@ def _check_sp_weight(lam: Sequence[int], g: int) -> tuple[int, ...]:
 
 def admissible_weights(g: int, lmax: int) -> Iterator[tuple[int, ...]]:
     """The dominant genus-g weights with entries in [0, lmax] and even
-    entry sum, in lexicographic order: the rows of a regression table.
-
-    g, lmax and the work bound are checked when this is called, so bad
-    arguments fail before the first weight; the weights themselves come
-    from a generator, one pass each."""
+    entry sum, in lexicographic order (`dominant_entries`): the rows of a
+    regression table.  g, lmax and the work bound are checked when this is
+    called, so bad arguments fail before the first weight is made."""
     if g < 1:
         raise ValueError("-g: genus must be >= 1")
     if not 0 <= lmax <= MAX_TABLE_LMAX:
@@ -78,24 +76,7 @@ def admissible_weights(g: int, lmax: int) -> Iterator[tuple[int, ...]]:
         raise ValueError(
             f"-g/--lmax: need g^2*C(lmax+g, g) <= {MAX_TABLE_WORK}, got {work}"
         )
-    return (lam for lam in _ascending_entries(g, lmax) if sum(lam) % 2 == 0)
-
-
-def _ascending_entries(g: int, hi: int) -> Iterator[tuple[int, ...]]:
-    """The weakly decreasing length-g entry tuples with entries in
-    [0, hi], in ascending lexicographic order, made in that order: each
-    next tuple raises the last entry that stays at most its left
-    neighbour (or hi) and zeroes the entries after it."""
-    lam = [0] * g
-    while True:
-        yield tuple(lam)
-        i = g - 1
-        while i and lam[i] == lam[i - 1]:
-            i -= 1
-        if lam[i] == hi:  # i == 0: every entry is hi
-            return
-        lam[i] += 1
-        lam[i + 1:] = [0] * (g - 1 - i)
+    return (lam for lam in dominant_entries(g, 0, lmax) if sum(lam) % 2 == 0)
 
 
 def tau_prime(lam: Sequence[int], k: int) -> tuple[int, ...]:
@@ -119,20 +100,29 @@ class BggTerm(NamedTuple):
 
 def bgg_complex(g: int, lam: Sequence[int]) -> list[BggTerm]:
     """One term per final element: dual-side weight, degree, filtration,
-    sorted by degree and then weight."""
+    sorted by degree and then weight, which a stable sort of the masks by
+    degree alone gives.  v = lam + rho is strictly decreasing and positive,
+    so each entry of w(v) is +v_i or -v_i, and two such entries compare by
+    (sign, index) alone.  The weight order of the final elements is thus
+    the same for every lam; at lam = 0 it is the mask order within a degree
+    (tested for every g <= MAX_BGG_G)."""
     if g > MAX_BGG_G:
         raise ValueError(f"-g: bgg needs g <= {MAX_BGG_G}, got {g}")
     lam = _check_sp_weight(lam, g)
-    return sorted(_bgg_terms(g, lam), key=lambda t: (t.degree, t.mu))
+    return sorted(_bgg_terms(g, lam), key=lambda t: t.degree)
 
 
 def _bgg_terms(g: int, lam: tuple[int, ...]) -> Iterator[BggTerm]:
     """The BGG terms in flip-mask order, for lam already checked.  The dot
     action and the length are bit operations on the mask (`flip_dot_action`,
-    `flip_length`); the dual is a validated `GlWeight`."""
+    `flip_length`); the dot action is checked for dominance once, and mu,
+    its dual, is dominant with it."""
     total = sum(lam)
     for mask in range(1 << g):
-        mu = GlWeight(flip_dot_action(mask, lam)).dual().entries
+        acted = flip_dot_action(mask, lam)
+        if not is_dominant(acted):
+            raise ValueError(f"weight {acted} is not weakly decreasing")
+        mu = tuple(-x for x in reversed(acted))
         num = total + sum(mu)
         assert num % 2 == 0
         yield BggTerm(mask, mu, flip_length(mask), num // 2)
@@ -163,17 +153,18 @@ def iter_boundary_terms(g: int, lam: Sequence[int]) -> Iterator[BoundaryTerm]:
 
     The genus bound and lam are checked when this is called, so a bad
     input fails before the first term; the terms themselves come from a
-    generator.  Each final w is handled through its flip mask F, which is
-    its index in `enumerate_final`, and arrives as its BGG term
-    (`_bgg_terms`): the term's `mu` is telescoped once into its g weights,
-    one per position, and its degree gives the signs.  One pass over the
-    mask (`flip_restrictions`) gives each k its side, its position and
-    the mask of the restriction; the positions of k = 1, ..., g are
-    1, ..., g once each (the dichotomy-position-bijection invariant), so
-    each term takes the telescope weight at its own position.  A term
-    carries the masks of w and u, not the elements.  Each term's weight
-    is an entry tuple whose dominance is checked as the term is made.
-    The GL(1,Z) parity filter, `parity_pass`, is read from the weight.
+    generator.  Each final w arrives as its BGG term (`_bgg_terms`), by
+    its flip mask, its index in `enumerate_final`: the term's `mu` is
+    telescoped once into its g weights, one per position, and its degree
+    gives the signs.  One pass over the mask (`flip_restrictions`) gives
+    each k its side, its position and the mask of the restriction; the
+    positions of k = 1, ..., g are 1, ..., g once each (the
+    dichotomy-position-bijection invariant), so each term takes the
+    telescope weight at its own position.  That weight, a[:l-1] +
+    (a[l:] - 1) for the mu = a that `_bgg_terms` has checked, is dominant
+    with no check of its own (the surgery lemma): a_(l-1) >= a_l >=
+    a_(l+1) > a_(l+1) - 1.  The GL(1,Z) parity filter, `parity_pass`, is
+    read from the weight.
 
     The terms come in one contiguous block per w, the blocks in
     `enumerate_final` order, each with k = 1, ..., g ascending;
@@ -201,12 +192,8 @@ def _generate_boundary(g: int, lam: tuple[int, ...]) -> Iterator[BoundaryTerm]:
         ]
         for k, twist, (side, pos, u) in zip(ks, twists, flip_restrictions(mask, g)):
             weight, sign = telescope[pos - 1]
-            if not is_dominant(weight):
-                raise ValueError(f"weight {weight} is not weakly decreasing")
-            yield new_term(
-                BoundaryTerm,
-                (mask, k, side, u, weight, sign, 0 if side == "A" else twist),
-            )
+            fields = (mask, k, side, u, weight, sign, 0 if side == "A" else twist)
+            yield new_term(BoundaryTerm, fields)
 
 
 def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
@@ -261,20 +248,18 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
     blocks = itertools.zip_longest(heads, itertools.groupby(terms, key=lambda t: t.w))
     report.check("dichotomy-bijection", detail, blocks, dichotomy)
 
-    # (ii) weight identity against the restricted dot action, which
-    # depends only on (u, k): each pair's expected weight is built once
-    expected_by: dict[tuple[int, int], GlWeight] = {}
+    # (ii) weight identity against the dual of the restricted dot action,
+    # which depends only on (u, k): each pair's expected weight is made once
+    expected_by: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def weight_identity(t):
         expected = expected_by.get((t.u, t.k))
         if expected is None:
-            expected = GlWeight(restricted[t.u].dot_action(surgered[t.k])).dual()
-            expected_by[t.u, t.k] = expected
-        if t.weight != expected.entries:
-            # not str(GlWeight(t.weight)): a bad term's weight need not
-            # be dominant
-            got = weight_text(t.weight)
-            return f"w={finals[t.w]}, k={t.k}: {got} != {expected}"
+            acted = restricted[t.u].dot_action(surgered[t.k])
+            expected = expected_by[t.u, t.k] = tuple(-x for x in reversed(acted))
+        if t.weight != expected:
+            got, want = weight_text(t.weight), weight_text(expected)
+            return f"w={finals[t.w]}, k={t.k}: {got} != {want}"
     report.check("weight-identity", detail, terms, weight_identity)
 
     # (iii)+(iv) sign constancy per (k, side)

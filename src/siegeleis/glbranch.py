@@ -12,7 +12,7 @@ import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def is_dominant(v: Sequence[int]) -> bool:
@@ -233,11 +233,24 @@ def telescope_bruteforce(a: GlWeight) -> VirtualBundle:
     return VirtualBundle(g - 1, ((v, c) for v, c in even.items() if c and is_dominant(v)))
 
 
-def dominant_entries(g: int, lo: int, hi: int) -> Iterable[tuple[int, ...]]:
-    """Entry tuples of all dominant length-g weights with entries in [lo, hi]."""
-    return itertools.combinations_with_replacement(range(hi, lo - 1, -1), g)
+def dominant_entries(g: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:
+    """The one weight enumerator: the dominant length-g entry tuples in [lo, hi]
+    (g = 0: () alone) in ascending lexicographic order, each next one raising
+    the last entry below its left neighbour (or hi), the later ones set to lo."""
+    if g and lo > hi:
+        return
+    v = [hi] + [lo] * g  # v[0] is a sentinel left neighbour for the entries
+    while True:
+        yield tuple(v[1:])
+        i = g
+        while i and v[i] == v[i - 1]:
+            i -= 1
+        if not i:  # every entry is hi
+            return
+        v[i] += 1
+        v[i + 1:] = [lo] * (g - i)
 
 
 def dominant_weights(g: int, lo: int, hi: int) -> Iterable[GlWeight]:
-    """All dominant length-g weights with entries in [lo, hi]."""
+    """`dominant_entries` as validated weights, in the same order."""
     return map(GlWeight, dominant_entries(g, lo, hi))

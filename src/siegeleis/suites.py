@@ -13,7 +13,7 @@ import itertools
 import random
 
 from . import eiscalc, glbranch, weylcomb
-from .glbranch import GlWeight, dominant_weights
+from .glbranch import GlWeight, dominant_entries, dominant_weights
 from .motivering import MotiveExpr, VerificationReport, cusp_dim
 
 G3_TABLE = [
@@ -29,6 +29,8 @@ G3_TABLE = [
 ]
 
 
+# the suite sizes at the default --max-g and --max-entry of `verify`
+DEFAULT_MAX_G, DEFAULT_MAX_ENTRY = 4, 6
 # the (l, m) grid bound of the genus-2 suites
 G2_LMAX = 20
 _NEEDS_G2 = "--max-g {} admits no g >= 2; needs --max-g >= 2"
@@ -45,9 +47,10 @@ def check_sizes(max_g: int, max_entry: int) -> None:
 
 
 def _failures(sub: VerificationReport, where: str) -> str | None:
-    """None if the sub-report passed, else `where` with its failed checks."""
+    """None if sub passed, else `where`, each failed check and its counterexample."""
     if not sub.passed:
-        return f"{where}: " + "; ".join(c.name for c in sub.failures())
+        failed = (f"{c.name} ({c.counterexample})" for c in sub.failures())
+        return f"{where}: " + "; ".join(failed)
 
 
 def _telescope_agrees(a: GlWeight) -> str | None:
@@ -55,7 +58,8 @@ def _telescope_agrees(a: GlWeight) -> str | None:
         return f"a={a}"
 
 
-def verify_weyl(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
+def verify_weyl(max_g: int = DEFAULT_MAX_G,
+                max_entry: int = DEFAULT_MAX_ENTRY) -> VerificationReport:
     report = VerificationReport()
     gs = range(1, max_g + 1)
 
@@ -139,7 +143,8 @@ def verify_weyl(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
     return report
 
 
-def verify_telescope(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
+def verify_telescope(max_g: int = DEFAULT_MAX_G,
+                     max_entry: int = DEFAULT_MAX_ENTRY) -> VerificationReport:
     report = VerificationReport()
     g_max = min(max_g, 3)
     report.check(
@@ -201,7 +206,8 @@ def verify_telescope(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
     return report
 
 
-def verify_partition_suite(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
+def verify_partition_suite(max_g: int = DEFAULT_MAX_G,
+                           max_entry: int = DEFAULT_MAX_ENTRY) -> VerificationReport:
     report = VerificationReport()
     e = min(max_entry, 4)
     gs = range(2, min(max_g, 4) + 1)
@@ -210,10 +216,8 @@ def verify_partition_suite(max_g: int = 4, max_entry: int = 6) -> VerificationRe
         report.check("partition-identity", "", gs, None, empty=_NEEDS_G2.format(max_g))
     for g in gs:
         report.check(
-            f"partition-identity-g{g}", f"entries <= {e}", dominant_weights(g, 0, e),
-            lambda wt: _failures(
-                eiscalc.verify_partition(len(wt), wt.entries), f"lambda={wt.entries}"
-            ),
+            f"partition-identity-g{g}", f"entries <= {e}", dominant_entries(g, 0, e),
+            lambda lam: _failures(eiscalc.verify_partition(len(lam), lam), f"lambda={lam}"),
         )
 
     # reindexing completeness: per w, the boundary terms are exactly the
@@ -231,13 +235,14 @@ def verify_partition_suite(max_g: int = 4, max_entry: int = 6) -> VerificationRe
     g_max = min(max_g, 5)
     report.check(
         "reindexing-completeness", f"g <= {g_max}",
-        (wt.entries for g in range(2, g_max + 1) for wt in dominant_weights(g, 0, e)),
+        (lam for g in range(2, g_max + 1) for lam in dominant_entries(g, 0, e)),
         reindexes, empty=_NEEDS_G2.format(max_g),
     )
     return report
 
 
-def verify_g2(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
+def verify_g2(max_g: int = DEFAULT_MAX_G,
+              max_entry: int = DEFAULT_MAX_ENTRY) -> VerificationReport:
     report = VerificationReport()
     base = eiscalc.total_g2(0, 0)
     expected = (
@@ -275,7 +280,8 @@ def verify_g2(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
     return report
 
 
-def verify_duality(max_g: int = 4, max_entry: int = 6) -> VerificationReport:
+def verify_duality(max_g: int = DEFAULT_MAX_G,
+                   max_entry: int = DEFAULT_MAX_ENTRY) -> VerificationReport:
     report = VerificationReport()
 
     def rank1_dual(k):
@@ -300,7 +306,8 @@ SUITES = {
 }
 
 
-def run_suite(name: str, max_g: int = 4, max_entry: int = 6) -> VerificationReport:
+def run_suite(name: str, max_g: int = DEFAULT_MAX_G,
+              max_entry: int = DEFAULT_MAX_ENTRY) -> VerificationReport:
     """Run one suite by name, or all of them; sizes and name are checked
     before any suite starts, and errors name the CLI flag."""
     check_sizes(max_g, max_entry)

@@ -532,6 +532,49 @@ class TestVerify:
         }
         assert all("[counterexample: " in ln for ln in failed)
 
+    def test_a_failed_sub_check_shows_its_counterexample(self, monkeypatch):
+        # one corrupted boundary term at lambda = (3, 1, 0): the FAIL line of
+        # the nested check names each failed sub-check of verify_partition
+        # with that sub-check's own counterexample
+        real = eiscalc.boundary_terms
+
+        def corrupt_last(g, lam):
+            terms = real(g, lam)
+            if tuple(lam) != (3, 1, 0):
+                return terms
+            return terms[:-1] + [terms[-1]._replace(weight=(8, 5))]
+
+        monkeypatch.setattr(eiscalc, "boundary_terms", corrupt_last)
+        code, out, _ = run(["verify", "--suite", "partition", "--max-g", "3"])
+        assert code == 1
+        (line,) = [ln for ln in out.splitlines() if "partition-identity-g3" in ln]
+        assert line == (
+            "FAIL partition-identity-g3: entries <= 4 [counterexample: "
+            "lambda=(3, 1, 0): weight-identity (w=[456], k=3: W(8,5) != W(7,5)); "
+            "parity-filter (w=[456], k=3)]"
+        )
+
+    def test_a_failed_g2_identity_shows_its_counterexample(self, monkeypatch):
+        monkeypatch.setattr(eiscalc, "kernel_g2", lambda l, m: MotiveExpr.zero())
+        code, out, _ = run(["verify", "--suite", "g2"])
+        assert code == 1
+        (line,) = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+        assert line == (
+            "FAIL consistency-grid: 0 <= m <= l <= 20 [counterexample: "
+            "(l,m)=(4,2): kernel-is-minus-low-part (0 != 1)]"
+        )
+
+    def test_suite_sizes_default_in_one_place(self, monkeypatch):
+        # the suites, run_suite and the verify parser share the defaults
+        defaults = (suites.DEFAULT_MAX_G, suites.DEFAULT_MAX_ENTRY)
+        assert defaults == (4, 6)
+        for fn in (*suites.SUITES.values(), suites.run_suite):
+            assert fn.__defaults__ == defaults, fn.__name__
+        seen = stub_suites(monkeypatch)
+        assert run(["verify"])[0] == 0
+        suites.run_suite("all")
+        assert seen == [defaults] * 2 * len(suites.SUITES)
+
     def test_suites_catch_a_misread_dot_action(self, monkeypatch):
         # the BGG and boundary terms take each w's dot action from its flip
         # mask; reading the neighbouring mask's must fail the gate
@@ -653,6 +696,7 @@ class TestZeroCaseChecks:
 
     def test_checks_fail_when_their_case_source_is_empty(self, monkeypatch):
         monkeypatch.setattr(suites, "dominant_weights", lambda *args: iter(()))
+        monkeypatch.setattr(suites, "dominant_entries", lambda *args: iter(()))
         monkeypatch.setattr(eiscalc, "admissible_weights", lambda *args: iter(()))
         code, out, _ = run(["verify"])
         assert code == 1
@@ -739,11 +783,11 @@ class TestSizeLimits:
     def test_table_limit(self, monkeypatch, g, lmax, ok):
         calls = []
         monkeypatch.setattr(
-            eiscalc, "_ascending_entries", lambda *args: calls.append(args) or []
+            eiscalc, "dominant_entries", lambda *args: calls.append(args) or []
         )
         code, out, err = run(["table", "-g", str(g), "--lmax", str(lmax)])
         if ok:
-            assert code == 0 and err == "" and calls == [(g, lmax)]
+            assert code == 0 and err == "" and calls == [(g, 0, lmax)]
         else:
             assert (code, out, calls) == (2, "", [])
             assert err.startswith("error: -g/--lmax: need g^2*C(lmax+g, g) <= 431145")

@@ -23,12 +23,13 @@ from siegeleis.eiscalc import (
     total_g2_alt,
     verify_partition,
 )
-from siegeleis.glbranch import GlWeight, dominant_entries
+from siegeleis.glbranch import GlWeight, is_dominant, telescope_surgery
 from siegeleis.motivering import MotiveExpr, cusp_dim
 from siegeleis.weylcomb import (
     WeylElement,
     enumerate_final,
     final_element,
+    flip_dot_action,
     flip_length,
     image_dichotomy,
     restrict_final,
@@ -126,6 +127,47 @@ class TestBggComplex:
             for t in bgg_complex(3, lam):
                 assert (sum(lam) + sum(t.mu)) % 2 == 0
 
+    def test_degree_sort_is_the_degree_and_weight_sort(self):
+        # bgg_complex sorts by degree alone.  By the lemma in its docstring
+        # the weight order of the final elements is the same at every
+        # lambda, so lambda = 0 covers it: there the (degree, mu) order is
+        # the masks sorted by flip length, a stable sort of mask order
+        for g in range(1, eiscalc.MAX_BGG_G + 1):
+            terms = bgg_complex(g, (0,) * g)
+            assert terms == sorted(terms, key=lambda t: (t.degree, t.mu)), g
+            assert [t.w for t in terms] == sorted(range(1 << g), key=flip_length), g
+
+    @pytest.mark.parametrize("g", [2, 5, 9])
+    def test_degree_sort_at_other_weights(self, g):
+        rng = random.Random(g)
+        top = eiscalc.MAX_LAMBDA_ENTRY
+        weights = [(top,) * g, (7,) * g] + [
+            tuple(sorted((rng.randint(0, top) for _ in range(g)), reverse=True))
+            for _ in range(5)
+        ]
+        for lam in weights:
+            terms = bgg_complex(g, lam)
+            assert terms == sorted(terms, key=lambda t: (t.degree, t.mu)), lam
+            assert [t.w for t in terms] == sorted(range(1 << g), key=flip_length)
+
+    def test_a_non_dominant_dot_action_raises(self, monkeypatch):
+        # the one dominance check per w, on its dot action
+        real = flip_dot_action
+        monkeypatch.setattr(
+            eiscalc, "flip_dot_action", lambda m, lam: real(m, lam)[::-1]
+        )
+        message = "weight (0, 2, 5, 7) is not weakly decreasing"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bgg_complex(4, (7, 5, 2, 0))
+
+
+def _count_dominance_checks(monkeypatch):
+    """From here on, record every weight eiscalc checks for dominance."""
+    checked = []
+    real = eiscalc.is_dominant
+    monkeypatch.setattr(eiscalc, "is_dominant", lambda v: checked.append(v) or real(v))
+    return checked
+
 
 def _count_value_objects(monkeypatch):
     """From here on, record every `GlWeight` and `WeylElement` built, each
@@ -186,18 +228,21 @@ class TestBggAgainstTheObjectPath:
 
     @pytest.mark.parametrize("g", [1, 2, 5, 8, 10])
     def test_one_command_builds_each_final_element_once(self, monkeypatch, g):
-        """Draining the CLI's bgg output builds 2 weights per w (its dot
-        action and dual) and no final element: the labels come from the
-        flip masks.  The terms hold only ints and int tuples."""
+        """Draining the CLI's bgg output builds no weight and no final
+        element (the labels come from the flip masks), and checks lambda
+        and then each w's dot action for dominance, once each.  The terms
+        hold only ints and int tuples."""
         built = _count_value_objects(monkeypatch)
+        dominance = _count_dominance_checks(monkeypatch)
         lam = tuple(range(2 * g, 0, -2))
         for format in ("json", "text"):
             argv = ["bgg", "-g", str(g), "-l", ",".join(map(str, lam)), "--format", format]
             code, chunks, _ = _stream(argv)
             records = sum(chunk.count("filtration") for chunk in chunks)
             assert (code, records) == (0, 2**g)
-        assert len(built[GlWeight]) == 2 * 2 * 2**g
-        assert built[WeylElement] == []
+        acted = [lam] + [flip_dot_action(m, lam) for m in range(1 << g)]
+        assert dominance == 2 * acted
+        assert built == {GlWeight: [], WeylElement: []}
         for t in bgg_complex(g, lam):
             assert type(t.mu) is tuple
             assert {type(x) for x in (t.w, *t.mu, t.degree, t.filtration)} == {int}
@@ -239,25 +284,42 @@ class TestBoundaryTerms:
 
     @pytest.mark.parametrize("g", range(2, 11))
     def test_every_value_object_is_validated(self, monkeypatch, g):
-        """Draining the CLI's boundary stream builds no value object per
-        term: 2 weights per w (its dot action and dual), and no final
-        element of either genus, since the labels come from the flip
-        masks.  Every term's weight is still checked for dominance."""
+        """Draining the CLI's boundary stream builds no value object: no
+        weight and no final element of either genus, since the labels come
+        from the flip masks.  lambda and each w's dot action are checked
+        for dominance once each; the g weights of w's terms are dominant
+        by the surgery lemma (`TestSurgeryLemma`), with no check per term."""
         built = _count_value_objects(monkeypatch)
-        dominance = []
-        real = eiscalc.is_dominant
-        monkeypatch.setattr(
-            eiscalc, "is_dominant", lambda v: dominance.append(v) or real(v)
-        )
-        lam = ",".join(map(str, range(2 * g, 0, -2)))
+        dominance = _count_dominance_checks(monkeypatch)
+        lam = tuple(range(2 * g, 0, -2))
+        text = ",".join(map(str, lam))
         for format in ("json", "text"):
-            argv = ["boundary", "-g", str(g), "-l", lam, "--format", format]
+            argv = ["boundary", "-g", str(g), "-l", text, "--format", format]
             code, chunks, _ = _stream(argv)
             records = sum(chunk.count("parity") for chunk in chunks)
             assert (code, records) == (0, g * 2**g)
-        assert len(built[GlWeight]) == 2 * 2 * 2**g
-        assert built[WeylElement] == []
-        assert len(dominance) >= 2 * g * 2**g
+        assert built == {GlWeight: [], WeylElement: []}
+        acted = [lam] + [flip_dot_action(m, lam) for m in range(1 << g)]
+        assert dominance == 2 * acted
+
+    @pytest.mark.parametrize("bad", [0, 5, 15])
+    def test_a_non_dominant_dot_action_raises_before_its_block(self, monkeypatch, bad):
+        g, lam = 4, (7, 5, 2, 0)
+        real = flip_dot_action
+
+        def broken(mask, lam):
+            acted = real(mask, lam)
+            return acted[::-1] if mask == bad else acted
+
+        assert not is_dominant(broken(bad, lam))
+        monkeypatch.setattr(eiscalc, "flip_dot_action", broken)
+        message = f"weight {broken(bad, lam)} is not weakly decreasing"
+        got = []
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            for t in iter_boundary_terms(g, lam):
+                got.append(t)
+        # every block before the bad w's, and no term of it
+        assert [t.w for t in got] == [w for w in range(bad) for _ in range(g)]
 
     def test_twist_is_zero_exactly_on_side_a(self):
         lam = (4, 2, 0)
@@ -292,20 +354,16 @@ class TestBoundaryTerms:
             assert all(a == b == c for a, b, c in rows)
 
     def test_stream_makes_one_block_at_a_time(self, monkeypatch):
-        """After the first g terms only the first w's work is done: its dot
-        action, its dual and one dominance check per term."""
-        made, checked = [], []
-        check = GlWeight.__post_init__
-        monkeypatch.setattr(
-            GlWeight, "__post_init__", lambda self: made.append(self) or check(self)
-        )
-        real = eiscalc.is_dominant
+        """After the first g terms only the first w's work is done: one
+        dominance check, of its dot action, and no weight built."""
+        built = _count_value_objects(monkeypatch)
         g = 8
-        terms = iter_boundary_terms(g, tuple(range(2 * g, 0, -2)))
-        monkeypatch.setattr(eiscalc, "is_dominant", lambda v: checked.append(v) or real(v))
+        lam = tuple(range(2 * g, 0, -2))
+        terms = iter_boundary_terms(g, lam)
+        checked = _count_dominance_checks(monkeypatch)
         block = list(itertools.islice(terms, g))
-        assert (len(made), len(checked)) == (2, g)
-        assert [t.weight for t in block] == checked
+        assert checked == [flip_dot_action(0, lam)]
+        assert built[GlWeight] == []
         assert {t.w for t in block} == {0}
 
     @pytest.mark.parametrize(
@@ -358,6 +416,68 @@ def _validated_boundary_terms(g, lam):
                 -1 if (lw + g - l) & 1 else 1,
                 0 if side == "A" else twists[k - 1],
             )
+
+
+class TestSurgeryLemma:
+    """A boundary term's weight a[:l-1] + (a[l:] - 1) is dominant for every
+    dominant a and every position l, since a_(l-1) >= a_l >= a_(l+1) >
+    a_(l+1) - 1; that is why the boundary generator checks no term."""
+
+    @staticmethod
+    def weights():
+        rng = random.Random(20261019)
+        top = eiscalc.MAX_LAMBDA_ENTRY
+        pools = [
+            range(-4, 5),  # negative entries, many repeats
+            range(top - 3, top + 30),  # near the lambda bound and beyond it
+            range(-top - 30, -top + 3),  # a mu = dual of a dot action there
+            [-top - 30, -top, -1, 0, 1, top, top + 30],  # wide gaps, repeats
+        ]
+        for g in range(1, 15):
+            for pool in pools:
+                for _ in range(10):
+                    yield tuple(sorted((rng.choice(pool) for _ in range(g)), reverse=True))
+
+    def test_every_surgery_of_a_dominant_weight_is_dominant(self):
+        cases = 0
+        for a in self.weights():
+            low = tuple(x - 1 for x in a)
+            for l in range(1, len(a) + 1):
+                weight = a[: l - 1] + low[l:]  # as the boundary generator makes it
+                assert weight == telescope_surgery(a, l)
+                assert is_dominant(weight), (a, l)
+                cases += 1
+        assert cases == 4 * 10 * sum(range(1, 15))
+
+    def test_the_lemma_needs_a_dominant_weight(self):
+        # not vacuous: the surgery of a non-dominant weight can ascend
+        assert not is_dominant(telescope_surgery((0, 1, 2), 1))
+
+    @pytest.mark.parametrize(
+        "g, lam",
+        [
+            # the benchmark's boundary-deep weight at seed 7
+            # (`boundary_lambda(7)` in bench/run.py)
+            (13, (20, 18, 17, 16, 12, 11, 10, 6, 4, 3, 2, 1, 1)),
+            (14, tuple(range(27, 0, -2))),  # the genus-14 staircase
+        ],
+        ids=["boundary-deep", "staircase-14"],
+    )
+    def test_every_weight_the_cli_serves_is_dominant(self, g, lam):
+        # the generator checks no term's weight, so this test does
+        count = 0
+        bad = []
+        for t in iter_boundary_terms(g, lam):
+            count += 1
+            if not is_dominant(t.weight):
+                bad.append(t)
+        assert (count, bad) == (g * 2**g, [])
+
+
+def test_eiscalc_builds_no_gl_weight():
+    # the producers work on entry tuples; GlWeight is the argument type of
+    # glbranch's checker functions only
+    assert not hasattr(eiscalc, "GlWeight")
 
 
 class TestBoundaryAgainstTheValidatedPath:
@@ -416,26 +536,24 @@ class TestVerifyPartition:
             assert report.passed, [c.counterexample for c in report.failures()]
 
     def test_weight_identity_builds_each_expected_weight_once(self, monkeypatch):
-        # the expected weight depends only on (u, k): two weights (the dot
-        # action and its dual) per distinct pair, not per term
+        # the expected weight depends only on (u, k): one restricted dot
+        # action per distinct pair, not per term, and no GlWeight
         g, lam = 8, (9, 7, 7, 4, 2, 2, 0, 0)
         terms = eiscalc.boundary_terms(g, lam)
         pairs = {(t.u, t.k) for t in terms}
         assert (len(terms), len(pairs)) == (2048, 1024)
         monkeypatch.setattr(eiscalc, "boundary_terms", lambda g, lam: terms)
-        built = 0
-        check = GlWeight.__post_init__
-
-        def counted(self):
-            nonlocal built
-            built += 1
-            check(self)
-
-        monkeypatch.setattr(GlWeight, "__post_init__", counted)
+        built = _count_value_objects(monkeypatch)
+        acted = []
+        real = WeylElement.dot_action
+        monkeypatch.setattr(
+            WeylElement, "dot_action", lambda w, lam: acted.append(w) or real(w, lam)
+        )
         report = verify_partition(g, lam)
         monkeypatch.undo()
         assert report.passed
-        assert built == 2 * len(pairs) == 2048
+        assert len(acted) == len(pairs) == 1024
+        assert built[GlWeight] == []
 
     @pytest.mark.parametrize(
         "field, value, cex",
@@ -911,11 +1029,11 @@ class TestWeightLayer:
             combos = itertools.combinations_with_replacement(range(lmax + 1), g)
             return sorted(tuple(reversed(c)) for c in combos if sum(c) % 2 == 0)
 
-        # the sorted list admissible_weights returned before it streamed
+        # the sorted list admissible_weights returned before it streamed,
+        # from itertools, not from dominant_entries, its source now
         def sorted_weights(g, lmax):
-            return sorted(
-                lam for lam in dominant_entries(g, 0, lmax) if sum(lam) % 2 == 0
-            )
+            combos = itertools.combinations_with_replacement(range(lmax, -1, -1), g)
+            return sorted(c for c in combos if sum(c) % 2 == 0)
 
         for lmax in range(13):
             weights = eiscalc.admissible_weights(g, lmax)

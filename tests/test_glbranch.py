@@ -11,6 +11,7 @@ from siegeleis.glbranch import (
     GlWeight,
     VirtualBundle,
     branch,
+    dominant_entries,
     dominant_weights,
     is_dominant,
     straighten,
@@ -56,6 +57,26 @@ class TestDominanceAndDual:
         with pytest.raises(ValueError, match="not weakly decreasing"):
             GlWeight((1, 2))
         assert not hasattr(GlWeight((2, 1)), "__dict__")
+
+    @pytest.mark.parametrize("g", range(6))
+    def test_dominant_entries_ascend(self, g):
+        # the one enumerator against itertools: every range, negative ones,
+        # lo = hi and lo > hi (g = 0 gives () once, whatever the range)
+        for lo in range(-4, 3):
+            for hi in range(lo - 2, 4):
+                expected = sorted(
+                    itertools.combinations_with_replacement(range(hi, lo - 1, -1), g)
+                )
+                got = dominant_entries(g, lo, hi)
+                assert iter(got) is got  # a stream, not a list
+                assert list(got) == expected, (g, lo, hi)
+        assert list(dominant_entries(0, 5, -5)) == [()]
+        assert list(dominant_entries(2, 5, -5)) == []
+
+    def test_dominant_weights_is_the_same_stream(self):
+        for g in range(5):
+            weights = list(dominant_weights(g, -2, 3))
+            assert [w.entries for w in weights] == list(dominant_entries(g, -2, 3))
 
     def test_weight_text(self):
         assert glbranch.weight_text((3, -1, -12)) == str(gw(3, -1, -12)) == "W(3,-1,-12)"
