@@ -14,6 +14,7 @@ from typing import Iterator, NamedTuple, Sequence
 from .glbranch import dominant_entries, is_dominant, weight_text
 from .motivering import ONE, MotiveExpr, Symbol, VerificationReport, cusp_dim
 from .weylcomb import (
+    WeylElement,
     enumerate_final,
     final_element,
     flip_dot_action,
@@ -204,19 +205,59 @@ def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
     return list(iter_boundary_terms(g, lam))
 
 
-def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
+class RestrictionTables(NamedTuple):
+    """The oracle data of `verify_partition` that does not depend on lambda,
+    for one genus g: the final elements `finals[w]` by flip mask w, the
+    final elements `restricted[u]` of genus g-1 by flip mask u with their
+    `lengths[u]`, and, for each final w and each k, `oracle[w][k - 1]`:
+    the side from `image_dichotomy` and the element `restrict_final` gives
+    on that side."""
+
+    g: int
+    finals: list[WeylElement]
+    restricted: list[WeylElement]
+    lengths: list[int]
+    oracle: list[list[tuple[str, WeylElement]]]
+
+
+def restriction_tables(g: int) -> RestrictionTables:
+    """The `RestrictionTables` of genus g, every element built and every
+    oracle called once: 2^g finals, 2^(g-1) restricted elements and
+    lengths, and g*2^g sides and restrictions."""
+    finals = enumerate_final(g)
+    restricted = [final_element(g - 1, m) for m in range(1 << (g - 1))]
+    oracle = []
+    for w in finals:
+        row = []
+        for k in range(1, g + 1):
+            side, _ = image_dichotomy(w, k)
+            row.append((side, restrict_final(w, k, side)))
+        oracle.append(row)
+    return RestrictionTables(g, finals, restricted, [u.length() for u in restricted], oracle)
+
+
+def verify_partition(
+    g: int, lam: Sequence[int], *, tables: RestrictionTables | None = None
+) -> VerificationReport:
     """Check that the (w, k) double sum reassembles, weight by weight and
     sign by sign, into the genus-(g-1) BGG data of the surgered weights.
 
-    The terms' masks are read back as elements (`enumerate_final(g)` and
-    the final elements of genus g-1, each built once), and every oracle
-    works on those elements, apart from the `flip_*` helpers."""
+    The terms' masks are read back as elements, and every oracle works on
+    those elements, apart from the `flip_*` helpers.  What does not depend
+    on lambda (the elements, the restricted lengths and each (w, k)'s side
+    and restriction) comes from `tables`, `restriction_tables(g)` when
+    none are given; a caller checking many weights of one genus builds
+    them once and passes them in.  Tables of another genus raise
+    ValueError."""
     lam = _check_sp_weight(lam, g)
+    if tables is None:
+        tables = restriction_tables(g)
+    elif tables.g != g:
+        raise ValueError(f"restriction tables are for genus {tables.g}, not {g}")
     report = VerificationReport()
     terms = boundary_terms(g, lam)
     surgered = {k: tau_prime(lam, k) for k in range(1, g + 1)}
-    finals = enumerate_final(g)
-    restricted = [final_element(g - 1, m) for m in range(1 << (g - 1))]
+    finals, restricted, lengths = tables.finals, tables.restricted, tables.lengths
 
     # (i) the table is one block per final w, headed by enumerate_final(g)
     # in order with no block missing or left over, each block with
@@ -236,11 +277,9 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
         ks = [t.k for t in ts]
         if ks != list(range(1, g + 1)):
             return f"w={w}, k={ks}"
-        for t in ts:
-            side, _ = image_dichotomy(w, t.k)
+        for t, (side, u) in zip(ts, tables.oracle[mask]):
             if t.side != side:
                 return f"w={w}, k={t.k}: side {t.side} != {side}"
-            u = restrict_final(w, t.k, side)
             if restricted[t.u] != u:
                 return f"w={w}, k={t.k}: u={restricted[t.u]} != {u}"
     detail = f"g={g}, lambda={lam}"
@@ -263,7 +302,6 @@ def verify_partition(g: int, lam: Sequence[int]) -> VerificationReport:
     report.check("weight-identity", detail, terms, weight_identity)
 
     # (iii)+(iv) sign constancy per (k, side)
-    lengths = {m: restricted[m].length() for m in {t.u for t in terms}}
     ratios_by: dict[tuple[int, str], set[int]] = {}
     for t in terms:
         ratios_by.setdefault((t.k, t.side), set()).add(t.sign * (-1) ** lengths[t.u])

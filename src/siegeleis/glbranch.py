@@ -171,17 +171,22 @@ def wedge_dual_tensor(mu: GlWeight, k: int) -> VirtualBundle:
 
 def wedge_dual_tensor_straightened(mu: GlWeight, k: int) -> VirtualBundle:
     """Oracle for `wedge_dual_tensor`: straighten every mu - e_S over the
-    k-subsets S and add up the signed dominant weights."""
+    k-subsets S (a copy of mu's entries with the entries in S lowered by
+    1) and add up the signed dominant weights."""
     n = len(mu)
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-    shifted = (
-        [x - (i in subset) for i, x in enumerate(mu.entries)]
-        for subset in itertools.combinations(range(n), k)
-    )
-    return VirtualBundle(
-        n, ((wt, sign) for sign, wt in filter(None, map(straighten, shifted)))
-    )
+
+    def pairs():
+        for subset in itertools.combinations(range(n), k):
+            v = list(mu.entries)
+            for i in subset:
+                v[i] -= 1
+            straightened = straighten(v)
+            if straightened is not None:
+                sign, wt = straightened
+                yield wt, sign
+    return VirtualBundle(n, pairs())
 
 
 def telescope_surgery(a: Sequence[int], l: int) -> tuple[int, ...]:
@@ -210,13 +215,16 @@ def telescope_bruteforce(a: GlWeight) -> VirtualBundle:
     deletion rule of `wedge_dual_tensor`).  The sums are exchanged: for
     each S, the vectors b - e_S over all b are the branching box with the
     range at each position in S shifted down by 1.  Each shifted box is
-    counted into one of two tallies, by the parity of |S|, and the odd
-    tally is subtracted from the even one; the vectors left with a nonzero
-    sum that are dominant are the terms.  The deletion rule drops each
-    non-dominant b - e_S on its own, so dropping a vector after its visits
-    are summed drops exactly the same terms.  Every pair (b, S) is still
-    visited once, so this is the same finite sum term by term, not a
-    closed form.  Works on entry tuples and builds no weight."""
+    counted into one of two tallies, by the parity of |S|.  A vector's sum
+    is its even count minus its odd count, nonzero exactly when the two
+    counts differ, so the vectors with a nonzero sum are those of the
+    symmetric difference of the tallies' (vector, count) pairs; each of
+    them takes its even minus odd count, and the dominant ones are the
+    terms.  The deletion rule drops each non-dominant b - e_S on its own,
+    so dropping a vector after its visits are summed drops exactly the
+    same terms.  Every pair (b, S) is still visited once, so this is the
+    same finite sum term by term, not a closed form.  Works on entry
+    tuples and builds no weight."""
     g = len(a)
     if g == 0:
         raise ValueError("need a nonempty weight")
@@ -229,8 +237,12 @@ def telescope_bruteforce(a: GlWeight) -> VirtualBundle:
                 shifted[i] = range(box[i].start - 1, box[i].stop - 1)
             tallies[k & 1].update(itertools.product(*shifted))
     even, odd = tallies
-    even.subtract(odd)
-    return VirtualBundle(g - 1, ((v, c) for v, c in even.items() if c and is_dominant(v)))
+    # a vector's sum is nonzero exactly when its two tallies differ, which
+    # the symmetric difference of the (vector, count) pairs finds in C
+    differ = {v for v, _ in even.items() ^ odd.items()}
+    return VirtualBundle(
+        g - 1, ((v, even[v] - odd[v]) for v in differ if is_dominant(v))
+    )
 
 
 def dominant_entries(g: int, lo: int, hi: int) -> Iterator[tuple[int, ...]]:

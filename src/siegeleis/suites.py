@@ -96,7 +96,7 @@ def verify_weyl(max_g: int = DEFAULT_MAX_G,
                 return f"w={w}, lambda={lam}"
     report.check("g3-table", "8 rows, 5 weights each", G3_TABLE, g3_row)
 
-    def restrictions():
+    def restrictions(g_max):
         for g in range(2, g_max + 1):
             finals = list(enumerate(weylcomb.enumerate_final(g)))
             lower = weylcomb.enumerate_final(g - 1)
@@ -118,7 +118,7 @@ def verify_weyl(max_g: int = DEFAULT_MAX_G,
             return f"g={g}, k={k}, side={side}"
     g_max = min(max_g, 8)
     report.check(
-        "restrict-bijection", f"g <= {g_max}", restrictions(), restricts,
+        "restrict-bijection", f"g <= {g_max}", restrictions(g_max), restricts,
         empty=_NEEDS_G2.format(max_g),
     )
 
@@ -215,27 +215,38 @@ def verify_partition_suite(max_g: int = DEFAULT_MAX_G,
         # no per-g check below runs: an empty check makes the gap a FAIL
         report.check("partition-identity", "", gs, None, empty=_NEEDS_G2.format(max_g))
     for g in gs:
+        # the restriction oracle does not depend on lambda: once per genus
+        tables = eiscalc.restriction_tables(g)
         report.check(
             f"partition-identity-g{g}", f"entries <= {e}", dominant_entries(g, 0, e),
-            lambda lam: _failures(eiscalc.verify_partition(len(lam), lam), f"lambda={lam}"),
+            lambda lam: _failures(
+                eiscalc.verify_partition(len(lam), lam, tables=tables), f"lambda={lam}"
+            ),
         )
 
     # reindexing completeness: per w, the boundary terms are exactly the
     # telescope of the dual-side weight, scaled by (-1)^len(w)
-    def reindexes(lam):
+    def reindexes(case):
+        lam, finals = case
         g = len(lam)
         by_w: dict[int, list] = {}
         for t in eiscalc.boundary_terms(g, lam):
             by_w.setdefault(t.w, []).append((t.weight, t.sign))
-        for mask, w in enumerate(weylcomb.enumerate_final(g)):
+        for mask, (w, length) in enumerate(finals):
             a = GlWeight(w.dot_action(lam)).dual()
-            expected = glbranch.telescope_closed(a).scale((-1) ** w.length())
+            expected = glbranch.telescope_closed(a).scale((-1) ** length)
             if glbranch.VirtualBundle(g - 1, by_w.get(mask, ())) != expected:
                 return f"g={g}, lambda={lam}, w={w}"
+
+    def weights_with_finals(g_max):
+        # each weight with the (w, length) list of its genus, made once per genus
+        for g in range(2, g_max + 1):
+            finals = [(w, w.length()) for w in weylcomb.enumerate_final(g)]
+            for lam in dominant_entries(g, 0, e):
+                yield lam, finals
     g_max = min(max_g, 5)
     report.check(
-        "reindexing-completeness", f"g <= {g_max}",
-        (lam for g in range(2, g_max + 1) for lam in dominant_entries(g, 0, e)),
+        "reindexing-completeness", f"g <= {g_max}", weights_with_finals(g_max),
         reindexes, empty=_NEEDS_G2.format(max_g),
     )
     return report
