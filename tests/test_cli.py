@@ -487,6 +487,17 @@ class TestVerify:
         assert cases["telescope-random"] == 500
         assert cases["wedge-dual-route"] == 11220
 
+    @pytest.mark.parametrize(
+        "flags, g_max, cases",
+        [([], 4, 18), (["--max-g", "6"], 6, 40)],
+    )
+    def test_restrict_bijection_runs_the_genera_it_names(self, flags, g_max, cases):
+        # 2g cases per genus 2..g_max: one per (k, side)
+        code, out, err = run(["verify", "--suite", "weyl", *flags, "--timings"])
+        assert code == 0
+        assert f"PASS restrict-bijection: g <= {g_max}" in out.splitlines()
+        assert re.search(rf"^time restrict-bijection: {cases} cases, ", err, re.M)
+
     def test_timings_count_the_cases_a_failing_check_ran(self):
         code, _, err = run(["verify", "--suite", "telescope", "--max-g", "2", "--timings"])
         assert code == 1

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from siegeleis import eiscalc
+from siegeleis import eiscalc, suites
 from siegeleis.cli import _stream
 from siegeleis.eiscalc import (
     admissible_weights,
@@ -18,13 +18,14 @@ from siegeleis.eiscalc import (
     iter_boundary_terms,
     kernel_g2,
     rank1,
+    restriction_tables,
     tau_prime,
     total_g2,
     total_g2_alt,
     verify_partition,
 )
 from siegeleis.glbranch import GlWeight, is_dominant, telescope_surgery
-from siegeleis.motivering import MotiveExpr, cusp_dim
+from siegeleis.motivering import MotiveExpr, VerificationReport, cusp_dim
 from siegeleis.weylcomb import (
     WeylElement,
     enumerate_final,
@@ -670,6 +671,113 @@ class TestVerifyPartition:
         assert verify_partition(g, lam).passed
         assert sorted(surgeries) == list(range(1, g + 1))
         assert len(lengths) == len(set(lengths)) == 2 ** (g - 1)
+
+
+
+def _check_fields(report):
+    return [(c.name, c.passed, c.detail, c.counterexample, c.cases) for c in report.checks]
+
+
+class TestRestrictionTables:
+    """verify_partition reads its lambda-independent oracle data from
+    tables built once per genus."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 6])
+    def test_passed_tables_give_the_same_report(self, g):
+        rng = random.Random(100 + g)
+        tables = restriction_tables(g)
+        for _ in range(6):
+            lam = tuple(sorted((rng.randint(0, 9) for _ in range(g)), reverse=True))
+            assert _check_fields(verify_partition(g, lam, tables=tables)) == (
+                _check_fields(verify_partition(g, lam))
+            ), lam
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("side", "A"), ("u", 0), ("sign", -1), ("weight", (8, 5)), ("k", 2)],
+    )
+    def test_passed_tables_give_the_same_failures(self, monkeypatch, field, value):
+        real = eiscalc.boundary_terms
+
+        def corrupt_last(g, lam):
+            terms = real(g, lam)
+            return terms[:-1] + [terms[-1]._replace(**{field: value})]
+
+        monkeypatch.setattr(eiscalc, "boundary_terms", corrupt_last)
+        lam = (3, 1, 0)
+        alone = verify_partition(3, lam)
+        assert not alone.passed
+        assert _check_fields(verify_partition(3, lam, tables=restriction_tables(3))) == (
+            _check_fields(alone)
+        )
+
+    def test_sizes(self):
+        for g in range(1, 7):
+            t = restriction_tables(g)
+            assert t.g == g
+            assert t.finals == enumerate_final(g)
+            assert t.restricted == [final_element(g - 1, m) for m in range(1 << (g - 1))]
+            assert t.lengths == [u.length() for u in t.restricted]
+            assert [len(row) for row in t.oracle] == [g] * (1 << g)
+
+    @pytest.mark.parametrize("other", [2, 4])
+    def test_tables_of_another_genus_raise(self, other):
+        with pytest.raises(ValueError, match=f"genus {other}, not 3"):
+            verify_partition(3, (3, 1, 0), tables=restriction_tables(other))
+
+    @pytest.mark.parametrize(
+        "entry, failed",
+        [
+            # w = [456] is mask 7; at k = 3 it is on side B with u = [34]
+            (lambda side, u, t: ("A", u), {
+                "dichotomy-bijection": "w=[456], k=3: side B != A",
+            }),
+            (lambda side, u, t: (side, t.restricted[0]), {
+                "dichotomy-bijection": "w=[456], k=3: u=[34] != [12]",
+            }),
+        ],
+        ids=["side", "restriction"],
+    )
+    def test_a_corrupted_table_entry_fails(self, entry, failed):
+        tables = restriction_tables(3)
+        tables.oracle[7][2] = entry(*tables.oracle[7][2], tables)
+        report = verify_partition(3, (3, 1, 0), tables=tables)
+        assert {c.name: c.counterexample for c in report.failures()} == failed
+
+    def test_a_corrupted_length_fails_sign_constancy(self):
+        tables = restriction_tables(3)
+        tables.lengths[3] += 1
+        report = verify_partition(3, (3, 1, 0), tables=tables)
+        assert [c.name for c in report.failures()] == ["sign-constancy"]
+
+    def test_the_partition_suite_restricts_each_pair_once(self, monkeypatch):
+        # one restrict_final per (w, k) of each genus 2, 3, 4 for the whole
+        # suite, not one per (lambda, w, k)
+        calls = []
+        real = eiscalc.restrict_final
+        monkeypatch.setattr(
+            eiscalc, "restrict_final",
+            lambda w, k, side: calls.append((w, k)) or real(w, k, side),
+        )
+        assert suites.verify_partition_suite().passed
+        assert len(calls) == len(set(calls)) == 8 + 24 + 64
+
+    def test_reindexing_takes_each_length_once(self, monkeypatch):
+        # the partition identity is stubbed out, so every length counted
+        # here is reindexing-completeness's: one per final element of
+        # genus 2, 3, 4, not one per (lambda, w)
+        monkeypatch.setattr(eiscalc, "restriction_tables", lambda g: None)
+        monkeypatch.setattr(
+            eiscalc, "verify_partition", lambda g, lam, tables: VerificationReport()
+        )
+        lengths = []
+        real = WeylElement.length
+        monkeypatch.setattr(WeylElement, "length", lambda w: lengths.append(w) or real(w))
+        report = suites.verify_partition_suite()
+        monkeypatch.undo()
+        (check,) = [c for c in report.checks if c.name == "reindexing-completeness"]
+        assert (check.passed, check.cases) == (True, 120)
+        assert len(lengths) == len(set(lengths)) == 4 + 8 + 16
 
 
 class TestRank1:

@@ -225,6 +225,24 @@ class TestWedgeDualTensor:
                 for k in range(n + 1):
                     assert wedge_dual_tensor(mu, k) == wedge_dual_tensor_straightened(mu, k), (mu, k)
 
+    def test_straightened_matches_the_comprehension_form(self):
+        # the oracle as written with each shifted vector built entry by
+        # entry by a membership test, beyond the gate at n = 5
+        def by_comprehension(mu, k):
+            shifted = (
+                [x - (i in subset) for i, x in enumerate(mu.entries)]
+                for subset in itertools.combinations(range(len(mu)), k)
+            )
+            return VirtualBundle(
+                len(mu), ((wt, sign) for sign, wt in filter(None, map(straighten, shifted)))
+            )
+
+        for n, e in [(0, 0), (1, 5), (2, 5), (3, 5), (4, 4), (5, 3)]:
+            for mu in dominant_weights(n, -e, e):
+                for k in range(n + 1):
+                    got = wedge_dual_tensor_straightened(mu, k)
+                    assert got == by_comprehension(mu, k), (mu, k)
+
     def test_route_check_reports_a_wrong_oracle(self, monkeypatch):
         def wrong(mu, k):
             return VirtualBundle(len(mu))
@@ -249,7 +267,8 @@ def _branch_first(a: tuple[int, ...]) -> VirtualBundle:
 
 
 def _counted(a: GlWeight, keep_all=False, add_odd=False) -> VirtualBundle:
-    """A copy of `telescope_bruteforce`'s box counting that can drop its
+    """`telescope_bruteforce`'s box counting in its subtracting form (the
+    odd tally subtracted from the even one key by key), which can drop its
     dominance filter (`keep_all`) or add the odd tally instead of
     subtracting it (`add_odd`)."""
     e = a.entries
@@ -387,6 +406,20 @@ class TestTelescope:
         for _ in range(20):
             a = GlWeight(tuple(sorted((rng.randint(-5, 5) for _ in range(g)), reverse=True)))
             assert _counted(a) == telescope_bruteforce(a), a
+
+    def test_bruteforce_matches_the_subtracted_tallies(self):
+        # `_counted` subtracts the odd tally from the even one key by key;
+        # the oracle compares the tallies' items instead.  Every dominant a
+        # with g <= 4 and entries in [-4, 4] (at g = 1 the one key, the
+        # empty tuple, is in the even tally only), then seeded g = 5, 6
+        cases = [a for g in range(1, 5) for a in dominant_weights(g, -4, 4)]
+        rng = random.Random(56)
+        cases += [
+            GlWeight(tuple(sorted((rng.randint(-4, 4) for _ in range(g)), reverse=True)))
+            for g in (5, 6) for _ in range(10)
+        ]
+        for a in cases:
+            assert telescope_bruteforce(a) == _counted(a), a
 
     def test_the_counting_copy_passes_the_gate(self, monkeypatch):
         assert _telescope_failures(monkeypatch, _counted) == {}
