@@ -137,25 +137,31 @@ def _labels(g: int, format: str) -> list[str]:
     return list(map(_label(g, format), range(1 << g)))
 
 
-# JSON integer arrays below are `str(list(entries))`: a list of ints
-# prints exactly as json.dumps prints it with its ", " separator.
+def _entries_format(n: int, format: str) -> str:
+    """The %-format of an entry tuple of length n, for one C call per
+    tuple: in JSON, `str(list(entries))`, the bytes json.dumps gives with
+    its ", " separator; in text, the entries comma-separated."""
+    if format == "json":
+        return "[" + ", ".join(["%d"] * n) + "]"
+    return ",".join(["%d"] * n)
 
 
 def _render_bgg(g, lam, format):
     terms = eiscalc.bgg_complex(g, lam)
     # each label is used once, so it is made as its record is written
     label = _label(g, format)
+    entries = _entries_format(g, format)
     if format == "json":
         # the bytes json.dumps gives for the list of records
         records = (
-            f'{{"w": {label(w)}, "mu": {str(list(mu))}, '
+            f'{{"w": {label(w)}, "mu": {entries % mu}, '
             f'"degree": {degree}, "filtration": {filtration}}}'
             for w, mu, degree, filtration in terms
         )
         return _chunks(records, g, "[", ", ", "]\n")
     records = (
         f"w={label(w)} degree={degree} filtration={filtration} "
-        f"mu=({','.join(map(str, mu))})"
+        f"mu=({entries % mu})"
         for w, mu, degree, filtration in terms
     )
     return _chunks(records, g, "", "\n", "\n")
@@ -169,20 +175,21 @@ def _render_boundary(g, lam, format):
     # A term's w and u are flip masks, that is indices into the 2^g final
     # elements of genus g and the 2^(g-1) of genus g-1.
     ws, us = _labels(g, format), _labels(g - 1, format)
+    entries = _entries_format(g - 1, format)
 
     if format == "json":
         # the bytes json.dumps gives for the list of records: ints,
         # "A"/"B" and bools need no escaping
         records = (
             f'{{"w": {ws[w]}, "k": {k}, "side": "{side}", "u": {us[u]}, '
-            f'"weight": {str(list(wt))}, "sign": {sign}, "twist": {twist}, '
+            f'"weight": {entries % wt}, "sign": {sign}, "twist": {twist}, '
             f'"parity_pass": {"false" if sum(wt) & 1 else "true"}}}'
             for w, k, side, u, wt, sign, twist in terms
         )
         return _chunks(records, g, "[", ", ", "]\n")
     records = (
         f"w={ws[w]} k={k} side={side} u={us[u]} "
-        f"weight=({','.join(map(str, wt))}) "
+        f"weight=({entries % wt}) "
         f"sign={'+' if sign > 0 else '-'}1 twist={twist} "
         f"parity={'odd' if sum(wt) & 1 else 'even'}"
         for w, k, side, u, wt, sign, twist in terms

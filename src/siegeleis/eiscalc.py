@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb, isqrt
+from operator import neg
 from typing import Iterator, NamedTuple, Sequence
 
 from .glbranch import dominant_entries, is_dominant, weight_text
@@ -17,23 +18,23 @@ from .weylcomb import (
     WeylElement,
     enumerate_final,
     final_element,
-    flip_dot_action,
-    flip_length,
+    flip_dot_actions,
     flip_restrictions,
     image_dichotomy,
     restrict_final,
 )
 
 
-# Size limits, checked before work starts; times are the CLI's at the
-# limit with JSON output (2 cores, Python 3.11).
-# bgg: 2^g terms, 65,536 at g = 16 (0.8 s, 51 MB).
+# Size limits, checked before work starts; costs are the CLI's at the
+# limit with JSON output, best of 5 runs and median peak RSS (2 cores,
+# Python 3.11).
+# bgg: 2^g terms, 65,536 at g = 16 (0.37 s, 47 MB).
 MAX_BGG_G = 16
-# boundary: g*2^g terms, 229,376 at g = 14, streamed (0.7 s, 19 MB).
+# boundary: g*2^g terms, 229,376 at g = 14, streamed (0.41 s, 18 MB).
 MAX_BOUNDARY_G = 14
 # lambda's entries (rank1, bgg, boundary): output grows with their digits,
 # so a 4,300-digit entry would make boundary -g 14 write ~13 GB.  At this
-# bound it writes 72 MB of JSON (0.7 s, 19 MB), bgg -g 16 17 MB (0.8 s, 74 MB).
+# bound it writes 72 MB of JSON (0.43 s, 18 MB), bgg -g 16 17 MB (0.38 s, 70 MB).
 MAX_LAMBDA_ENTRY = 10**6
 # table: rank1 (g terms over length-g weights) on the even ones of the
 # C(lmax+g, g) weights in [0, lmax]^g: g^2 * C(lmax+g, g) steps, worst at
@@ -115,18 +116,17 @@ def bgg_complex(g: int, lam: Sequence[int]) -> list[BggTerm]:
 
 def _bgg_terms(g: int, lam: tuple[int, ...]) -> Iterator[BggTerm]:
     """The BGG terms in flip-mask order, for lam already checked.  The dot
-    action and the length are bit operations on the mask (`flip_dot_action`,
-    `flip_length`); the dot action is checked for dominance once, and mu,
-    its dual, is dominant with it."""
+    actions and the lengths come from `flip_dot_actions`, built from its
+    two half tables; each dot action is checked for dominance once, and
+    mu, its dual, is dominant with it."""
     total = sum(lam)
-    for mask in range(1 << g):
-        acted = flip_dot_action(mask, lam)
+    for mask, (acted, length) in enumerate(flip_dot_actions(lam)):
         if not is_dominant(acted):
             raise ValueError(f"weight {acted} is not weakly decreasing")
-        mu = tuple(-x for x in reversed(acted))
+        mu = tuple(map(neg, reversed(acted)))
         num = total + sum(mu)
         assert num % 2 == 0
-        yield BggTerm(mask, mu, flip_length(mask), num // 2)
+        yield BggTerm(mask, mu, length, num // 2)
 
 
 class BoundaryTerm(NamedTuple):

@@ -382,18 +382,24 @@ class VerificationReport:
     def check(self, name, detail, cases, test, empty="no case ran"):
         """Record one check: `test(case)` is None when the case holds, else
         a counterexample string.  The check fails at the first
-        counterexample, running no later case; a check that ran no case
-        fails with detail "0 cases" and counterexample `empty`.  The
-        record carries the number of cases run and the time taken."""
+        counterexample, running no later case; an exception raised by the
+        case stream or by `test` is a counterexample too, "raised
+        <type>: <message>", so a broken engine fails the check that met
+        it.  A check that ran no case and raised nothing fails with detail
+        "0 cases" and counterexample `empty`.  The record carries the
+        number of cases run and the time taken."""
         start = time.perf_counter()
         ran, cex = 0, None
-        for case in cases:
-            ran += 1
-            cex = test(case)
-            if cex is not None:
-                break
+        try:
+            for case in cases:
+                ran += 1
+                cex = test(case)
+                if cex is not None:
+                    break
+        except Exception as exc:
+            cex = f"raised {type(exc).__name__}: {exc}"
         passed = ran > 0 and cex is None
-        if not ran:
+        if cex is None and not ran:
             detail, cex = "0 cases", empty
         self.checks.append(
             Check(name, passed, detail, cex, ran, time.perf_counter() - start)

@@ -11,8 +11,12 @@ it).  In that convention the masks count upward in the images'
 lexicographic order, so the element at position m of `enumerate_final`
 has flip mask m.  The `flip_*` helpers are the bit-operation twins of
 the element's sorted images (`flip_images`), of `image_dichotomy` with
-`restrict_final` (`flip_restrictions`), of `WeylElement.length` and of
-`WeylElement.dot_action`, which stay as their oracles.
+`restrict_final` (`flip_restrictions`), of `WeylElement.length`
+(`flip_length`) and of `WeylElement.dot_action` (`flip_dot_action`),
+which stay as their oracles.  The boundary pipeline takes every final
+element's dot action and length at once from `flip_dot_actions`, built
+from two half tables, with `flip_dot_action` and `flip_length` as its
+per-mask oracles.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 class SideMismatchError(ValueError):
@@ -222,6 +226,45 @@ def flip_dot_action(mask: int, lam: Sequence[int]) -> tuple[int, ...]:
     extended = [0, *shifted, *[-s for s in reversed(shifted)]]  # from index 1
     images = flip_images(mask, g)
     return tuple(map(operator.sub, map(extended.__getitem__, images), r))
+
+
+def _half_parts(v: Sequence[int], first: int, last: int, g: int):
+    """(unflipped part, flipped part, length) of w(v) over the indices
+    first..last, for each flip set of those indices in flip-mask order.
+    Indices are added from last down to first, so each new index is the
+    top bit: every set so far unflipped, then every set so far flipped."""
+    parts = [((), (), 0)]
+    for i in range(last, first - 1, -1):
+        x, weight = v[i - 1], g + 1 - i
+        parts = [((x, *u), f, n) for u, f, n in parts] + [
+            (u, (*f, -x), n + weight) for u, f, n in parts
+        ]
+    return parts
+
+
+def flip_dot_actions(lam: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(`flip_dot_action`, `flip_length`) of every final element of genus
+    g = len(lam), in flip-mask order.
+
+    With v = lam + rho, w(v) for flip set F is v_i over the unflipped i
+    ascending, then -v_i over the flipped i descending.  Split the indices
+    into 1..h and h+1..g, h = g // 2: the first half holds the mask's high
+    bits, so the masks run over the first half's sets, each with every set
+    of the second half.  w(v) is then the first half's unflipped part, the
+    second half's two parts, and the first half's flipped part, and the
+    length is the sum of the halves'.  Each half's parts are built once,
+    O(2^(g/2)) tuples per call, and each mask costs two tuple
+    concatenations and one subtraction of rho."""
+    g = len(lam)
+    r = rho(g)
+    v = tuple(map(operator.add, lam, r))
+    h = g // 2
+    sub = operator.sub
+    # the second half's unflipped and flipped parts are adjacent in w(v)
+    middles = [(u + f, n) for u, f, n in _half_parts(v, h + 1, g, g)]
+    for u, f, n in _half_parts(v, 1, h, g):
+        for middle, m in middles:
+            yield tuple(map(sub, u + middle + f, r)), n + m
 
 
 def all_elements(g: int) -> list[WeylElement]:

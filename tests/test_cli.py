@@ -255,6 +255,20 @@ class TestStructureCommands:
         assert _labels(g, "text") == [str(w) for w in finals]
         assert _labels(g, "json") == [json.dumps(list(w.images)) for w in finals]
 
+    @pytest.mark.parametrize(
+        "entries",
+        [(), (0,), (-7,), (1234567,), tuple(range(-8, 8)),
+         tuple(random.Random(16).randint(-9999999, 9999999) for _ in range(16))],
+    )
+    def test_entry_formats_print_as_before(self, entries):
+        """One %-format per entry tuple against the expressions it stands
+        in for: str(list(t)), json.dumps's bytes, in JSON and the entries
+        comma-separated in text."""
+        n = len(entries)
+        assert cli._entries_format(n, "json") % entries == str(list(entries))
+        assert cli._entries_format(n, "json") % entries == json.dumps(list(entries))
+        assert cli._entries_format(n, "text") % entries == ",".join(map(str, entries))
+
     @pytest.mark.parametrize("format", ["text", "json"])
     def test_bgg_formats_each_label_as_it_writes_it(self, monkeypatch, format):
         """bgg uses each label once, so it builds no label table and
@@ -589,8 +603,13 @@ class TestVerify:
     def test_suites_catch_a_misread_dot_action(self, monkeypatch):
         # the BGG and boundary terms take each w's dot action from its flip
         # mask; reading the neighbouring mask's must fail the gate
-        real = weylcomb.flip_dot_action
-        monkeypatch.setattr(eiscalc, "flip_dot_action", lambda m, lam: real(m ^ 1, lam))
+        real = weylcomb.flip_dot_actions
+
+        def misread(lam):
+            actions = list(real(lam))
+            return ((actions[m ^ 1][0], n) for m, (_, n) in enumerate(actions))
+
+        monkeypatch.setattr(eiscalc, "flip_dot_actions", misread)
         code, out, _ = run(["verify", "--suite", "all"])
         assert code == 1
         failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
@@ -600,6 +619,37 @@ class TestVerify:
             "partition-identity-g4",
             "reindexing-completeness",
         }
+
+    def test_an_engine_error_fails_the_checks_that_meet_it(self, monkeypatch):
+        # one mask's dot action reversed: the dominance check in eiscalc
+        # raises inside every check whose terms reach mask 1, and each of
+        # those checks FAILs with the error; the gate still exits 1, not 2
+        real = weylcomb.flip_dot_actions
+
+        def broken(lam):
+            for mask, (acted, n) in enumerate(real(lam)):
+                yield (acted[::-1] if mask == 1 else acted), n
+
+        monkeypatch.setattr(eiscalc, "flip_dot_actions", broken)
+        code, out, err = run(["verify", "--suite", "all"])
+        assert (code, err) == (1, "")
+        failed = {
+            ln.split(":")[0].split()[1]: ln
+            for ln in out.splitlines() if ln.startswith("FAIL")
+        }
+        assert set(failed) == {
+            "partition-identity-g2",
+            "partition-identity-g3",
+            "partition-identity-g4",
+            "reindexing-completeness",
+            "filtration-exponents",
+        }
+        assert failed["partition-identity-g3"] == (
+            "FAIL partition-identity-g3: entries <= 4 [counterexample: "
+            "raised ValueError: weight (-2, 0, 0) is not weakly decreasing]"
+        )
+        for line in failed.values():
+            assert "[counterexample: raised ValueError: weight (-2, 0" in line
 
     @pytest.mark.parametrize(
         "flag, value, ok",

@@ -9,6 +9,7 @@ import pytest
 from siegeleis import eiscalc, suites
 from siegeleis.cli import _stream
 from siegeleis.eiscalc import (
+    BggTerm,
     admissible_weights,
     bgg_complex,
     boundary_terms,
@@ -31,6 +32,7 @@ from siegeleis.weylcomb import (
     enumerate_final,
     final_element,
     flip_dot_action,
+    flip_dot_actions,
     flip_length,
     image_dichotomy,
     restrict_final,
@@ -151,11 +153,24 @@ class TestBggComplex:
             assert terms == sorted(terms, key=lambda t: (t.degree, t.mu)), lam
             assert [t.w for t in terms] == sorted(range(1 << g), key=flip_length)
 
+    def test_size_limit_against_the_per_mask_oracles(self):
+        # the terms at MAX_BGG_G, built here mask by mask from the
+        # `flip_dot_action`/`flip_length` oracles, sorted by degree
+        g = eiscalc.MAX_BGG_G
+        lam = tuple(range(2 * g - 1, 0, -2))
+        expected = []
+        for mask in range(1 << g):
+            mu = tuple(-x for x in reversed(flip_dot_action(mask, lam)))
+            filtration = (sum(lam) + sum(mu)) // 2
+            expected.append(BggTerm(mask, mu, flip_length(mask), filtration))
+        expected.sort(key=lambda t: t.degree)
+        assert bgg_complex(g, lam) == expected
+
     def test_a_non_dominant_dot_action_raises(self, monkeypatch):
         # the one dominance check per w, on its dot action
-        real = flip_dot_action
+        real = flip_dot_actions
         monkeypatch.setattr(
-            eiscalc, "flip_dot_action", lambda m, lam: real(m, lam)[::-1]
+            eiscalc, "flip_dot_actions", lambda lam: ((a[::-1], n) for a, n in real(lam))
         )
         message = "weight (0, 2, 5, 7) is not weakly decreasing"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -306,15 +321,16 @@ class TestBoundaryTerms:
     @pytest.mark.parametrize("bad", [0, 5, 15])
     def test_a_non_dominant_dot_action_raises_before_its_block(self, monkeypatch, bad):
         g, lam = 4, (7, 5, 2, 0)
-        real = flip_dot_action
+        real = flip_dot_actions
 
-        def broken(mask, lam):
-            acted = real(mask, lam)
-            return acted[::-1] if mask == bad else acted
+        def broken(lam):
+            for mask, (acted, n) in enumerate(real(lam)):
+                yield (acted[::-1] if mask == bad else acted), n
 
-        assert not is_dominant(broken(bad, lam))
-        monkeypatch.setattr(eiscalc, "flip_dot_action", broken)
-        message = f"weight {broken(bad, lam)} is not weakly decreasing"
+        reversed_action = list(broken(lam))[bad][0]
+        assert not is_dominant(reversed_action)
+        monkeypatch.setattr(eiscalc, "flip_dot_actions", broken)
+        message = f"weight {reversed_action} is not weakly decreasing"
         got = []
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             for t in iter_boundary_terms(g, lam):
@@ -355,14 +371,20 @@ class TestBoundaryTerms:
             assert all(a == b == c for a, b, c in rows)
 
     def test_stream_makes_one_block_at_a_time(self, monkeypatch):
-        """After the first g terms only the first w's work is done: one
-        dominance check, of its dot action, and no weight built."""
+        """After the first g terms only the first w's work is done: one dot
+        action drawn and checked for dominance, and no weight built."""
         built = _count_value_objects(monkeypatch)
+        drawn = []
+        real = flip_dot_actions
+        monkeypatch.setattr(
+            eiscalc, "flip_dot_actions", lambda lam: (drawn.append(x) or x for x in real(lam))
+        )
         g = 8
         lam = tuple(range(2 * g, 0, -2))
         terms = iter_boundary_terms(g, lam)
         checked = _count_dominance_checks(monkeypatch)
         block = list(itertools.islice(terms, g))
+        assert drawn == [(flip_dot_action(0, lam), 0)]
         assert checked == [flip_dot_action(0, lam)]
         assert built[GlWeight] == []
         assert {t.w for t in block} == {0}

@@ -428,10 +428,13 @@ class TestTelescope:
         def keep_all(a):
             return _counted(a, keep_all=True)
 
-        # the bundle refuses the first non-dominant term (from g = 3 on) ...
-        monkeypatch.setattr(glbranch, "telescope_bruteforce", keep_all)
-        with pytest.raises(ValueError, match="not weakly decreasing"):
-            suites.verify_telescope()
+        # the bundle refuses the first non-dominant term (from g = 3 on),
+        # which fails the check that built it ...
+        failed = _telescope_failures(monkeypatch, keep_all)
+        assert list(failed) == ["telescope-exhaustive", "telescope-random"]
+        for cex in failed.values():
+            assert cex.startswith("raised ValueError: weight (")
+            assert cex.endswith(") is not weakly decreasing")
         # ... and with that refusal lifted the comparison fails on its own
         monkeypatch.setattr(glbranch, "is_dominant", lambda v: True)
         failed = _telescope_failures(monkeypatch, keep_all)

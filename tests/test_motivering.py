@@ -511,3 +511,31 @@ class TestCheckRunner:
         assert seen == []
         r = VerificationReport(checks=[check])
         assert r.render() == f"FAIL c: 0 cases [counterexample: {cex}]"
+
+    def test_an_exception_in_the_test_is_a_counterexample(self):
+        def test(case):
+            if case == 2:
+                raise ValueError("weight (0, 1) is not weakly decreasing")
+
+        r = VerificationReport()
+        r.check("c", "some cases", [1, 2, 3], test)
+        (check,) = r.checks
+        assert (check.passed, check.detail, check.cases) == (False, "some cases", 2)
+        assert r.render() == (
+            "FAIL c: some cases [counterexample: "
+            "raised ValueError: weight (0, 1) is not weakly decreasing]"
+        )
+
+    @pytest.mark.parametrize("before", [0, 2])
+    def test_an_exception_in_the_case_stream_is_a_counterexample(self, before):
+        # also before the first case: the check ran none, but it did not
+        # run out of cases, so it is not a "0 cases" failure
+        def cases():
+            yield from range(1, before + 1)
+            raise AssertionError("stream broke")
+
+        check, seen = self.run_check(cases())
+        assert seen == list(range(1, before + 1))
+        assert (check.passed, check.detail, check.counterexample, check.cases) == (
+            False, "some cases", "raised AssertionError: stream broke", before
+        )

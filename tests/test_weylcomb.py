@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from siegeleis import suites, weylcomb
+from siegeleis import eiscalc, suites, weylcomb
 from siegeleis.weylcomb import (
     SideMismatchError,
     WeylElement,
     enumerate_final,
     final_element,
     flip_dot_action,
+    flip_dot_actions,
     flip_images,
     flip_length,
     flip_restrictions,
@@ -338,6 +339,30 @@ class TestFlipMasks:
             )
             assert flip_images(mask, g) == images
             assert final_element(g, mask).images == images
+
+    @staticmethod
+    def weights(g):
+        """Seeded weights of genus g: all zero, the top entry repeated, a
+        dominant draw with 0, a repeat and the top entry, and an
+        arbitrary (not dominant) draw."""
+        rng = random.Random(100 + g)
+        top = eiscalc.MAX_LAMBDA_ENTRY
+        middle = sorted((rng.choice((0, 3, 3, 17, top)) for _ in range(g - 2)), reverse=True)
+        mixed = (top, *middle, 0)[:g]
+        return [(0,) * g, (top,) * g, mixed, tuple(rng.randint(-9, 9) for _ in range(g))]
+
+    @pytest.mark.parametrize("g", range(0, 13))
+    def test_batch_dot_actions_against_the_per_mask_oracles(self, g):
+        """`flip_dot_actions` against `flip_dot_action`/`flip_length` per
+        mask and against the element each mask names.  g = 0 yields the one
+        empty action, g = 1 has an empty first half, and odd and even g
+        split unevenly and evenly."""
+        finals = enumerate_final(g) if g else [final_element(0, 0)]
+        lengths = [w.length() for w in finals]
+        for lam in self.weights(g):
+            batch = list(flip_dot_actions(lam))
+            assert batch == [(flip_dot_action(m, lam), flip_length(m)) for m in range(2**g)]
+            assert batch == [(w.dot_action(lam), n) for w, n in zip(finals, lengths)]
 
     def test_images_text(self):
         # digits run together up to 2g = 8, comma-separated from g = 5 on
