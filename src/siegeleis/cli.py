@@ -133,8 +133,31 @@ def _label(g: int, format: str) -> Callable[[int], str]:
 
 
 def _labels(g: int, format: str) -> list[str]:
-    """`_label` of every final element of genus g, indexed by flip mask."""
-    return list(map(_label(g, format), range(1 << g)))
+    """`_label` of every final element of genus g, indexed by flip mask,
+    from two half tables as `weylcomb.flip_dot_actions` builds the dot
+    actions.  The images of a flip set are the unflipped indices
+    ascending, then 2g+1-i for the flipped i descending; over the halves
+    1..h and h+1..g, h = g // 2, that is the first half's unflipped part,
+    the second half's two parts and the first half's flipped part.  Each
+    half's parts are formatted once, O(2^(g/2)) strings, and each mask
+    costs two concatenations.  The second half's parts hold g - h >= 1
+    indices together for g >= 1, so the first half's parts carry the
+    separators next to them.  `_label` is this table's per-mask oracle."""
+    sep = ", " if format == "json" else "" if 2 * g <= 9 else ","
+    h = g // 2
+
+    def text(part):
+        # flip_dot_actions's parts of v = (1, ..., g): i unflipped, -i flipped
+        return sep.join([str(i if i > 0 else 2 * g + 1 + i) for i in part])
+
+    v = range(1, g + 1)
+    middles = [text(u + f) for u, f, _ in weylcomb._half_parts(v, h + 1, g, g)]
+    labels = []
+    for u, f, _ in weylcomb._half_parts(v, 1, h, g):
+        head = "[" + text(u) + (sep if u else "")
+        tail = (sep if f else "") + text(f) + "]"
+        labels += [head + m + tail for m in middles]
+    return labels
 
 
 def _entries_format(n: int, format: str) -> str:
@@ -169,32 +192,42 @@ def _render_bgg(g, lam, format):
 
 def _render_boundary(g, lam, format):
     # One chunk per source-w block of g records (the block contract that
-    # verify_partition checks), made as the terms are generated: neither
+    # verify_partition checks), made as the blocks are generated: neither
     # the term list nor the whole output is held.
-    terms = eiscalc.iter_boundary_terms(g, lam)
-    # A term's w and u are flip masks, that is indices into the 2^g final
-    # elements of genus g and the 2^(g-1) of genus g-1.
+    blocks = eiscalc.boundary_blocks(g, lam)
+    twists = eiscalc.boundary_twists(g, lam)
+    # A block's w and each record's u are flip masks, that is indices
+    # into the 2^g final elements of genus g and the 2^(g-1) of genus g-1.
     ws, us = _labels(g, format), _labels(g - 1, format)
     entries = _entries_format(g - 1, format)
-
+    # One record template per (k, side), with k, side and twist in place;
+    # its placeholders are w, u, weight, sign and parity.
     if format == "json":
         # the bytes json.dumps gives for the list of records: ints,
         # "A"/"B" and bools need no escaping
-        records = (
-            f'{{"w": {ws[w]}, "k": {k}, "side": "{side}", "u": {us[u]}, '
-            f'"weight": {entries % wt}, "sign": {sign}, "twist": {twist}, '
-            f'"parity_pass": {"false" if sum(wt) & 1 else "true"}}}'
-            for w, k, side, u, wt, sign, twist in terms
+        record = (
+            '{"w": %%s, "k": %d, "side": "%s", "u": %%s, "weight": %%s, '
+            '"sign": %%d, "twist": %d, "parity_pass": %%s}'
         )
-        return _chunks(records, g, "[", ", ", "]\n")
-    records = (
-        f"w={ws[w]} k={k} side={side} u={us[u]} "
-        f"weight=({entries % wt}) "
-        f"sign={'+' if sign > 0 else '-'}1 twist={twist} "
-        f"parity={'odd' if sum(wt) & 1 else 'even'}"
-        for w, k, side, u, wt, sign, twist in terms
-    )
-    return _chunks(records, g, "", "\n", "\n")
+        parity, head, sep, tail = ("true", "false"), "[", ", ", "]\n"
+    else:
+        record = "w=%%s k=%d side=%s u=%%s weight=(%%s) sign=%%+d twist=%d parity=%%s"
+        parity, head, sep, tail = ("even", "odd"), "", "\n", "\n"
+    templates = [
+        {side: record % (k, side, twist) for side, twist in by_side.items()}
+        for k, by_side in enumerate(twists, 1)
+    ]
+
+    def block_records():
+        for mask, telescope, restrictions in blocks:
+            w = ws[mask]
+            # each position's cell is used once, by the k it belongs to
+            cells = [(entries % wt, sign, parity[sum(wt) & 1]) for wt, sign in telescope]
+            yield sep.join([
+                template[side] % (w, us[u], *cells[pos - 1])
+                for template, (side, pos, u) in zip(templates, restrictions)
+            ])
+    return _chunks(block_records(), 1, head, sep, tail)
 
 
 def _stream(argv) -> tuple[int, Iterable[str], str]:

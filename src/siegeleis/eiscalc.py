@@ -30,11 +30,11 @@ from .weylcomb import (
 # Python 3.11).
 # bgg: 2^g terms, 65,536 at g = 16 (0.37 s, 47 MB).
 MAX_BGG_G = 16
-# boundary: g*2^g terms, 229,376 at g = 14, streamed (0.41 s, 18 MB).
+# boundary: g*2^g terms, 229,376 at g = 14, streamed (0.36 s, 19 MB).
 MAX_BOUNDARY_G = 14
 # lambda's entries (rank1, bgg, boundary): output grows with their digits,
 # so a 4,300-digit entry would make boundary -g 14 write ~13 GB.  At this
-# bound it writes 72 MB of JSON (0.43 s, 18 MB), bgg -g 16 17 MB (0.38 s, 70 MB).
+# bound it writes 72 MB of JSON (0.41 s, 19 MB), bgg -g 16 17 MB (0.38 s, 70 MB).
 MAX_LAMBDA_ENTRY = 10**6
 # table: rank1 (g terms over length-g weights) on the even ones of the
 # C(lmax+g, g) weights in [0, lmax]^g: g^2 * C(lmax+g, g) steps, worst at
@@ -148,41 +148,65 @@ class BoundaryTerm(NamedTuple):
         return sum(self.weight) % 2 == 0
 
 
+# (mask, telescope, restrictions) of one source w: see `boundary_blocks`
+BoundaryBlock = tuple[int, list[tuple[tuple[int, ...], int]], list[tuple[str, int, int]]]
+
+
 def iter_boundary_terms(g: int, lam: Sequence[int]) -> Iterator[BoundaryTerm]:
     """Expand the double sum over (w, k) of restricted telescope terms,
-    one term at a time.
+    one term at a time: the blocks of `boundary_blocks`, flattened.
 
     The genus bound and lam are checked when this is called, so a bad
     input fails before the first term; the terms themselves come from a
-    generator.  Each final w arrives as its BGG term (`_bgg_terms`), by
-    its flip mask, its index in `enumerate_final`: the term's `mu` is
-    telescoped once into its g weights, one per position, and its degree
-    gives the signs.  One pass over the mask (`flip_restrictions`) gives
-    each k its side, its position and the mask of the restriction; the
-    positions of k = 1, ..., g are 1, ..., g once each (the
-    dichotomy-position-bijection invariant), so each term takes the
-    telescope weight at its own position.  That weight, a[:l-1] +
-    (a[l:] - 1) for the mu = a that `_bgg_terms` has checked, is dominant
-    with no check of its own (the surgery lemma): a_(l-1) >= a_l >=
-    a_(l+1) > a_(l+1) - 1.  The GL(1,Z) parity filter, `parity_pass`, is
+    generator.  Each block yields its g terms, k = 1, ..., g ascending:
+    k's side and restriction mask u from the block's restrictions, the
+    telescope weight and sign at k's position, and on side B the twist
+    of `boundary_twists`.  The GL(1,Z) parity filter, `parity_pass`, is
     read from the weight.
 
     The terms come in one contiguous block per w, the blocks in
-    `enumerate_final` order, each with k = 1, ..., g ascending;
-    `verify_partition` checks that block contract, and the CLI writes
-    its output one block at a time on the strength of it.
+    `enumerate_final` order; `verify_partition` checks that block
+    contract, and the CLI writes its output one block at a time from
+    `boundary_blocks` on the strength of it.
     """
+    lam = _check_boundary_input(g, lam)
+    return _flatten_blocks(boundary_twists(g, lam), _generate_blocks(g, lam))
+
+
+def boundary_blocks(g: int, lam: Sequence[int]) -> Iterator[BoundaryBlock]:
+    """The boundary terms one source w at a time, in `enumerate_final`
+    order: (mask, telescope, restrictions) per final element.
+
+    Each w arrives as its BGG term (`_bgg_terms`), by its flip mask, its
+    index in `enumerate_final`.  `telescope[pos - 1]` is the (weight,
+    sign) of position pos: the term's `mu` = a telescoped once into its
+    g weights, the sign from its degree.  `restrictions` is
+    `flip_restrictions(mask, g)`, each k's (side, position, restriction
+    mask) for k = 1, ..., g; the positions of k = 1, ..., g are 1, ..., g
+    once each (the dichotomy-position-bijection invariant), so each term
+    takes the telescope weight at its own position.  That weight, a[:l-1]
+    + (a[l:] - 1) for the mu = a that `_bgg_terms` has checked, is
+    dominant with no check of its own (the surgery lemma): a_(l-1) >= a_l
+    >= a_(l+1) > a_(l+1) - 1.
+
+    The input is checked as `iter_boundary_terms` checks it, when this is
+    called."""
+    return _generate_blocks(g, _check_boundary_input(g, lam))
+
+
+def boundary_twists(g: int, lam: Sequence[int]) -> list[dict[str, int]]:
+    """The twist of a term by its k and side, for lam already checked:
+    `twists[k - 1][side]` is 0 on side A and lam_k + g + 1 - k on side B."""
+    return [{"A": 0, "B": lam[k - 1] + g + 1 - k} for k in range(1, g + 1)]
+
+
+def _check_boundary_input(g: int, lam: Sequence[int]) -> tuple[int, ...]:
     if g > MAX_BOUNDARY_G:
         raise ValueError(f"-g: boundary needs g <= {MAX_BOUNDARY_G}, got {g}")
-    return _generate_boundary(g, _check_sp_weight(lam, g))
+    return _check_sp_weight(lam, g)
 
 
-def _generate_boundary(g: int, lam: tuple[int, ...]) -> Iterator[BoundaryTerm]:
-    ks = range(1, g + 1)
-    twists = [lam[k - 1] + g + 1 - k for k in ks]
-    # BoundaryTerm(*fields) is tuple.__new__(BoundaryTerm, fields) behind
-    # a Python-level __new__; calling the latter directly skips that frame
-    new_term = tuple.__new__
+def _generate_blocks(g: int, lam: tuple[int, ...]) -> Iterator[BoundaryBlock]:
     for mask, a, degree, _ in _bgg_terms(g, lam):
         # telescope[pos - 1] is telescope_surgery(a, l) = a[:l-1] + low[l:]
         # at l = g+1-pos, with its sign (-1)^(degree+g-l)
@@ -191,10 +215,20 @@ def _generate_boundary(g: int, lam: tuple[int, ...]) -> Iterator[BoundaryTerm]:
             (a[: l - 1] + low[l:], -1 if (degree + g - l) & 1 else 1)
             for l in range(g, 0, -1)
         ]
-        for k, twist, (side, pos, u) in zip(ks, twists, flip_restrictions(mask, g)):
+        yield mask, telescope, flip_restrictions(mask, g)
+
+
+def _flatten_blocks(
+    twists: list[dict[str, int]], blocks: Iterator[BoundaryBlock]
+) -> Iterator[BoundaryTerm]:
+    ks = range(1, len(twists) + 1)
+    # BoundaryTerm(*fields) is tuple.__new__(BoundaryTerm, fields) behind
+    # a Python-level __new__; calling the latter directly skips that frame
+    new_term = tuple.__new__
+    for mask, telescope, restrictions in blocks:
+        for k, twist, (side, pos, u) in zip(ks, twists, restrictions):
             weight, sign = telescope[pos - 1]
-            fields = (mask, k, side, u, weight, sign, 0 if side == "A" else twist)
-            yield new_term(BoundaryTerm, fields)
+            yield new_term(BoundaryTerm, (mask, k, side, u, weight, sign, twist[side]))
 
 
 def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:

@@ -57,6 +57,27 @@ BAD_INPUT = [
     ),
 ]
 
+
+def _seeded_weights(g: int, n: int, top: int = 12) -> list[tuple[int, ...]]:
+    rng = random.Random(g)
+    return [
+        tuple(sorted((rng.randint(0, top) for _ in range(g)), reverse=True))
+        for _ in range(n)
+    ]
+
+
+# two seeded weights for each g < 10, one at g = 10 and at g = 12, and one
+# whose entries reach the lambda bound (multi-digit weights and twists)
+BOUNDARY_RENDER_CASES = [
+    *[pytest.param(g, _seeded_weights(g, 2), id=str(g)) for g in range(1, 10)],
+    *[pytest.param(g, _seeded_weights(g, 1), id=str(g)) for g in (10, 12)],
+    pytest.param(
+        7,
+        [(eiscalc.MAX_LAMBDA_ENTRY, *_seeded_weights(6, 1, eiscalc.MAX_LAMBDA_ENTRY)[0])],
+        id="7-top-entry",
+    ),
+]
+
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 # What the `siegeleis` console script runs.
 CLI_ENTRY = "import sys; from siegeleis.cli import main; sys.exit(main())"
@@ -206,16 +227,15 @@ class TestStructureCommands:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize("g", range(1, 10))
-    def test_boundary_renderer_matches_the_encoder(self, g):
-        """The streamed f-string records against json.dumps of per-term
-        dicts and the per-term text built from str(w)."""
-        rng = random.Random(g)
-        for _ in range(2):
-            lam = tuple(sorted((rng.randint(0, 12) for _ in range(g)), reverse=True))
+    @pytest.mark.parametrize("g, lams", BOUNDARY_RENDER_CASES)
+    def test_boundary_renderer_matches_the_encoder(self, g, lams):
+        """The records filled from the (k, side) templates against
+        json.dumps of per-term dicts and the per-term text built from
+        str(w)."""
+        finals = weylcomb.enumerate_final(g)
+        restricted = [weylcomb.final_element(g - 1, m) for m in range(1 << (g - 1))]
+        for lam in lams:
             terms = eiscalc.boundary_terms(g, lam)
-            finals = weylcomb.enumerate_final(g)
-            restricted = [weylcomb.final_element(g - 1, m) for m in range(1 << (g - 1))]
             records = [
                 {
                     "w": list(finals[t.w].images),
@@ -244,6 +264,39 @@ class TestStructureCommands:
                 ) + "\n",
             )
 
+    # boundary -g 10 at the staircase weight, pinned before the records
+    # came from the per-(k, side) templates and the half-table labels
+    @pytest.mark.parametrize(
+        "format, digest",
+        [
+            ("text", "7587b8f5d436d0f004451908b80e7e14fe1e2e0baece1af0fcec92488fefa170"),
+            ("json", "c246cf87fd5ce5f7ce2cb2299381dd3596a248cc75034a6af2342bf8a34c10fe"),
+        ],
+    )
+    def test_boundary_renders_from_blocks_and_label_tables(self, monkeypatch, format, digest):
+        """boundary reads one block per final element, each with one
+        flip_restrictions call, and names elements from the two label
+        tables: no per-term object, no per-mask label."""
+        def refuse(*args):
+            raise AssertionError("boundary rendered through a per-term or per-mask path")
+
+        restricted = []
+        real = weylcomb.flip_restrictions
+
+        def counted(mask, g):
+            restricted.append(mask)
+            return real(mask, g)
+
+        monkeypatch.setattr(eiscalc, "iter_boundary_terms", refuse)
+        monkeypatch.setattr(weylcomb, "flip_images", refuse)
+        monkeypatch.setattr(weylcomb, "flip_restrictions", counted)
+        monkeypatch.setattr(eiscalc, "flip_restrictions", counted)
+        argv = ["boundary", "-g", "10", "-l", "19,17,15,13,11,9,7,5,3,1", "--format", format]
+        code, out, err = run(argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert restricted == list(range(2**10))
+
     @pytest.mark.parametrize("g", range(0, 11))
     def test_labels_name_the_elements(self, g):
         """Labels formatted from the masks' images against the elements
@@ -254,6 +307,15 @@ class TestStructureCommands:
         finals = [weylcomb.final_element(g, m) for m in range(2**g)]
         assert _labels(g, "text") == [str(w) for w in finals]
         assert _labels(g, "json") == [json.dumps(list(w.images)) for w in finals]
+
+    @pytest.mark.parametrize("format", ["text", "json"])
+    @pytest.mark.parametrize("g", range(0, 15))
+    def test_label_tables_match_the_per_mask_labels(self, g, format):
+        """The half-table labels against `_label`, mask by mask: odd and
+        even half splits, the text separator change at g = 5, and genus
+        13, the restricted table of boundary -g 14."""
+        label = cli._label(g, format)
+        assert _labels(g, format) == [label(m) for m in range(1 << g)]
 
     @pytest.mark.parametrize(
         "entries",
@@ -650,6 +712,33 @@ class TestVerify:
         )
         for line in failed.values():
             assert "[counterexample: raised ValueError: weight (-2, 0" in line
+
+    def test_a_restriction_table_error_fails_its_partition_check(self, monkeypatch):
+        # restrict_final raises: the partition suite's restriction tables
+        # are built inside each partition-identity-g{g} check, so each of
+        # those checks FAILs with the error and the gate exits 1, not 2
+        def broken(w, k, side):
+            raise ValueError("images contain a complementary pair")
+
+        monkeypatch.setattr(weylcomb, "restrict_final", broken)
+        monkeypatch.setattr(eiscalc, "restrict_final", broken)
+        code, out, err = run(["verify", "--suite", "all"])
+        assert (code, err) == (1, "")
+        failed = {
+            ln.split(":")[0].split()[1]: ln
+            for ln in out.splitlines() if ln.startswith("FAIL")
+        }
+        assert set(failed) == {
+            "restrict-bijection",
+            "partition-identity-g2",
+            "partition-identity-g3",
+            "partition-identity-g4",
+        }
+        for g in (2, 3, 4):
+            assert failed[f"partition-identity-g{g}"] == (
+                f"FAIL partition-identity-g{g}: entries <= 4 [counterexample: "
+                "raised ValueError: images contain a complementary pair]"
+            )
 
     @pytest.mark.parametrize(
         "flag, value, ok",

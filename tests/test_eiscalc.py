@@ -398,9 +398,11 @@ class TestBoundaryTerms:
         ],
     )
     def test_stream_checks_its_input_when_called(self, g, lam, message):
-        # the error comes from the call itself, before any term is asked for
-        with pytest.raises(ValueError, match=re.escape(message)):
-            iter_boundary_terms(g, lam)
+        # the error comes from the call itself, before any term or block is
+        # asked for, and the CLI's block entry checks what the terms' does
+        for entry in (iter_boundary_terms, eiscalc.boundary_blocks):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                entry(g, lam)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
