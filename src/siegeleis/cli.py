@@ -219,13 +219,11 @@ def _render_boundary(g, lam, format):
     ]
 
     def block_records():
-        for mask, telescope, restrictions in blocks:
+        for mask, records in blocks:
             w = ws[mask]
-            # each position's cell is used once, by the k it belongs to
-            cells = [(entries % wt, sign, parity[sum(wt) & 1]) for wt, sign in telescope]
             yield sep.join([
-                template[side] % (w, us[u], *cells[pos - 1])
-                for template, (side, pos, u) in zip(templates, restrictions)
+                template[side] % (w, us[u], entries % weight, sign, parity[sum(weight) & 1])
+                for template, (side, u, weight, sign) in zip(templates, records)
             ])
     return _chunks(block_records(), 1, head, sep, tail)
 

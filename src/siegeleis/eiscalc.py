@@ -30,11 +30,11 @@ from .weylcomb import (
 # Python 3.11).
 # bgg: 2^g terms, 65,536 at g = 16 (0.37 s, 47 MB).
 MAX_BGG_G = 16
-# boundary: g*2^g terms, 229,376 at g = 14, streamed (0.36 s, 19 MB).
+# boundary: g*2^g terms, 229,376 at g = 14, streamed (0.32 s, 19 MB).
 MAX_BOUNDARY_G = 14
 # lambda's entries (rank1, bgg, boundary): output grows with their digits,
 # so a 4,300-digit entry would make boundary -g 14 write ~13 GB.  At this
-# bound it writes 72 MB of JSON (0.41 s, 19 MB), bgg -g 16 17 MB (0.38 s, 70 MB).
+# bound it writes 72 MB of JSON (0.33 s, 19 MB), bgg -g 16 17 MB (0.38 s, 70 MB).
 MAX_LAMBDA_ENTRY = 10**6
 # table: rank1 (g terms over length-g weights) on the even ones of the
 # C(lmax+g, g) weights in [0, lmax]^g: g^2 * C(lmax+g, g) steps, worst at
@@ -148,26 +148,22 @@ class BoundaryTerm(NamedTuple):
         return sum(self.weight) % 2 == 0
 
 
-# (mask, telescope, restrictions) of one source w: see `boundary_blocks`
-BoundaryBlock = tuple[int, list[tuple[tuple[int, ...], int]], list[tuple[str, int, int]]]
+# (mask, records) of one source w, records[k - 1] = (side, u, weight, sign):
+# see `boundary_blocks`
+BoundaryBlock = tuple[int, list[tuple[str, int, tuple[int, ...], int]]]
 
 
 def iter_boundary_terms(g: int, lam: Sequence[int]) -> Iterator[BoundaryTerm]:
     """Expand the double sum over (w, k) of restricted telescope terms,
-    one term at a time: the blocks of `boundary_blocks`, flattened.
+    one term at a time: the records of `boundary_blocks`, each with its
+    w and k and, on side B, the twist of `boundary_twists`.  The GL(1,Z)
+    parity filter, `parity_pass`, is read from the weight.
 
     The genus bound and lam are checked when this is called, so a bad
-    input fails before the first term; the terms themselves come from a
-    generator.  Each block yields its g terms, k = 1, ..., g ascending:
-    k's side and restriction mask u from the block's restrictions, the
-    telescope weight and sign at k's position, and on side B the twist
-    of `boundary_twists`.  The GL(1,Z) parity filter, `parity_pass`, is
-    read from the weight.
-
-    The terms come in one contiguous block per w, the blocks in
-    `enumerate_final` order; `verify_partition` checks that block
-    contract, and the CLI writes its output one block at a time from
-    `boundary_blocks` on the strength of it.
+    input fails before the first term.  The terms come in one block of
+    k = 1, ..., g per w, the blocks in `enumerate_final` order;
+    `verify_partition` checks that block contract, and the CLI writes
+    its output one block at a time on the strength of it.
     """
     lam = _check_boundary_input(g, lam)
     return _flatten_blocks(boundary_twists(g, lam), _generate_blocks(g, lam))
@@ -175,19 +171,15 @@ def iter_boundary_terms(g: int, lam: Sequence[int]) -> Iterator[BoundaryTerm]:
 
 def boundary_blocks(g: int, lam: Sequence[int]) -> Iterator[BoundaryBlock]:
     """The boundary terms one source w at a time, in `enumerate_final`
-    order: (mask, telescope, restrictions) per final element.
+    order: (mask, records) per final element, its flip mask and
+    `records[k - 1]` = (side, u, weight, sign) for k = 1, ..., g.
 
-    Each w arrives as its BGG term (`_bgg_terms`), by its flip mask, its
-    index in `enumerate_final`.  `telescope[pos - 1]` is the (weight,
-    sign) of position pos: the term's `mu` = a telescoped once into its
-    g weights, the sign from its degree.  `restrictions` is
-    `flip_restrictions(mask, g)`, each k's (side, position, restriction
-    mask) for k = 1, ..., g; the positions of k = 1, ..., g are 1, ..., g
-    once each (the dichotomy-position-bijection invariant), so each term
-    takes the telescope weight at its own position.  That weight, a[:l-1]
-    + (a[l:] - 1) for the mu = a that `_bgg_terms` has checked, is
-    dominant with no check of its own (the surgery lemma): a_(l-1) >= a_l
-    >= a_(l+1) > a_(l+1) - 1.
+    The side, the position pos and the restriction mask u of k come from
+    `flip_restrictions(mask, g)`; the weight is w's BGG `mu` = a
+    telescoped at l = g + 1 - pos, a[:l-1] + (a[l:] - 1), with sign
+    (-1)^(degree + g - l).  That weight is dominant with no check of its
+    own (the surgery lemma), as `_bgg_terms` has checked a: a_(l-1) >=
+    a_l >= a_(l+1) > a_(l+1) - 1.
 
     The input is checked as `iter_boundary_terms` checks it, when this is
     called."""
@@ -208,14 +200,12 @@ def _check_boundary_input(g: int, lam: Sequence[int]) -> tuple[int, ...]:
 
 def _generate_blocks(g: int, lam: tuple[int, ...]) -> Iterator[BoundaryBlock]:
     for mask, a, degree, _ in _bgg_terms(g, lam):
-        # telescope[pos - 1] is telescope_surgery(a, l) = a[:l-1] + low[l:]
-        # at l = g+1-pos, with its sign (-1)^(degree+g-l)
+        # at l = g+1-pos: a[:l-1] + low[l:], sign (-1)^(degree+g-l)
         low = tuple(x - 1 for x in a)
-        telescope = [
-            (a[: l - 1] + low[l:], -1 if (degree + g - l) & 1 else 1)
-            for l in range(g, 0, -1)
+        yield mask, [
+            (side, u, a[: g - pos] + low[g + 1 - pos :], -1 if (degree + pos - 1) & 1 else 1)
+            for side, pos, u in flip_restrictions(mask, g)
         ]
-        yield mask, telescope, flip_restrictions(mask, g)
 
 
 def _flatten_blocks(
@@ -225,17 +215,16 @@ def _flatten_blocks(
     # BoundaryTerm(*fields) is tuple.__new__(BoundaryTerm, fields) behind
     # a Python-level __new__; calling the latter directly skips that frame
     new_term = tuple.__new__
-    for mask, telescope, restrictions in blocks:
-        for k, twist, (side, pos, u) in zip(ks, twists, restrictions):
-            weight, sign = telescope[pos - 1]
+    for mask, records in blocks:
+        for k, twist, (side, u, weight, sign) in zip(ks, twists, records):
             yield new_term(BoundaryTerm, (mask, k, side, u, weight, sign, twist[side]))
 
 
 def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
     """The terms of `iter_boundary_terms` as a list, for callers that take
     its length or walk it more than once (`verify_partition`, the suites).
-    The CLI streams the generator instead: at g = 13 the list alone holds
-    106,496 terms in about 32 MB."""
+    The CLI streams `boundary_blocks` instead: at g = 13 the list alone
+    holds 106,496 terms in about 32 MB."""
     return list(iter_boundary_terms(g, lam))
 
 

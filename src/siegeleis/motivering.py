@@ -114,7 +114,9 @@ class MotiveExpr:
 
     def __init__(self, terms: Iterable[tuple] = ()):
         """From ((symbol, L-exponent), coeff) pairs; repeated keys are
-        summed and zero sums dropped.  A dict is not pairs: TypeError."""
+        summed and zero sums dropped.  A dict is not pairs, and every
+        distinct key must be a pair, even one whose coefficients cancel:
+        TypeError."""
         if isinstance(terms, dict):
             raise TypeError(
                 "MotiveExpr takes ((symbol, L-exponent), coeff) pairs, not a mapping"
@@ -122,6 +124,9 @@ class MotiveExpr:
         acc: dict[tuple[Symbol, int], int] = {}
         for key, c in terms:
             acc[key] = acc.get(key, 0) + c
+        if not {2}.issuperset(map(len, acc)):  # a check in C of the key lengths
+            bad = next(key for key in acc if len(key) != 2)
+            raise TypeError(f"term key {bad!r} is not a (symbol, L-exponent) pair")
         if 0 in acc.values():  # a scan in C: most sums drop nothing
             acc = {k: c for k, c in acc.items() if c}
         self._terms = acc

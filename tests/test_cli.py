@@ -297,6 +297,35 @@ class TestStructureCommands:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
         assert restricted == list(range(2**10))
 
+    def test_boundary_only_formats_the_block_records(self, monkeypatch):
+        """Two hand-made blocks, their fields chosen to match no real term,
+        come out field for field: k is the record's index, the twist is
+        `boundary_twists`'s for that k and side, and parity_pass is read
+        from the weight.  The CLI adds no term logic of its own."""
+        g, lam = 3, (6, 4, 1)
+        blocks = [
+            (5, [("B", 3, (9, -2), -1), ("B", 0, (0, 0), 1), ("A", 2, (-4, -7), 1)]),
+            (2, [("A", 1, (3, 3), -1), ("A", 3, (11, 2), -1), ("B", 0, (-1, -6), 1)]),
+        ]
+        monkeypatch.setattr(eiscalc, "boundary_blocks", lambda g, lam: iter(blocks))
+        code, out, err = run(["boundary", "-g", str(g), "-l", "6,4,1", "--format", "json"])
+        assert (code, err) == (0, "")
+        twists = eiscalc.boundary_twists(g, lam)
+        assert json.loads(out) == [
+            {
+                "w": list(weylcomb.flip_images(mask, g)),
+                "k": k,
+                "side": side,
+                "u": list(weylcomb.flip_images(u, g - 1)),
+                "weight": list(weight),
+                "sign": sign,
+                "twist": twists[k - 1][side],
+                "parity_pass": sum(weight) % 2 == 0,
+            }
+            for mask, records in blocks
+            for k, (side, u, weight, sign) in enumerate(records, 1)
+        ]
+
     @pytest.mark.parametrize("g", range(0, 11))
     def test_labels_name_the_elements(self, g):
         """Labels formatted from the masks' images against the elements

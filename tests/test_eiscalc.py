@@ -10,6 +10,7 @@ from siegeleis import eiscalc, suites
 from siegeleis.cli import _stream
 from siegeleis.eiscalc import (
     BggTerm,
+    BoundaryTerm,
     admissible_weights,
     bgg_complex,
     boundary_terms,
@@ -531,6 +532,58 @@ class TestBoundaryAgainstTheValidatedPath:
                 assert (t.k, t.side, t.sign, t.twist, t.parity_pass) == (
                     old.k, old.side, old.sign, old.twist, old.parity_pass
                 ), (lam, t)
+
+
+class TestBlockRecords:
+    """Every (side, u, weight, sign) record of `boundary_blocks` against
+    oracles on the elements, none of them a flip helper: the partition
+    suite stops at g = 4, and above it a sign or slice fault would
+    otherwise show only as a changed golden digest."""
+
+    @staticmethod
+    def weights(g):
+        rng = random.Random(g)
+        drawn = tuple(sorted((rng.randint(0, 20) for _ in range(g)), reverse=True))
+        yield tuple(range(2 * g - 1, 0, -2))  # the staircase
+        yield drawn
+        yield (eiscalc.MAX_LAMBDA_ENTRY,) + drawn[1:]
+
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_each_record_against_the_element_oracles(self, g):
+        finals = enumerate_final(g)
+        # enumerate_final(g - 1), which refuses genus 0
+        restricted = [final_element(g - 1, u) for u in range(1 << (g - 1))]
+        # (side, position, restriction) of each (w, k), whatever lambda is
+        oracle = [
+            [(side, pos, restrict_final(w, k, side))
+             for k in range(1, g + 1)
+             for side, pos in [image_dichotomy(w, k)]]
+            for w in finals
+        ]
+        for lam in self.weights(g):
+            blocks = list(eiscalc.boundary_blocks(g, lam))
+            assert [mask for mask, _ in blocks] == list(range(1 << g))
+            for mask, records in blocks:
+                w = finals[mask]
+                mu = tuple(-x for x in reversed(w.dot_action(lam)))
+                expected = [
+                    (side, u, telescope_surgery(mu, g + 1 - pos), (-1) ** (w.length() + pos - 1))
+                    for side, pos, u in oracle[mask]
+                ]
+                got = [(side, restricted[u], weight, sign) for side, u, weight, sign in records]
+                assert got == expected, (lam, w)
+
+    def test_flattened_blocks_are_the_terms(self):
+        # the benchmark's boundary-deep weight at seed 1
+        # (`boundary_lambda(1)` in bench/run.py)
+        g, lam = 13, (20, 18, 15, 15, 15, 14, 12, 8, 6, 4, 3, 3, 2)
+        twists = eiscalc.boundary_twists(g, lam)
+        flat = [
+            BoundaryTerm(mask, k, side, u, weight, sign, twists[k - 1][side])
+            for mask, records in eiscalc.boundary_blocks(g, lam)
+            for k, (side, u, weight, sign) in enumerate(records, 1)
+        ]
+        assert flat == boundary_terms(g, lam)
 
 
 class TestVerifyPartition:

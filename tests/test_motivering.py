@@ -324,6 +324,19 @@ class TestSummingConstructor:
         with pytest.raises(TypeError):
             MotiveExpr({(ONE, 0): 1, (Symbol("S", k=12), 2): -3})
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(ONE, 1)],  # a bare symbol, itself a tuple, as the key
+            [((ONE,), 1)],  # a 1-tuple key
+            [((ONE, 0), 1), ((ONE,), 2), ((ONE,), -2)],  # a bad key that cancels
+        ],
+        ids=["bare-symbol", "one-tuple", "cancelling"],
+    )
+    def test_a_key_that_is_not_a_pair_raises_at_construction(self, pairs):
+        with pytest.raises(TypeError, match=r"is not a \(symbol, L-exponent\) pair"):
+            MotiveExpr(pairs)
+
     @given(symbols)
     def test_equal_symbols_built_apart_hash_equal(self, sym):
         twin = Symbol(sym.kind, k=sym.k, g=sym.g, lam=list(sym.lam))
