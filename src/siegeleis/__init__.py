@@ -9,7 +9,6 @@ from .eiscalc import (
     check_duality,
     codim2_g2,
     consistency_g2,
-    iter_boundary_terms,
     kernel_g2,
     rank1,
     tau_prime,
@@ -61,7 +60,6 @@ __all__ = [
     "tau_prime",
     "bgg_complex",
     "boundary_terms",
-    "iter_boundary_terms",
     "verify_partition",
     "rank1",
     "total_g2",

@@ -126,25 +126,21 @@ def _render_table(g: int, lmax: int, format: str):
 
 def _label(g: int, format: str) -> Callable[[int], str]:
     """The name in `format` of a final element of genus g by its flip
-    mask, formatted from the mask's images, so no element is built."""
-    if format == "json":
-        return lambda m: str(list(weylcomb.flip_images(m, g)))
-    return lambda m: weylcomb.images_text(g, weylcomb.flip_images(m, g))
-
-
-def _labels(g: int, format: str) -> list[str]:
-    """`_label` of every final element of genus g, indexed by flip mask,
-    from two half tables as `weylcomb.flip_dot_actions` builds the dot
-    actions.  The images of a flip set are the unflipped indices
-    ascending, then 2g+1-i for the flipped i descending; over the halves
-    1..h and h+1..g, h = g // 2, that is the first half's unflipped part,
-    the second half's two parts and the first half's flipped part.  Each
-    half's parts are formatted once, O(2^(g/2)) strings, and each mask
-    costs two concatenations.  The second half's parts hold g - h >= 1
-    indices together for g >= 1, so the first half's parts carry the
-    separators next to them.  `_label` is this table's per-mask oracle."""
+    mask, from two half tables as `weylcomb.flip_dot_actions` builds the
+    dot actions, so no element is built.  The images of a flip set are
+    the unflipped indices ascending, then 2g+1-i for the flipped i
+    descending; over the halves 1..h and h+1..g, h = g // 2, that is the
+    first half's unflipped part (the head), the second half's two parts
+    (the middle) and the first half's flipped part (the tail).  The first
+    half holds the mask's high bits, m >> s for the s = g - h bits of the
+    second.  Each part is formatted once, O(2^(g/2)) strings, and each
+    mask costs three lookups and two concatenations.  The middle holds
+    s >= 1 indices for g >= 1, so the head and the tail carry the
+    separators next to it."""
     sep = ", " if format == "json" else "" if 2 * g <= 9 else ","
     h = g // 2
+    s = g - h
+    low = (1 << s) - 1
 
     def text(part):
         # flip_dot_actions's parts of v = (1, ..., g): i unflipped, -i flipped
@@ -152,12 +148,16 @@ def _labels(g: int, format: str) -> list[str]:
 
     v = range(1, g + 1)
     middles = [text(u + f) for u, f, _ in weylcomb._half_parts(v, h + 1, g, g)]
-    labels = []
-    for u, f, _ in weylcomb._half_parts(v, 1, h, g):
-        head = "[" + text(u) + (sep if u else "")
-        tail = (sep if f else "") + text(f) + "]"
-        labels += [head + m + tail for m in middles]
-    return labels
+    firsts = weylcomb._half_parts(v, 1, h, g)
+    heads = ["[" + text(u) + (sep if u else "") for u, _, _ in firsts]
+    tails = [(sep if f else "") + text(f) + "]" for _, f, _ in firsts]
+    return lambda m: heads[m >> s] + middles[m & low] + tails[m >> s]
+
+
+def _labels(g: int, format: str) -> list[str]:
+    """`_label` of every final element of genus g, indexed by flip mask:
+    the table `boundary` reads, as it uses each label g or 2g times."""
+    return list(map(_label(g, format), range(1 << g)))
 
 
 def _entries_format(n: int, format: str) -> str:

@@ -28,13 +28,13 @@ from .weylcomb import (
 # Size limits, checked before work starts; costs are the CLI's at the
 # limit with JSON output, best of 5 runs and median peak RSS (2 cores,
 # Python 3.11).
-# bgg: 2^g terms, 65,536 at g = 16 (0.37 s, 47 MB).
+# bgg: 2^g terms, 65,536 at g = 16 (0.26 s, 47 MB).
 MAX_BGG_G = 16
 # boundary: g*2^g terms, 229,376 at g = 14, streamed (0.32 s, 19 MB).
 MAX_BOUNDARY_G = 14
 # lambda's entries (rank1, bgg, boundary): output grows with their digits,
 # so a 4,300-digit entry would make boundary -g 14 write ~13 GB.  At this
-# bound it writes 72 MB of JSON (0.33 s, 19 MB), bgg -g 16 17 MB (0.38 s, 70 MB).
+# bound it writes 72 MB of JSON (0.33 s, 19 MB), bgg -g 16 17 MB (0.28 s, 71 MB).
 MAX_LAMBDA_ENTRY = 10**6
 # table: rank1 (g terms over length-g weights) on the even ones of the
 # C(lmax+g, g) weights in [0, lmax]^g: g^2 * C(lmax+g, g) steps, worst at
@@ -153,26 +153,13 @@ class BoundaryTerm(NamedTuple):
 BoundaryBlock = tuple[int, list[tuple[str, int, tuple[int, ...], int]]]
 
 
-def iter_boundary_terms(g: int, lam: Sequence[int]) -> Iterator[BoundaryTerm]:
-    """Expand the double sum over (w, k) of restricted telescope terms,
-    one term at a time: the records of `boundary_blocks`, each with its
-    w and k and, on side B, the twist of `boundary_twists`.  The GL(1,Z)
-    parity filter, `parity_pass`, is read from the weight.
-
-    The genus bound and lam are checked when this is called, so a bad
-    input fails before the first term.  The terms come in one block of
-    k = 1, ..., g per w, the blocks in `enumerate_final` order;
-    `verify_partition` checks that block contract, and the CLI writes
-    its output one block at a time on the strength of it.
-    """
-    lam = _check_boundary_input(g, lam)
-    return _flatten_blocks(boundary_twists(g, lam), _generate_blocks(g, lam))
-
-
 def boundary_blocks(g: int, lam: Sequence[int]) -> Iterator[BoundaryBlock]:
     """The boundary terms one source w at a time, in `enumerate_final`
     order: (mask, records) per final element, its flip mask and
-    `records[k - 1]` = (side, u, weight, sign) for k = 1, ..., g.
+    `records[k - 1]` = (side, u, weight, sign) for k = 1, ..., g.  This is
+    the one boundary stream: the CLI writes its output one block at a time
+    from it, `boundary_terms` flattens it, and `verify_partition` checks
+    the block contract.
 
     The side, the position pos and the restriction mask u of k come from
     `flip_restrictions(mask, g)`; the weight is w's BGG `mu` = a
@@ -181,21 +168,17 @@ def boundary_blocks(g: int, lam: Sequence[int]) -> Iterator[BoundaryBlock]:
     own (the surgery lemma), as `_bgg_terms` has checked a: a_(l-1) >=
     a_l >= a_(l+1) > a_(l+1) - 1.
 
-    The input is checked as `iter_boundary_terms` checks it, when this is
-    called."""
-    return _generate_blocks(g, _check_boundary_input(g, lam))
+    The genus bound and lam are checked when this is called, so a bad
+    input fails before the first block."""
+    if g > MAX_BOUNDARY_G:
+        raise ValueError(f"-g: boundary needs g <= {MAX_BOUNDARY_G}, got {g}")
+    return _generate_blocks(g, _check_sp_weight(lam, g))
 
 
 def boundary_twists(g: int, lam: Sequence[int]) -> list[dict[str, int]]:
     """The twist of a term by its k and side, for lam already checked:
     `twists[k - 1][side]` is 0 on side A and lam_k + g + 1 - k on side B."""
     return [{"A": 0, "B": lam[k - 1] + g + 1 - k} for k in range(1, g + 1)]
-
-
-def _check_boundary_input(g: int, lam: Sequence[int]) -> tuple[int, ...]:
-    if g > MAX_BOUNDARY_G:
-        raise ValueError(f"-g: boundary needs g <= {MAX_BOUNDARY_G}, got {g}")
-    return _check_sp_weight(lam, g)
 
 
 def _generate_blocks(g: int, lam: tuple[int, ...]) -> Iterator[BoundaryBlock]:
@@ -208,24 +191,23 @@ def _generate_blocks(g: int, lam: tuple[int, ...]) -> Iterator[BoundaryBlock]:
         ]
 
 
-def _flatten_blocks(
-    twists: list[dict[str, int]], blocks: Iterator[BoundaryBlock]
-) -> Iterator[BoundaryTerm]:
-    ks = range(1, len(twists) + 1)
+def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
+    """The records of `boundary_blocks` as one list of terms, each with its
+    w and k and, on side B, the twist of `boundary_twists`; the GL(1,Z)
+    parity filter, `parity_pass`, is read from the weight.  For callers
+    that take the list's length or walk it more than once
+    (`verify_partition`, the suites); at g = 13 it holds 106,496 terms in
+    about 32 MB, which the CLI's block stream never holds."""
+    blocks = boundary_blocks(g, lam)  # checks g and lam first
+    ks, twists = range(1, g + 1), boundary_twists(g, lam)
     # BoundaryTerm(*fields) is tuple.__new__(BoundaryTerm, fields) behind
     # a Python-level __new__; calling the latter directly skips that frame
     new_term = tuple.__new__
-    for mask, records in blocks:
-        for k, twist, (side, u, weight, sign) in zip(ks, twists, records):
-            yield new_term(BoundaryTerm, (mask, k, side, u, weight, sign, twist[side]))
-
-
-def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
-    """The terms of `iter_boundary_terms` as a list, for callers that take
-    its length or walk it more than once (`verify_partition`, the suites).
-    The CLI streams `boundary_blocks` instead: at g = 13 the list alone
-    holds 106,496 terms in about 32 MB."""
-    return list(iter_boundary_terms(g, lam))
+    return [
+        new_term(BoundaryTerm, (mask, k, side, u, weight, sign, twist[side]))
+        for mask, records in blocks
+        for k, twist, (side, u, weight, sign) in zip(ks, twists, records)
+    ]
 
 
 class RestrictionTables(NamedTuple):

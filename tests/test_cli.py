@@ -287,7 +287,7 @@ class TestStructureCommands:
             restricted.append(mask)
             return real(mask, g)
 
-        monkeypatch.setattr(eiscalc, "iter_boundary_terms", refuse)
+        monkeypatch.setattr(eiscalc, "boundary_terms", refuse)
         monkeypatch.setattr(weylcomb, "flip_images", refuse)
         monkeypatch.setattr(weylcomb, "flip_restrictions", counted)
         monkeypatch.setattr(eiscalc, "flip_restrictions", counted)
@@ -340,11 +340,18 @@ class TestStructureCommands:
     @pytest.mark.parametrize("format", ["text", "json"])
     @pytest.mark.parametrize("g", range(0, 15))
     def test_label_tables_match_the_per_mask_labels(self, g, format):
-        """The half-table labels against `_label`, mask by mask: odd and
-        even half splits, the text separator change at g = 5, and genus
-        13, the restricted table of boundary -g 14."""
+        """The half-table label of each mask against the element it names,
+        not against a second formatter: str(final_element) in text and
+        json.dumps of the images in JSON, for odd and even half splits,
+        the text separator change at g = 5, genus 13, the restricted table
+        of boundary -g 14, and genus 14."""
         label = cli._label(g, format)
-        assert _labels(g, format) == [label(m) for m in range(1 << g)]
+        for m in range(1 << g):
+            if format == "text":
+                expected = str(weylcomb.final_element(g, m))
+            else:
+                expected = json.dumps(list(weylcomb.flip_images(m, g)))
+            assert label(m) == expected, m
 
     @pytest.mark.parametrize(
         "entries",
@@ -381,6 +388,27 @@ class TestStructureCommands:
         monkeypatch.setattr(cli, "_label", counted)
         assert "".join(_render_bgg(5, lam, format)) == expected
         assert formatted == [t.w for t in eiscalc.bgg_complex(5, lam)]
+
+    # bgg -g 10 at the staircase weight, pinned before its labels came
+    # from the half tables
+    @pytest.mark.parametrize(
+        "format, digest",
+        [
+            ("text", "6a497372691c49450018b47a9593ecbd0a6b10ba379671c8c2b45c6ecfd7a521"),
+            ("json", "14f4b5ec6382df51cdf9d45da6bd03f2acc3a97ffcd8a7a6e105bd68a7b853b9"),
+        ],
+    )
+    def test_bgg_renders_from_half_table_labels(self, monkeypatch, format, digest):
+        """bgg names its elements from the half tables, as boundary does:
+        no per-mask images are formatted."""
+        def refuse(*args):
+            raise AssertionError("bgg formatted a label from the mask's images")
+
+        monkeypatch.setattr(weylcomb, "flip_images", refuse)
+        argv = ["bgg", "-g", "10", "-l", "19,17,15,13,11,9,7,5,3,1", "--format", format]
+        code, out, err = run(argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("g", range(1, 10))
     def test_bgg_renderer_matches_the_encoder(self, g):

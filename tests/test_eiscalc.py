@@ -17,7 +17,6 @@ from siegeleis.eiscalc import (
     check_duality,
     codim2_g2,
     consistency_g2,
-    iter_boundary_terms,
     kernel_g2,
     rank1,
     restriction_tables,
@@ -334,10 +333,10 @@ class TestBoundaryTerms:
         message = f"weight {reversed_action} is not weakly decreasing"
         got = []
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            for t in iter_boundary_terms(g, lam):
-                got.append(t)
-        # every block before the bad w's, and no term of it
-        assert [t.w for t in got] == [w for w in range(bad) for _ in range(g)]
+            for mask, records in eiscalc.boundary_blocks(g, lam):
+                got.append(mask)
+        # every block before the bad w's, and nothing of it
+        assert got == list(range(bad))
 
     def test_twist_is_zero_exactly_on_side_a(self):
         lam = (4, 2, 0)
@@ -361,18 +360,26 @@ class TestBoundaryTerms:
 
     @pytest.mark.parametrize("g", range(1, 10))
     def test_stream_matches_the_list(self, g):
-        # two streams of the same input, drained in step, share no state
+        # two block streams of the same input, drained in step, share no
+        # state, and flattened with each k's twist they are the term list
         rng = random.Random(g)
         for _ in range(2):
             lam = tuple(sorted((rng.randint(0, 12) for _ in range(g)), reverse=True))
-            rows = itertools.zip_longest(
-                iter_boundary_terms(g, lam), iter_boundary_terms(g, lam),
-                boundary_terms(g, lam),
-            )
-            assert all(a == b == c for a, b, c in rows)
+            twists = eiscalc.boundary_twists(g, lam)
+            flat = ([], [])
+            for pair in itertools.zip_longest(
+                eiscalc.boundary_blocks(g, lam), eiscalc.boundary_blocks(g, lam)
+            ):
+                for terms, (mask, records) in zip(flat, pair):
+                    terms += [
+                        BoundaryTerm(mask, k, side, u, weight, sign, twists[k - 1][side])
+                        for k, (side, u, weight, sign) in enumerate(records, 1)
+                    ]
+            assert flat[0] == flat[1] == boundary_terms(g, lam)
+            assert len(flat[0]) == g * 2**g
 
     def test_stream_makes_one_block_at_a_time(self, monkeypatch):
-        """After the first g terms only the first w's work is done: one dot
+        """After the first block only the first w's work is done: one dot
         action drawn and checked for dominance, and no weight built."""
         built = _count_value_objects(monkeypatch)
         drawn = []
@@ -382,13 +389,13 @@ class TestBoundaryTerms:
         )
         g = 8
         lam = tuple(range(2 * g, 0, -2))
-        terms = iter_boundary_terms(g, lam)
+        blocks = eiscalc.boundary_blocks(g, lam)
         checked = _count_dominance_checks(monkeypatch)
-        block = list(itertools.islice(terms, g))
+        mask, records = next(blocks)
         assert drawn == [(flip_dot_action(0, lam), 0)]
         assert checked == [flip_dot_action(0, lam)]
         assert built[GlWeight] == []
-        assert {t.w for t in block} == {0}
+        assert (mask, len(records)) == (0, g)
 
     @pytest.mark.parametrize(
         "g, lam, message",
@@ -399,9 +406,9 @@ class TestBoundaryTerms:
         ],
     )
     def test_stream_checks_its_input_when_called(self, g, lam, message):
-        # the error comes from the call itself, before any term or block is
-        # asked for, and the CLI's block entry checks what the terms' does
-        for entry in (iter_boundary_terms, eiscalc.boundary_blocks):
+        # the error comes from the call itself, before any block is asked
+        # for, and the term list checks through the block stream
+        for entry in (eiscalc.boundary_blocks, boundary_terms):
             with pytest.raises(ValueError, match=re.escape(message)):
                 entry(g, lam)
 
@@ -493,10 +500,11 @@ class TestSurgeryLemma:
         # the generator checks no term's weight, so this test does
         count = 0
         bad = []
-        for t in iter_boundary_terms(g, lam):
-            count += 1
-            if not is_dominant(t.weight):
-                bad.append(t)
+        for mask, records in eiscalc.boundary_blocks(g, lam):
+            for k, (side, u, weight, sign) in enumerate(records, 1):
+                count += 1
+                if not is_dominant(weight):
+                    bad.append((mask, k, weight))
         assert (count, bad) == (g * 2**g, [])
 
 
