@@ -22,10 +22,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_sp_weight(text: str) -> tuple[int, ...]:
+    """--lambda's entries, each at most the output bound MAX_LAMBDA_ENTRY."""
     try:
-        return tuple(int(p) for p in text.split(","))
+        lam = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise ValueError(f"--lambda: could not parse {text!r} as integers")
+    if max(lam) > eiscalc.MAX_LAMBDA_ENTRY:
+        raise ValueError(f"--lambda: entries must be <= {eiscalc.MAX_LAMBDA_ENTRY}")
+    return lam
 
 
 def _build_parser() -> _Parser:

@@ -35,6 +35,7 @@ MAX_BOUNDARY_G = 14
 # lambda's entries (rank1, bgg, boundary): output grows with their digits,
 # so a 4,300-digit entry would make boundary -g 14 write ~13 GB.  At this
 # bound it writes 72 MB of JSON (0.33 s, 19 MB), bgg -g 16 17 MB (0.28 s, 71 MB).
+# The CLI applies it as it parses --lambda; the library takes any entry.
 MAX_LAMBDA_ENTRY = 10**6
 # table: rank1 (g terms over length-g weights) on the even ones of the
 # C(lmax+g, g) weights in [0, lmax]^g: g^2 * C(lmax+g, g) steps, worst at
@@ -49,8 +50,8 @@ MAX_RANK1_G = isqrt(MAX_TABLE_WORK)
 
 
 def _check_sp_weight(lam: Sequence[int], g: int) -> tuple[int, ...]:
-    """lam as a tuple, if it is a dominant Sp(2g) weight with entries at
-    most MAX_LAMBDA_ENTRY; errors name the CLI flag."""
+    """lam as a tuple, if it is a dominant Sp(2g) weight (g >= 1 entries,
+    weakly decreasing, nonnegative, of any size); errors name the CLI flag."""
     if g < 1:
         raise ValueError("-g: genus must be >= 1")
     lam = tuple(lam)
@@ -59,8 +60,6 @@ def _check_sp_weight(lam: Sequence[int], g: int) -> tuple[int, ...]:
     if not is_dominant(lam) or lam[-1] < 0:
         text = ",".join(map(str, lam))
         raise ValueError(f"--lambda: {text!r} is not weakly decreasing and nonnegative")
-    if lam[0] > MAX_LAMBDA_ENTRY:
-        raise ValueError(f"--lambda: entries must be <= {MAX_LAMBDA_ENTRY}")
     return lam
 
 
@@ -254,13 +253,13 @@ def verify_partition(
     none are given; a caller checking many weights of one genus builds
     them once and passes them in.  Tables of another genus raise
     ValueError."""
-    lam = _check_sp_weight(lam, g)
+    terms = boundary_terms(g, lam)  # checks g and lam before the tables
+    lam = tuple(lam)
     if tables is None:
         tables = restriction_tables(g)
     elif tables.g != g:
         raise ValueError(f"restriction tables are for genus {tables.g}, not {g}")
     report = VerificationReport()
-    terms = boundary_terms(g, lam)
     surgered = {k: tau_prime(lam, k) for k in range(1, g + 1)}
     finals, restricted, lengths = tables.finals, tables.restricted, tables.lengths
 

@@ -50,6 +50,10 @@ BAD_INPUT = [
     # these named --lambda before
     ("bgg -g 0 -l 1", "error: -g: genus must be >= 1\n"),
     ("boundary -g -1 -l 1", "error: -g: genus must be >= 1\n"),
+    # the entry bound is checked as --lambda is parsed, before the -g and
+    # shape errors of the library's check
+    ("bgg -g 17 -l 2000000", "error: --lambda: entries must be <= 1000000\n"),
+    ("rank1 -g 2 -l 1,2000000", "error: --lambda: entries must be <= 1000000\n"),
     (
         "verify --suite nope",
         "error: argument --suite: invalid choice: 'nope' (choose from "
@@ -328,14 +332,12 @@ class TestStructureCommands:
 
     @pytest.mark.parametrize("g", range(0, 11))
     def test_labels_name_the_elements(self, g):
-        """Labels formatted from the masks' images against the elements
-        they name: str(w) for text, whose separator changes between g = 4
-        and g = 5, and json.dumps of the images for JSON.  g = 0 is the
-        restricted label table of genus 1.  (The images themselves are
-        tested against their sorted definition in test_weylcomb.)"""
-        finals = [weylcomb.final_element(g, m) for m in range(2**g)]
-        assert _labels(g, "text") == [str(w) for w in finals]
-        assert _labels(g, "json") == [json.dumps(list(w.images)) for w in finals]
+        """The table `boundary` reads holds the 2^g per-mask labels in mask
+        order; each label is checked against the element it names below,
+        for every mask up to g = 14.  g = 0 is the restricted label table
+        of genus 1."""
+        for format in ("text", "json"):
+            assert _labels(g, format) == list(map(cli._label(g, format), range(1 << g)))
 
     @pytest.mark.parametrize("format", ["text", "json"])
     @pytest.mark.parametrize("g", range(0, 15))

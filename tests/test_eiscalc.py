@@ -44,6 +44,24 @@ S = MotiveExpr.cusp_motive
 Ec = MotiveExpr.euler
 
 
+def _generic_weight(g: int, base: int) -> tuple[int, ...]:
+    """The lambda whose gaps d_j = lambda_j - lambda_(j+1), with d_g =
+    lambda_g, are base^j: an affine form in lambda whose coefficients are
+    smaller than base/2 is read back from its value there in balanced
+    base-`base` digits (Kronecker substitution), so one evaluation stands
+    for every dominant lambda of genus g.  At g = 10, base 2^20, lambda_1
+    is about 2^200."""
+    return tuple(itertools.accumulate(base**j for j in range(g, 0, -1)))[::-1]
+
+
+def _parity_points(g: int, base: int) -> list[tuple[int, ...]]:
+    """`_generic_weight` and its g neighbours lambda + (1, ..., 1, 0, ...,
+    0), all dominant: with them the affine forms mod 2 (the parity filter,
+    the odd Ec symbols) take every value they can."""
+    lam = _generic_weight(g, base)
+    return [lam] + [tuple(x + (i < p) for i, x in enumerate(lam)) for p in range(1, g + 1)]
+
+
 class TestTauPrime:
     def test_drop_first(self):
         assert tau_prime((7, 4, 2), 1) == (4, 2)
@@ -144,7 +162,7 @@ class TestBggComplex:
     def test_degree_sort_at_other_weights(self, g):
         rng = random.Random(g)
         top = eiscalc.MAX_LAMBDA_ENTRY
-        weights = [(top,) * g, (7,) * g] + [
+        weights = [(top,) * g, (7,) * g, _generic_weight(g, 2**20)] + [
             tuple(sorted((rng.randint(0, top) for _ in range(g)), reverse=True))
             for _ in range(5)
         ]
@@ -555,6 +573,7 @@ class TestBlockRecords:
         yield tuple(range(2 * g - 1, 0, -2))  # the staircase
         yield drawn
         yield (eiscalc.MAX_LAMBDA_ENTRY,) + drawn[1:]
+        yield _generic_weight(g, 2**20)
 
     @pytest.mark.parametrize("g", range(1, 11))
     def test_each_record_against_the_element_oracles(self, g):
@@ -612,6 +631,16 @@ class TestVerifyPartition:
 
     def test_g4_sample(self):
         assert verify_partition(4, (4, 2, 1, 0)).passed
+
+    def test_input_is_checked_before_the_tables(self, monkeypatch):
+        # boundary_terms, the first call, refuses the genus before
+        # restriction_tables(15) builds 2^15 elements
+        def forbidden(g):
+            raise AssertionError("tables built before the input was checked")
+
+        monkeypatch.setattr(eiscalc, "restriction_tables", forbidden)
+        with pytest.raises(ValueError, match=r"^-g: boundary needs g <= 14, got 15$"):
+            verify_partition(15, (0,) * 15)
 
     @pytest.mark.parametrize("g", [8, 9, 10])
     def test_seeded_weights_beyond_the_gate(self, g):
@@ -757,6 +786,91 @@ class TestVerifyPartition:
         assert sorted(surgeries) == list(range(1, g + 1))
         assert len(lengths) == len(set(lengths)) == 2 ** (g - 1)
 
+
+
+def _balanced_digits(x: int, base: int) -> tuple[int, ...]:
+    """x in balanced base `base`, lowest digit first, each digit in
+    (-base/2, base/2]: at `_generic_weight(g, base)`, digit 0 is an affine
+    form's constant and digit j its coefficient of the gap d_j."""
+    digits = []
+    while x:
+        d = x % base
+        if d > base // 2:
+            d -= base
+        digits.append(d)
+        x = (x - d) // base
+    return tuple(digits)
+
+
+def _affine_forms(g: int, base: int):
+    """Every field the producers compute at `_generic_weight(g, base)`:
+    the lambda-independent ones as they are, the lambda-dependent ones
+    (BGG mu and filtration, boundary weight and twist, rank1's Ec
+    arguments and L-exponents) decoded into their affine forms."""
+    lam = _generic_weight(g, base)
+
+    def form(entries):
+        return tuple(_balanced_digits(x, base) for x in entries)
+
+    bgg = [(t.w, t.degree, form(t.mu + (t.filtration,))) for t in bgg_complex(g, lam)]
+    boundary = [
+        (t.w, t.k, t.side, t.u, t.sign, form(t.weight + (t.twist,)))
+        for t in boundary_terms(g, lam)
+    ]
+    symbols = [
+        (sym.kind, sym.g, coeff, form(sym.lam + (lexp,)))
+        for (sym, lexp), coeff in rank1(g, lam).items()
+    ]
+    return bgg, boundary, symbols
+
+
+class TestGenericPoint:
+    """The producers at the generic weight of each genus, where one
+    evaluation decides an identity for every dominant lambda (Kronecker),
+    far past the CLI's entry bound."""
+
+    # both bases are even, so every field has the same parity at both
+    # generic points and rank1 drops the same odd symbols
+    BASES = (2**20, 2**24 + 6)
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_partition_and_filtration_at_every_parity_point(self, g):
+        tables = restriction_tables(g)
+        for lam in _parity_points(g, 2**20):
+            report = verify_partition(g, lam, tables=tables)
+            assert report.passed, [c.counterexample for c in report.failures()]
+            # the filtration is the Levi-centre character: the sum of
+            # (lambda + rho)_i over the flipped indices i (bit g - i)
+            v = [x + g - i for i, x in enumerate(lam)]
+            for t in bgg_complex(g, lam):
+                flipped = [i for i in range(1, g + 1) if t.w >> (g - i) & 1]
+                assert t.filtration == sum(v[i - 1] for i in flipped), (lam, t.w)
+
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_affine_forms_do_not_depend_on_the_base(self, g):
+        """The soundness guard of the generic point: a producer that
+        branched on lambda's values would give different forms at the two
+        bases."""
+        low, high = (_affine_forms(g, base) for base in self.BASES)
+        assert low == high
+
+    def test_the_guard_sees_a_producer_that_branches_on_lambda(self, monkeypatch):
+        real = eiscalc.boundary_twists
+
+        def branching(g, lam):
+            twists = real(g, lam)
+            for by_side in twists:
+                by_side["B"] += lam[0] % 5 == 0
+            return twists
+
+        monkeypatch.setattr(eiscalc, "boundary_twists", branching)
+        differ = [
+            g for g in range(1, 11)
+            if _affine_forms(g, self.BASES[0]) != _affine_forms(g, self.BASES[1])
+        ]
+        # lambda_1 = 0 (mod 5) at base 2^20 for g = 5, 10, and at base
+        # 2^24 + 6 for g = 4, 8
+        assert differ == [4, 5, 8, 10]
 
 
 def _check_fields(report):
