@@ -203,31 +203,40 @@ def _render_boundary(g, lam, format):
     # A block's w and each record's u are flip masks, that is indices
     # into the 2^g final elements of genus g and the 2^(g-1) of genus g-1.
     ws, us = _labels(g, format), _labels(g - 1, format)
-    entries = _entries_format(g - 1, format)
     # One record template per (k, side), with k, side and twist in place;
-    # its placeholders are w, u, weight, sign and parity.
+    # its placeholders are w, u, the weight's entries, sign and parity.
     if format == "json":
         # the bytes json.dumps gives for the list of records: ints,
         # "A"/"B" and bools need no escaping
         record = (
-            '{"w": %%s, "k": %d, "side": "%s", "u": %%s, "weight": %%s, '
+            '{"w": %%s, "k": %d, "side": "%s", "u": %%s, "weight": [%%s], '
             '"sign": %%d, "twist": %d, "parity_pass": %%s}'
         )
-        parity, head, sep, tail = ("true", "false"), "[", ", ", "]\n"
+        parity, head, sep, tail, comma = ("true", "false"), "[", ", ", "]\n", ", "
     else:
         record = "w=%%s k=%d side=%s u=%%s weight=(%%s) sign=%%+d twist=%d parity=%%s"
-        parity, head, sep, tail = ("even", "odd"), "", "\n", "\n"
+        parity, head, sep, tail, comma = ("even", "odd"), "", "\n", "\n", ","
     templates = [
         {side: record % (k, side, twist) for side, twist in by_side.items()}
         for k, by_side in enumerate(twists, 1)
     ]
 
     def block_records():
-        for mask, records in blocks:
+        # The weight of a record at telescope index l is mu[:l-1] +
+        # (mu[l:] - 1), so its entries are cut from mu's and mu - 1's,
+        # each formatted once per block, and its entry sum is sum(mu) -
+        # mu_l - (g - l).
+        for mask, mu, records in blocks:
             w = ws[mask]
+            top = list(map(str, mu))
+            low = [str(x - 1) for x in mu]
+            odd = sum(mu) - g
             yield sep.join([
-                template[side] % (w, us[u], entries % weight, sign, parity[sum(weight) & 1])
-                for template, (side, u, weight, sign) in zip(templates, records)
+                template[side] % (
+                    w, us[u], comma.join(top[: l - 1] + low[l:]), sign,
+                    parity[(odd + l - mu[l - 1]) & 1],
+                )
+                for template, (side, u, l, sign) in zip(templates, records)
             ])
     return _chunks(block_records(), 1, head, sep, tail)
 

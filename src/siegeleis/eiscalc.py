@@ -19,7 +19,7 @@ from .weylcomb import (
     enumerate_final,
     final_element,
     flip_dot_actions,
-    flip_restrictions,
+    flip_restriction_rows,
     image_dichotomy,
     restrict_final,
 )
@@ -27,19 +27,20 @@ from .weylcomb import (
 
 # Size limits, checked before work starts; costs are the CLI's at the
 # limit with JSON output, best of 5 runs and median peak RSS (2 cores,
-# Python 3.11).
-# bgg: 2^g terms, 65,536 at g = 16 (0.26 s, 47 MB).
+# Python 3.11; the costs at the limits measured together in one session,
+# as the VM's speed drifts by up to 2x between sessions).
+# bgg: 2^g terms, 65,536 at g = 16 (0.47 s, 47 MB).
 MAX_BGG_G = 16
-# boundary: g*2^g terms, 229,376 at g = 14, streamed (0.32 s, 19 MB).
+# boundary: g*2^g terms, 229,376 at g = 14, streamed (0.58 s, 20 MB).
 MAX_BOUNDARY_G = 14
 # lambda's entries (rank1, bgg, boundary): output grows with their digits,
 # so a 4,300-digit entry would make boundary -g 14 write ~13 GB.  At this
-# bound it writes 72 MB of JSON (0.33 s, 19 MB), bgg -g 16 17 MB (0.28 s, 71 MB).
+# bound it writes 72 MB of JSON (0.56 s, 20 MB), bgg -g 16 17 MB (0.51 s, 71 MB).
 # The CLI applies it as it parses --lambda; the library takes any entry.
 MAX_LAMBDA_ENTRY = 10**6
 # table: rank1 (g terms over length-g weights) on the even ones of the
 # C(lmax+g, g) weights in [0, lmax]^g: g^2 * C(lmax+g, g) steps, worst at
-# g = 3, lmax = 64 (0.3 s, 16 MB).  C alone would admit g = 14, lmax = 6
+# g = 3, lmax = 64 (0.60 s, 17 MB).  C alone would admit g = 14, lmax = 6
 # (18.9 s, 303 MB), and any g at lmax = 0.
 MAX_TABLE_LMAX = 64
 MAX_TABLE_WORK = 3**2 * comb(MAX_TABLE_LMAX + 3, 3)
@@ -147,31 +148,36 @@ class BoundaryTerm(NamedTuple):
         return sum(self.weight) % 2 == 0
 
 
-# (mask, records) of one source w, records[k - 1] = (side, u, weight, sign):
+# (mask, mu, records) of one source w, records[k - 1] = (side, u, l, sign):
 # see `boundary_blocks`
-BoundaryBlock = tuple[int, list[tuple[str, int, tuple[int, ...], int]]]
+BoundaryBlock = tuple[int, tuple[int, ...], list[tuple[str, int, int, int]]]
+
+
+def _check_boundary(g: int, lam: Sequence[int]) -> tuple[int, ...]:
+    """lam as a tuple, if g is within the boundary bound and lam is a
+    dominant Sp(2g) weight (`_check_sp_weight`); errors name the CLI flag."""
+    if g > MAX_BOUNDARY_G:
+        raise ValueError(f"-g: boundary needs g <= {MAX_BOUNDARY_G}, got {g}")
+    return _check_sp_weight(lam, g)
 
 
 def boundary_blocks(g: int, lam: Sequence[int]) -> Iterator[BoundaryBlock]:
     """The boundary terms one source w at a time, in `enumerate_final`
-    order: (mask, records) per final element, its flip mask and
-    `records[k - 1]` = (side, u, weight, sign) for k = 1, ..., g.  This is
-    the one boundary stream: the CLI writes its output one block at a time
-    from it, `boundary_terms` flattens it, and `verify_partition` checks
-    the block contract.
+    order: (mask, mu, records) per final element, its flip mask, its BGG
+    weight mu and `records[k - 1]` = (side, u, l, sign) for k = 1, ..., g.
+    This is the one boundary stream: the CLI writes its output one block
+    at a time from it, `boundary_terms` flattens it, and
+    `verify_partition` checks the block contract.
 
     The side, the position pos and the restriction mask u of k come from
-    `flip_restrictions(mask, g)`; the weight is w's BGG `mu` = a
-    telescoped at l = g + 1 - pos, a[:l-1] + (a[l:] - 1), with sign
-    (-1)^(degree + g - l).  That weight is dominant with no check of its
-    own (the surgery lemma), as `_bgg_terms` has checked a: a_(l-1) >=
-    a_l >= a_(l+1) > a_(l+1) - 1.
+    `flip_restriction_rows(g)`; l = g + 1 - pos is the telescope index,
+    and the term's weight is `glbranch.telescope_surgery(mu, l)`, mu[:l-1]
+    + (mu[l:] - 1), which `boundary_terms` builds and the CLI formats from
+    mu, with sign (-1)^(degree + g - l).  No record holds a weight tuple.
 
     The genus bound and lam are checked when this is called, so a bad
     input fails before the first block."""
-    if g > MAX_BOUNDARY_G:
-        raise ValueError(f"-g: boundary needs g <= {MAX_BOUNDARY_G}, got {g}")
-    return _generate_blocks(g, _check_sp_weight(lam, g))
+    return _generate_blocks(g, _check_boundary(g, lam))
 
 
 def boundary_twists(g: int, lam: Sequence[int]) -> list[dict[str, int]]:
@@ -181,31 +187,38 @@ def boundary_twists(g: int, lam: Sequence[int]) -> list[dict[str, int]]:
 
 
 def _generate_blocks(g: int, lam: tuple[int, ...]) -> Iterator[BoundaryBlock]:
-    for mask, a, degree, _ in _bgg_terms(g, lam):
-        # at l = g+1-pos: a[:l-1] + low[l:], sign (-1)^(degree+g-l)
-        low = tuple(x - 1 for x in a)
-        yield mask, [
-            (side, u, a[: g - pos] + low[g + 1 - pos :], -1 if (degree + pos - 1) & 1 else 1)
-            for side, pos, u in flip_restrictions(mask, g)
+    # strict: both streams hold 2^g items, and each is run to its end
+    rows = zip(_bgg_terms(g, lam), flip_restriction_rows(g), strict=True)
+    for (mask, mu, degree, _), row in rows:
+        # l = g+1-pos, sign (-1)^(degree+g-l) = (-1)^(degree+pos-1)
+        yield mask, mu, [
+            (side, u, g + 1 - pos, -1 if (degree + pos - 1) & 1 else 1)
+            for side, pos, u in row
         ]
 
 
 def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
     """The records of `boundary_blocks` as one list of terms, each with its
-    w and k and, on side B, the twist of `boundary_twists`; the GL(1,Z)
-    parity filter, `parity_pass`, is read from the weight.  For callers
-    that take the list's length or walk it more than once
+    w and k, its weight and, on side B, the twist of `boundary_twists`; the
+    GL(1,Z) parity filter, `parity_pass`, is read from the weight.  For
+    callers that take the list's length or walk it more than once
     (`verify_partition`, the suites); at g = 13 it holds 106,496 terms in
-    about 32 MB, which the CLI's block stream never holds."""
+    about 32 MB, which the CLI's block stream never holds.
+
+    This is the one place a term's weight tuple is built: the telescope
+    surgery of w's mu at l, mu[:l-1] + (mu[l:] - 1).  It is dominant with
+    no check of its own (the surgery lemma), as `_bgg_terms` has checked
+    mu: mu_(l-1) >= mu_l >= mu_(l+1) > mu_(l+1) - 1."""
     blocks = boundary_blocks(g, lam)  # checks g and lam first
     ks, twists = range(1, g + 1), boundary_twists(g, lam)
     # BoundaryTerm(*fields) is tuple.__new__(BoundaryTerm, fields) behind
     # a Python-level __new__; calling the latter directly skips that frame
     new_term = tuple.__new__
     return [
-        new_term(BoundaryTerm, (mask, k, side, u, weight, sign, twist[side]))
-        for mask, records in blocks
-        for k, twist, (side, u, weight, sign) in zip(ks, twists, records)
+        new_term(BoundaryTerm, (mask, k, side, u, mu[: l - 1] + low[l:], sign, twist[side]))
+        for mask, mu, records in blocks
+        for low in [tuple(x - 1 for x in mu)]
+        for k, twist, (side, u, l, sign) in zip(ks, twists, records)
     ]
 
 
@@ -252,13 +265,13 @@ def verify_partition(
     and restriction) comes from `tables`, `restriction_tables(g)` when
     none are given; a caller checking many weights of one genus builds
     them once and passes them in.  Tables of another genus raise
-    ValueError."""
-    terms = boundary_terms(g, lam)  # checks g and lam before the tables
-    lam = tuple(lam)
+    ValueError, after g and lam are checked and before any term is built."""
+    lam = _check_boundary(g, lam)  # g and lam, then the tables, then the terms
     if tables is None:
         tables = restriction_tables(g)
     elif tables.g != g:
         raise ValueError(f"restriction tables are for genus {tables.g}, not {g}")
+    terms = boundary_terms(g, lam)
     report = VerificationReport()
     surgered = {k: tau_prime(lam, k) for k in range(1, g + 1)}
     finals, restricted, lengths = tables.finals, tables.restricted, tables.lengths

@@ -14,9 +14,10 @@ the element's sorted images (`flip_images`), of `image_dichotomy` with
 `restrict_final` (`flip_restrictions`), of `WeylElement.length`
 (`flip_length`) and of `WeylElement.dot_action` (`flip_dot_action`),
 which stay as their oracles.  The boundary pipeline takes every final
-element's dot action and length at once from `flip_dot_actions`, built
-from two half tables, with `flip_dot_action` and `flip_length` as its
-per-mask oracles.
+element's dot action and length at once from `flip_dot_actions`, and
+every final element's restrictions at once from `flip_restriction_rows`,
+each built from two half tables, with `flip_dot_action`, `flip_length`
+and `flip_restrictions` as their per-mask oracles.
 """
 
 from __future__ import annotations
@@ -207,6 +208,54 @@ def flip_restrictions(mask: int, g: int) -> list[tuple[str, int, int]]:
             unflipped_to_k += 1
             out.append(("A", unflipped_to_k, restricted))
     return out
+
+
+def _half_restrictions(n: int, before: int, g: int) -> list[list[tuple[str, int, int]]]:
+    """For each value x of an n-bit half of a genus-g flip mask, per bit c
+    from n-1 down to 0: the side, a position and x with bit c dropped.  On
+    side A the position is `before` + the clear bits of x at or above c;
+    on side B it is g - popcount(x) + the set bits of x at or below c.
+    For the first half (before = 0) these are `flip_restrictions`'s
+    positions; for the second (before = h) they are once the first
+    half's popcount is taken off (`flip_restriction_rows`)."""
+    rows = []
+    for x in range(1 << n):
+        flipped_from_k = g - x.bit_count()
+        unflipped_to_k = before
+        row = []
+        for c in range(n - 1, -1, -1):
+            dropped = (x & ((1 << c) - 1)) | (x >> (c + 1) << c)
+            if x >> c & 1:
+                row.append(("B", flipped_from_k + (x & ((2 << c) - 1)).bit_count(), dropped))
+            else:
+                unflipped_to_k += 1
+                row.append(("A", unflipped_to_k, dropped))
+        rows.append(row)
+    return rows
+
+
+def flip_restriction_rows(g: int) -> Iterator[list[tuple[str, int, int]]]:
+    """`flip_restrictions(mask, g)` of every mask, in flip-mask order.
+
+    Split mask = hi * 2^s + lo, with the h = g // 2 high bits (k = 1..h)
+    and the s = g - h low bits (k = h+1..g), as `flip_dot_actions` does.
+    For k in the first half the side and position depend on hi alone, and
+    the restriction is drop(hi) * 2^s | lo.  For k in the second half the
+    side comes from lo, the position is lo's entry less popcount(hi), the
+    flipped first-half indices that lo's entry counted as unflipped, and
+    the restriction is hi * 2^(s-1) | drop(lo).  Each half's rows are
+    built once, O(2^(g/2)) per call, and each mask costs g tuples."""
+    h = g // 2
+    s = g - h
+    lows = _half_restrictions(s, h, g)
+    for hi, row in enumerate(_half_restrictions(h, 0, g)):
+        n = hi.bit_count()
+        tops = [(side, pos, dropped << s) for side, pos, dropped in row]
+        high = hi << s >> 1  # hi * 2^(s-1); s = 0 only at g = 0, where hi = 0
+        for lo, bottoms in enumerate(lows):
+            yield [(side, pos, top | lo) for side, pos, top in tops] + [
+                (side, pos - n, high | dropped) for side, pos, dropped in bottoms
+            ]
 
 
 def flip_length(mask: int) -> int:

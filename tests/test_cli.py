@@ -1,6 +1,7 @@
 import cProfile
 import gc
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -15,6 +16,7 @@ import pytest
 
 from siegeleis import cli, eiscalc, suites, weylcomb
 from siegeleis.cli import _labels, _render_bgg, _render_boundary, _stream, main, run
+from siegeleis.glbranch import telescope_surgery
 from siegeleis.motivering import MotiveExpr, VerificationReport
 
 
@@ -70,16 +72,31 @@ def _seeded_weights(g: int, n: int, top: int = 12) -> list[tuple[int, ...]]:
     ]
 
 
-# two seeded weights for each g < 10, one at g = 10 and at g = 12, and one
-# whose entries reach the lambda bound (multi-digit weights and twists)
+def _generic_weight(g: int, base: int) -> tuple[int, ...]:
+    """The lambda whose gaps d_j = lambda_j - lambda_(j+1), with d_g =
+    lambda_g, are base^j: the generic point of tests/test_eiscalc.py.  At
+    g = 8, base 2^20, lambda_1 is about 2^160, some 50 digits."""
+    return tuple(itertools.accumulate(base**j for j in range(g, 0, -1)))[::-1]
+
+
+# two seeded weights for each g < 10, with the generic point for g <= 8
+# (entries of up to ~50 digits, beyond the CLI's lambda bound), one at
+# g = 10 and at g = 12, one whose entries reach the lambda bound
+# (multi-digit weights and twists), and one whose mu has negative
+# entries of every width from 1 to 6 digits, some of which gain or lose
+# a digit in mu - 1
 BOUNDARY_RENDER_CASES = [
-    *[pytest.param(g, _seeded_weights(g, 2), id=str(g)) for g in range(1, 10)],
+    *[
+        pytest.param(g, _seeded_weights(g, 2) + [_generic_weight(g, 2**20)] * (g <= 8), id=str(g))
+        for g in range(1, 10)
+    ],
     *[pytest.param(g, _seeded_weights(g, 1), id=str(g)) for g in (10, 12)],
     pytest.param(
         7,
         [(eiscalc.MAX_LAMBDA_ENTRY, *_seeded_weights(6, 1, eiscalc.MAX_LAMBDA_ENTRY)[0])],
         id="7-top-entry",
     ),
+    pytest.param(6, [(99990, 9991, 993, 94, 9, 0)], id="6-digit-widths"),
 ]
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -278,43 +295,63 @@ class TestStructureCommands:
         ],
     )
     def test_boundary_renders_from_blocks_and_label_tables(self, monkeypatch, format, digest):
-        """boundary reads one block per final element, each with one
-        flip_restrictions call, and names elements from the two label
-        tables: no per-term object, no per-mask label."""
+        """boundary reads one block per final element, takes every mask's
+        restrictions from one build of the two half tables, and names
+        elements from the two label tables: no per-term object, no
+        per-mask restriction or label."""
         def refuse(*args):
             raise AssertionError("boundary rendered through a per-term or per-mask path")
 
-        restricted = []
-        real = weylcomb.flip_restrictions
+        builds = []
+        rows, half = weylcomb.flip_restriction_rows, weylcomb._half_restrictions
 
-        def counted(mask, g):
-            restricted.append(mask)
-            return real(mask, g)
+        def counted_rows(g):
+            builds.append(("rows", g))
+            return rows(g)
+
+        def counted_half(n, before, g):
+            builds.append(("half", n))
+            return half(n, before, g)
 
         monkeypatch.setattr(eiscalc, "boundary_terms", refuse)
         monkeypatch.setattr(weylcomb, "flip_images", refuse)
-        monkeypatch.setattr(weylcomb, "flip_restrictions", counted)
-        monkeypatch.setattr(eiscalc, "flip_restrictions", counted)
+        monkeypatch.setattr(weylcomb, "flip_restrictions", refuse)
+        monkeypatch.setattr(weylcomb, "_half_restrictions", counted_half)
+        monkeypatch.setattr(eiscalc, "flip_restriction_rows", counted_rows)
         argv = ["boundary", "-g", "10", "-l", "19,17,15,13,11,9,7,5,3,1", "--format", format]
         code, out, err = run(argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-        assert restricted == list(range(2**10))
+        assert sorted(builds) == [("half", 5), ("half", 5), ("rows", 10)]
 
     def test_boundary_only_formats_the_block_records(self, monkeypatch):
-        """Two hand-made blocks, their fields chosen to match no real term,
-        come out field for field: k is the record's index, the twist is
-        `boundary_twists`'s for that k and side, and parity_pass is read
-        from the weight.  The CLI adds no term logic of its own."""
-        g, lam = 3, (6, 4, 1)
+        """Hand-made blocks, their fields chosen to match no real term (mu
+        not dominant, the l of a block not a permutation), come out field
+        for field in JSON and text: k is the record's index, the weight is
+        `telescope_surgery(mu, l)`, the twist is `boundary_twists`'s for
+        that k and side, and the parity is read from that weight.  The CLI
+        adds no term logic of its own."""
+        g, lam = 4, (6, 4, 1, 0)
         blocks = [
-            (5, [("B", 3, (9, -2), -1), ("B", 0, (0, 0), 1), ("A", 2, (-4, -7), 1)]),
-            (2, [("A", 1, (3, 3), -1), ("A", 3, (11, 2), -1), ("B", 0, (-1, -6), 1)]),
+            (5, (9, -2, 40, -107), [
+                ("B", 3, 1, -1), ("B", 0, 1, 1), ("A", 2, 4, 1), ("A", 7, 2, -1),
+            ]),
+            (2, (0, 0, -1, 10), [
+                ("A", 1, 3, -1), ("A", 3, 4, -1), ("B", 0, 3, 1), ("B", 6, 1, 1),
+            ]),
+            (13, (1, 1, 1, 1), [
+                ("B", 4, 2, 1), ("A", 5, 2, 1), ("B", 2, 2, -1), ("A", 0, 2, -1),
+            ]),
         ]
         monkeypatch.setattr(eiscalc, "boundary_blocks", lambda g, lam: iter(blocks))
-        code, out, err = run(["boundary", "-g", str(g), "-l", "6,4,1", "--format", "json"])
-        assert (code, err) == (0, "")
         twists = eiscalc.boundary_twists(g, lam)
+        terms = [
+            (mask, k, side, u, telescope_surgery(mu, l), sign, twists[k - 1][side])
+            for mask, mu, records in blocks
+            for k, (side, u, l, sign) in enumerate(records, 1)
+        ]
+        code, out, err = run(["boundary", "-g", str(g), "-l", "6,4,1,0", "--format", "json"])
+        assert (code, err) == (0, "")
         assert json.loads(out) == [
             {
                 "w": list(weylcomb.flip_images(mask, g)),
@@ -323,12 +360,19 @@ class TestStructureCommands:
                 "u": list(weylcomb.flip_images(u, g - 1)),
                 "weight": list(weight),
                 "sign": sign,
-                "twist": twists[k - 1][side],
+                "twist": twist,
                 "parity_pass": sum(weight) % 2 == 0,
             }
-            for mask, records in blocks
-            for k, (side, u, weight, sign) in enumerate(records, 1)
+            for mask, k, side, u, weight, sign, twist in terms
         ]
+        code, out, err = run(["boundary", "-g", str(g), "-l", "6,4,1,0"])
+        assert (code, err) == (0, "")
+        assert out == "".join(
+            f"w={weylcomb.final_element(g, mask)} k={k} side={side} "
+            f"u={weylcomb.final_element(g - 1, u)} weight=({','.join(map(str, weight))}) "
+            f"sign={sign:+d} twist={twist} parity={'odd' if sum(weight) % 2 else 'even'}\n"
+            for mask, k, side, u, weight, sign, twist in terms
+        )
 
     @pytest.mark.parametrize("g", range(0, 11))
     def test_labels_name_the_elements(self, g):
@@ -968,9 +1012,11 @@ class TestSizeLimits:
         [("bgg", 16, True), ("bgg", 17, False), ("boundary", 14, True), ("boundary", 15, False)],
     )
     def test_genus_limits(self, monkeypatch, command, g, ok):
-        # the per-w generator both commands draw their terms from
+        # the per-w generator both commands draw their terms from, and the
+        # restriction rows boundary draws beside it, each as long as the other
         calls = []
         monkeypatch.setattr(eiscalc, "_bgg_terms", lambda g, lam: calls.append(g) or [])
+        monkeypatch.setattr(eiscalc, "flip_restriction_rows", lambda g: [])
         code, out, err = run([command, "-g", str(g), "-l", ",".join(["0"] * g)])
         if ok:
             assert code == 0 and err == "" and calls

@@ -351,7 +351,7 @@ class TestBoundaryTerms:
         message = f"weight {reversed_action} is not weakly decreasing"
         got = []
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            for mask, records in eiscalc.boundary_blocks(g, lam):
+            for mask, mu, records in eiscalc.boundary_blocks(g, lam):
                 got.append(mask)
         # every block before the bad w's, and nothing of it
         assert got == list(range(bad))
@@ -388,17 +388,21 @@ class TestBoundaryTerms:
             for pair in itertools.zip_longest(
                 eiscalc.boundary_blocks(g, lam), eiscalc.boundary_blocks(g, lam)
             ):
-                for terms, (mask, records) in zip(flat, pair):
+                for terms, (mask, mu, records) in zip(flat, pair):
                     terms += [
-                        BoundaryTerm(mask, k, side, u, weight, sign, twists[k - 1][side])
-                        for k, (side, u, weight, sign) in enumerate(records, 1)
+                        BoundaryTerm(
+                            mask, k, side, u, telescope_surgery(mu, l), sign, twists[k - 1][side]
+                        )
+                        for k, (side, u, l, sign) in enumerate(records, 1)
                     ]
             assert flat[0] == flat[1] == boundary_terms(g, lam)
             assert len(flat[0]) == g * 2**g
 
     def test_stream_makes_one_block_at_a_time(self, monkeypatch):
         """After the first block only the first w's work is done: one dot
-        action drawn and checked for dominance, and no weight built."""
+        action drawn and checked for dominance, and no weight built: the
+        block holds w's mu, and each record only a side, ints and no
+        weight tuple."""
         built = _count_value_objects(monkeypatch)
         drawn = []
         real = flip_dot_actions
@@ -409,11 +413,12 @@ class TestBoundaryTerms:
         lam = tuple(range(2 * g, 0, -2))
         blocks = eiscalc.boundary_blocks(g, lam)
         checked = _count_dominance_checks(monkeypatch)
-        mask, records = next(blocks)
+        mask, mu, records = next(blocks)
         assert drawn == [(flip_dot_action(0, lam), 0)]
         assert checked == [flip_dot_action(0, lam)]
         assert built[GlWeight] == []
-        assert (mask, len(records)) == (0, g)
+        assert (mask, mu, len(records)) == (0, tuple(-x for x in reversed(lam)), g)
+        assert {tuple(map(type, r)) for r in records} == {(str, int, int, int)}
 
     @pytest.mark.parametrize(
         "g, lam, message",
@@ -472,7 +477,8 @@ def _validated_boundary_terms(g, lam):
 class TestSurgeryLemma:
     """A boundary term's weight a[:l-1] + (a[l:] - 1) is dominant for every
     dominant a and every position l, since a_(l-1) >= a_l >= a_(l+1) >
-    a_(l+1) - 1; that is why the boundary generator checks no term."""
+    a_(l+1) - 1; that is why neither `boundary_terms` nor the CLI, which
+    formats the same entries from a block's mu, checks a term's weight."""
 
     @staticmethod
     def weights():
@@ -494,7 +500,7 @@ class TestSurgeryLemma:
         for a in self.weights():
             low = tuple(x - 1 for x in a)
             for l in range(1, len(a) + 1):
-                weight = a[: l - 1] + low[l:]  # as the boundary generator makes it
+                weight = a[: l - 1] + low[l:]  # as boundary_terms makes it
                 assert weight == telescope_surgery(a, l)
                 assert is_dominant(weight), (a, l)
                 cases += 1
@@ -515,12 +521,14 @@ class TestSurgeryLemma:
         ids=["boundary-deep", "staircase-14"],
     )
     def test_every_weight_the_cli_serves_is_dominant(self, g, lam):
-        # the generator checks no term's weight, so this test does
+        # no producer checks a term's weight, so this test does, at each
+        # record's telescope index into its block's mu
         count = 0
         bad = []
-        for mask, records in eiscalc.boundary_blocks(g, lam):
-            for k, (side, u, weight, sign) in enumerate(records, 1):
+        for mask, mu, records in eiscalc.boundary_blocks(g, lam):
+            for k, (side, u, l, sign) in enumerate(records, 1):
                 count += 1
+                weight = telescope_surgery(mu, l)
                 if not is_dominant(weight):
                     bad.append((mask, k, weight))
         assert (count, bad) == (g * 2**g, [])
@@ -561,10 +569,11 @@ class TestBoundaryAgainstTheValidatedPath:
 
 
 class TestBlockRecords:
-    """Every (side, u, weight, sign) record of `boundary_blocks` against
-    oracles on the elements, none of them a flip helper: the partition
-    suite stops at g = 4, and above it a sign or slice fault would
-    otherwise show only as a changed golden digest."""
+    """Every block's mu and every (side, u, l, sign) record of
+    `boundary_blocks` against oracles on the elements, none of them a flip
+    helper: the partition suite stops at g = 4, and above it a sign or
+    slice fault would otherwise show only as a changed golden digest.  A
+    record's weight is the surgery of mu at l (`test_flattened_blocks_are_the_terms`)."""
 
     @staticmethod
     def weights(g):
@@ -589,26 +598,27 @@ class TestBlockRecords:
         ]
         for lam in self.weights(g):
             blocks = list(eiscalc.boundary_blocks(g, lam))
-            assert [mask for mask, _ in blocks] == list(range(1 << g))
-            for mask, records in blocks:
+            assert [mask for mask, _, _ in blocks] == list(range(1 << g))
+            for mask, mu, records in blocks:
                 w = finals[mask]
-                mu = tuple(-x for x in reversed(w.dot_action(lam)))
+                assert mu == tuple(-x for x in reversed(w.dot_action(lam))), (lam, w)
                 expected = [
-                    (side, u, telescope_surgery(mu, g + 1 - pos), (-1) ** (w.length() + pos - 1))
+                    (side, u, g + 1 - pos, (-1) ** (w.length() + pos - 1))
                     for side, pos, u in oracle[mask]
                 ]
-                got = [(side, restricted[u], weight, sign) for side, u, weight, sign in records]
+                got = [(side, restricted[u], l, sign) for side, u, l, sign in records]
                 assert got == expected, (lam, w)
 
     def test_flattened_blocks_are_the_terms(self):
-        # the benchmark's boundary-deep weight at seed 1
+        # each record's weight is telescope_surgery(mu, l), the oracle of
+        # the surgery boundary_terms and the CLI make; the benchmark's boundary-deep weight at seed 1
         # (`boundary_lambda(1)` in bench/run.py)
         g, lam = 13, (20, 18, 15, 15, 15, 14, 12, 8, 6, 4, 3, 3, 2)
         twists = eiscalc.boundary_twists(g, lam)
         flat = [
-            BoundaryTerm(mask, k, side, u, weight, sign, twists[k - 1][side])
-            for mask, records in eiscalc.boundary_blocks(g, lam)
-            for k, (side, u, weight, sign) in enumerate(records, 1)
+            BoundaryTerm(mask, k, side, u, telescope_surgery(mu, l), sign, twists[k - 1][side])
+            for mask, mu, records in eiscalc.boundary_blocks(g, lam)
+            for k, (side, u, l, sign) in enumerate(records, 1)
         ]
         assert flat == boundary_terms(g, lam)
 
@@ -633,14 +643,30 @@ class TestVerifyPartition:
         assert verify_partition(4, (4, 2, 1, 0)).passed
 
     def test_input_is_checked_before_the_tables(self, monkeypatch):
-        # boundary_terms, the first call, refuses the genus before
-        # restriction_tables(15) builds 2^15 elements
+        # the genus is refused before restriction_tables(15) builds 2^15
+        # elements
         def forbidden(g):
             raise AssertionError("tables built before the input was checked")
 
         monkeypatch.setattr(eiscalc, "restriction_tables", forbidden)
         with pytest.raises(ValueError, match=r"^-g: boundary needs g <= 14, got 15$"):
             verify_partition(15, (0,) * 15)
+
+    def test_tables_of_another_genus_raise_before_any_term(self, monkeypatch):
+        # g and lambda are checked first, then the tables' genus, and only
+        # then is a term built
+        def refuse(*args):
+            raise AssertionError("terms built before the tables were checked")
+
+        monkeypatch.setattr(eiscalc, "_generate_blocks", refuse)
+        tables = restriction_tables(3)
+        staircase = tuple(range(23, 0, -2))
+        with pytest.raises(ValueError, match=r"^restriction tables are for genus 3, not 12$"):
+            verify_partition(12, staircase, tables=tables)
+        with pytest.raises(ValueError, match=r"^-g: boundary needs g <= 14, got 15$"):
+            verify_partition(15, (0,) * 15, tables=tables)
+        with pytest.raises(ValueError, match=r"^--lambda: expected 12 entries, got 2$"):
+            verify_partition(12, (2, 0), tables=tables)
 
     @pytest.mark.parametrize("g", [8, 9, 10])
     def test_seeded_weights_beyond_the_gate(self, g):

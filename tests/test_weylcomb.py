@@ -13,6 +13,7 @@ from siegeleis.weylcomb import (
     flip_dot_actions,
     flip_images,
     flip_length,
+    flip_restriction_rows,
     flip_restrictions,
     image_dichotomy,
     images_text,
@@ -315,6 +316,14 @@ class TestFlipMasks:
                     assert lower[u] == restrict_final(w, k, side)
                     pairs += 1
         assert pairs == 18432
+
+    @pytest.mark.parametrize("g", range(0, 15))
+    def test_half_table_rows_against_the_per_mask_oracle(self, g):
+        """`flip_restriction_rows` against `flip_restrictions` of every
+        mask, for odd and even half splits up to the boundary bound.  g = 0
+        yields the one empty row, and g = 1 has an empty first half."""
+        rows = list(flip_restriction_rows(g))
+        assert rows == [flip_restrictions(mask, g) for mask in range(1 << g)]
 
     def test_restrictions_genus_one(self):
         # the restriction of a genus-1 element is the empty one, mask 0
