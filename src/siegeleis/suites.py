@@ -98,21 +98,21 @@ def verify_weyl(max_g: int = DEFAULT_MAX_G,
 
     def restrictions(g_max):
         for g in range(2, g_max + 1):
-            finals = list(enumerate(weylcomb.enumerate_final(g)))
-            lower = weylcomb.enumerate_final(g - 1)
+            # each final element with the half-table row the boundary pipeline reads
+            finals = list(zip(weylcomb.enumerate_final(g), weylcomb.flip_restriction_rows(g)))
+            lower = {u: m for m, u in enumerate(weylcomb.enumerate_final(g - 1))}
             for k in range(1, g + 1):
-                yield g, k, "A", [(m, w) for m, w in finals if k in w.images], lower
-                yield g, k, "B", [(m, w) for m, w in finals if k not in w.images], lower
+                yield g, k, "A", [(w, row) for w, row in finals if k in w.images], lower
+                yield g, k, "B", [(w, row) for w, row in finals if k not in w.images], lower
 
     def restricts(case):
         g, k, side, pool, lower = case
         imgs = set()
-        for mask, w in pool:
+        for w, row in pool:
             u = weylcomb.restrict_final(w, k, side)
             imgs.add(u)
-            # the flip-mask twin used by the boundary pipeline
-            flip_side, _, flip_u = weylcomb.flip_restrictions(mask, g)[k - 1]
-            if (flip_side, lower[flip_u]) != (side, u):
+            row_side, pos, row_u = row[k - 1]
+            if (row_side, pos, row_u) != (*weylcomb.image_dichotomy(w, k), lower.get(u)):
                 return f"g={g}, k={k}, side={side}, w={w}"
         if len(pool) != 2 ** (g - 1) or imgs != set(lower):
             return f"g={g}, k={k}, side={side}"

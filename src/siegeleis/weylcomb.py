@@ -9,15 +9,11 @@ A final element is also determined by its flip set F, the indices i with
 bitmask with index i at bit g-i (`final_element` builds the element from
 it).  In that convention the masks count upward in the images'
 lexicographic order, so the element at position m of `enumerate_final`
-has flip mask m.  The `flip_*` helpers are the bit-operation twins of
-the element's sorted images (`flip_images`), of `image_dichotomy` with
-`restrict_final` (`flip_restrictions`), of `WeylElement.length`
-(`flip_length`) and of `WeylElement.dot_action` (`flip_dot_action`),
-which stay as their oracles.  The boundary pipeline takes every final
-element's dot action and length at once from `flip_dot_actions`, and
-every final element's restrictions at once from `flip_restriction_rows`,
-each built from two half tables, with `flip_dot_action`, `flip_length`
-and `flip_restrictions` as their per-mask oracles.
+has flip mask m.  The boundary pipeline takes every final element's dot
+action and length at once from `flip_dot_actions`, and every final
+element's restrictions at once from `flip_restriction_rows`, each built
+from two half tables; `WeylElement.dot_action`, `WeylElement.length`,
+`image_dichotomy` and `restrict_final` stay as their oracles.
 """
 
 from __future__ import annotations
@@ -126,6 +122,8 @@ def flip_images(mask: int, g: int) -> tuple[int, ...]:
 
 def final_element(g: int, mask: int) -> WeylElement:
     """The final element with flip mask `mask` (`flip_images`)."""
+    if not 0 <= mask < 1 << g:
+        raise ValueError(f"flip mask {mask} out of range for genus {g}")
     return WeylElement(g, flip_images(mask, g))
 
 
@@ -183,39 +181,12 @@ def restrict_final(w: WeylElement, k: int, side: str) -> WeylElement:
     return WeylElement(g - 1, tuple(renamed))
 
 
-def flip_restrictions(mask: int, g: int) -> list[tuple[str, int, int]]:
-    """`image_dichotomy` and `restrict_final` on the flip mask of a final
-    element of genus g, for k = 1, ..., g in one pass: the side and
-    position of k and the flip mask of the restriction, per k.
-
-    Index k is bit b = g-k.  Side A (k is an image) iff that bit is clear;
-    its position counts the unflipped indices <= k.  On side B, 2g+1-k
-    sits after every unflipped image and after the flipped images of the
-    indices >= k.  The restriction drops bit b and shifts the bits above
-    it, the indices below k, down by one; the side plays no part there."""
-    if not 0 <= mask < 1 << g:
-        raise ValueError(f"flip mask {mask} out of range for genus {g}")
-    flipped_from_k = mask.bit_count()
-    unflipped = g - flipped_from_k
-    unflipped_to_k = 0
-    out = []
-    for b in range(g - 1, -1, -1):
-        restricted = (mask & ((1 << b) - 1)) | (mask >> (b + 1) << b)
-        if mask >> b & 1:
-            out.append(("B", unflipped + flipped_from_k, restricted))
-            flipped_from_k -= 1
-        else:
-            unflipped_to_k += 1
-            out.append(("A", unflipped_to_k, restricted))
-    return out
-
-
 def _half_restrictions(n: int, before: int, g: int) -> list[list[tuple[str, int, int]]]:
     """For each value x of an n-bit half of a genus-g flip mask, per bit c
     from n-1 down to 0: the side, a position and x with bit c dropped.  On
     side A the position is `before` + the clear bits of x at or above c;
     on side B it is g - popcount(x) + the set bits of x at or below c.
-    For the first half (before = 0) these are `flip_restrictions`'s
+    For the first half (before = 0) these are `image_dichotomy`'s
     positions; for the second (before = h) they are once the first
     half's popcount is taken off (`flip_restriction_rows`)."""
     rows = []
@@ -235,7 +206,13 @@ def _half_restrictions(n: int, before: int, g: int) -> list[list[tuple[str, int,
 
 
 def flip_restriction_rows(g: int) -> Iterator[list[tuple[str, int, int]]]:
-    """`flip_restrictions(mask, g)` of every mask, in flip-mask order.
+    """`image_dichotomy` and `restrict_final` of every final element of
+    genus g, in flip-mask order: per mask, for k = 1..g, the side and
+    position of k and the flip mask of the restriction.  Index k is bit
+    g-k.  Side A (k is an image) iff that bit is clear; its position
+    counts the unflipped indices <= k.  On side B, 2g+1-k sits after every
+    unflipped image and after the flipped images of the indices >= k.  The
+    restriction drops the bit and shifts the bits above it down by one.
 
     Split mask = hi * 2^s + lo, with the h = g // 2 high bits (k = 1..h)
     and the s = g - h low bits (k = h+1..g), as `flip_dot_actions` does.
@@ -258,25 +235,6 @@ def flip_restriction_rows(g: int) -> Iterator[list[tuple[str, int, int]]]:
             ]
 
 
-def flip_length(mask: int) -> int:
-    """Coxeter length of the final element with this flip mask: the sum
-    of g+1-i over the flipped indices i, that is of b+1 over the set bits b."""
-    return sum(b + 1 for b in range(mask.bit_length()) if mask >> b & 1)
-
-
-def flip_dot_action(mask: int, lam: Sequence[int]) -> tuple[int, ...]:
-    """`WeylElement.dot_action` of the final element of genus len(lam) with
-    this flip mask: w(lam + rho) - rho, where w(v) reads each image m
-    (`flip_images`) off v followed by its entries negated and reversed,
-    as `signed_apply` does."""
-    g = len(lam)
-    r = rho(g)
-    shifted = list(map(operator.add, lam, r))
-    extended = [0, *shifted, *[-s for s in reversed(shifted)]]  # from index 1
-    images = flip_images(mask, g)
-    return tuple(map(operator.sub, map(extended.__getitem__, images), r))
-
-
 def _half_parts(v: Sequence[int], first: int, last: int, g: int):
     """(unflipped part, flipped part, length) of w(v) over the indices
     first..last, for each flip set of those indices in flip-mask order.
@@ -292,18 +250,19 @@ def _half_parts(v: Sequence[int], first: int, last: int, g: int):
 
 
 def flip_dot_actions(lam: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(`flip_dot_action`, `flip_length`) of every final element of genus
-    g = len(lam), in flip-mask order.
+    """(`WeylElement.dot_action`, `WeylElement.length`) of every final
+    element of genus g = len(lam), in flip-mask order.
 
     With v = lam + rho, w(v) for flip set F is v_i over the unflipped i
     ascending, then -v_i over the flipped i descending.  Split the indices
     into 1..h and h+1..g, h = g // 2: the first half holds the mask's high
     bits, so the masks run over the first half's sets, each with every set
     of the second half.  w(v) is then the first half's unflipped part, the
-    second half's two parts, and the first half's flipped part, and the
-    length is the sum of the halves'.  Each half's parts are built once,
-    O(2^(g/2)) tuples per call, and each mask costs two tuple
-    concatenations and one subtraction of rho."""
+    second half's two parts, and the first half's flipped part.  The
+    length, the sum of g+1-i over the flipped i, is the sum of the
+    halves'.  Each half's parts are built once, O(2^(g/2)) tuples per
+    call, and each mask costs two tuple concatenations and one
+    subtraction of rho."""
     g = len(lam)
     r = rho(g)
     v = tuple(map(operator.add, lam, r))

@@ -315,7 +315,6 @@ class TestStructureCommands:
 
         monkeypatch.setattr(eiscalc, "boundary_terms", refuse)
         monkeypatch.setattr(weylcomb, "flip_images", refuse)
-        monkeypatch.setattr(weylcomb, "flip_restrictions", refuse)
         monkeypatch.setattr(weylcomb, "_half_restrictions", counted_half)
         monkeypatch.setattr(eiscalc, "flip_restriction_rows", counted_rows)
         argv = ["boundary", "-g", "10", "-l", "19,17,15,13,11,9,7,5,3,1", "--format", format]
@@ -815,6 +814,25 @@ class TestVerify:
         )
         for line in failed.values():
             assert "[counterexample: raised ValueError: weight (-2, 0" in line
+
+    def test_restrict_bijection_checks_each_row_position(self, monkeypatch):
+        # one position of one half-table row moved, its side and u left
+        # right: restrict-bijection reads every row the boundary pipeline
+        # reads, and must fail on it
+        real = weylcomb.flip_restriction_rows
+
+        def shifted(g):
+            for mask, row in enumerate(real(g)):
+                side, pos, u = row[0]
+                yield [(side, pos + 1, u), *row[1:]] if mask == 1 else row
+
+        monkeypatch.setattr(weylcomb, "flip_restriction_rows", shifted)
+        code, out, err = run(["verify", "--suite", "weyl"])
+        assert (code, err) == (1, "")
+        failed = [ln for ln in out.splitlines() if ln.startswith("FAIL")]
+        assert failed == [
+            "FAIL restrict-bijection: g <= 4 [counterexample: g=2, k=1, side=A, w=[13]]"
+        ]
 
     def test_a_restriction_table_error_fails_its_partition_check(self, monkeypatch):
         # restrict_final raises: the partition suite's restriction tables

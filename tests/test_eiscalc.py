@@ -31,9 +31,7 @@ from siegeleis.weylcomb import (
     WeylElement,
     enumerate_final,
     final_element,
-    flip_dot_action,
     flip_dot_actions,
-    flip_length,
     image_dichotomy,
     restrict_final,
 )
@@ -83,6 +81,13 @@ class TestTauPrime:
             tau_prime((1, 2), 1)  # not dominant
         with pytest.raises(ValueError):
             tau_prime((2, 1), 3)  # k out of range
+
+
+def _degree_sorted_masks(g, terms):
+    """Every mask of genus g sorted by the degree its term carries: a
+    stable sort of mask order, the order `bgg_complex` gives its terms in."""
+    degree = {t.w: t.degree for t in terms}
+    return sorted(range(1 << g), key=degree.__getitem__)
 
 
 class TestBggComplex:
@@ -152,11 +157,11 @@ class TestBggComplex:
         # bgg_complex sorts by degree alone.  By the lemma in its docstring
         # the weight order of the final elements is the same at every
         # lambda, so lambda = 0 covers it: there the (degree, mu) order is
-        # the masks sorted by flip length, a stable sort of mask order
+        # the masks sorted by degree, a stable sort of mask order
         for g in range(1, eiscalc.MAX_BGG_G + 1):
             terms = bgg_complex(g, (0,) * g)
             assert terms == sorted(terms, key=lambda t: (t.degree, t.mu)), g
-            assert [t.w for t in terms] == sorted(range(1 << g), key=flip_length), g
+            assert [t.w for t in terms] == _degree_sorted_masks(g, terms), g
 
     @pytest.mark.parametrize("g", [2, 5, 9])
     def test_degree_sort_at_other_weights(self, g):
@@ -169,20 +174,23 @@ class TestBggComplex:
         for lam in weights:
             terms = bgg_complex(g, lam)
             assert terms == sorted(terms, key=lambda t: (t.degree, t.mu)), lam
-            assert [t.w for t in terms] == sorted(range(1 << g), key=flip_length)
+            assert [t.w for t in terms] == _degree_sorted_masks(g, terms)
 
     def test_size_limit_against_the_per_mask_oracles(self):
-        # the terms at MAX_BGG_G, built here mask by mask from the
-        # `flip_dot_action`/`flip_length` oracles, sorted by degree
+        # the terms at MAX_BGG_G in degree order, and at 0, 2^g - 1, every
+        # single bit and 200 seeded masks each term against its element
         g = eiscalc.MAX_BGG_G
         lam = tuple(range(2 * g - 1, 0, -2))
-        expected = []
-        for mask in range(1 << g):
-            mu = tuple(-x for x in reversed(flip_dot_action(mask, lam)))
+        terms = bgg_complex(g, lam)
+        assert [t.w for t in terms] == _degree_sorted_masks(g, terms)
+        by_mask = {t.w: t for t in terms}
+        rng = random.Random(g)
+        masks = {0, (1 << g) - 1, *(1 << b for b in range(g)), *rng.sample(range(1 << g), 200)}
+        for mask in masks:
+            w = final_element(g, mask)
+            mu = tuple(-x for x in reversed(w.dot_action(lam)))
             filtration = (sum(lam) + sum(mu)) // 2
-            expected.append(BggTerm(mask, mu, flip_length(mask), filtration))
-        expected.sort(key=lambda t: t.degree)
-        assert bgg_complex(g, lam) == expected
+            assert by_mask[mask] == BggTerm(mask, mu, w.length(), filtration)
 
     def test_a_non_dominant_dot_action_raises(self, monkeypatch):
         # the one dominance check per w, on its dot action
@@ -231,11 +239,11 @@ def _object_bgg_complex(g, lam):
     term holds its `WeylElement` and the `GlWeight` of its dot action's
     dual."""
     terms = []
-    for mask, w in enumerate(enumerate_final(g)):
+    for w in enumerate_final(g):
         mu = GlWeight(w.dot_action(lam)).dual()
         num = sum(lam) + sum(mu.entries)
         assert num % 2 == 0
-        terms.append(_ObjectBggTerm(w, mu, flip_length(mask), num // 2))
+        terms.append(_ObjectBggTerm(w, mu, w.length(), num // 2))
     terms.sort(key=lambda t: (t.degree, t.mu.entries))
     return terms
 
@@ -266,15 +274,15 @@ class TestBggAgainstTheObjectPath:
         element (the labels come from the flip masks), and checks lambda
         and then each w's dot action for dominance, once each.  The terms
         hold only ints and int tuples."""
+        lam = tuple(range(2 * g, 0, -2))
+        acted = [lam] + [w.dot_action(lam) for w in enumerate_final(g)]
         built = _count_value_objects(monkeypatch)
         dominance = _count_dominance_checks(monkeypatch)
-        lam = tuple(range(2 * g, 0, -2))
         for format in ("json", "text"):
             argv = ["bgg", "-g", str(g), "-l", ",".join(map(str, lam)), "--format", format]
             code, chunks, _ = _stream(argv)
             records = sum(chunk.count("filtration") for chunk in chunks)
             assert (code, records) == (0, 2**g)
-        acted = [lam] + [flip_dot_action(m, lam) for m in range(1 << g)]
         assert dominance == 2 * acted
         assert built == {GlWeight: [], WeylElement: []}
         for t in bgg_complex(g, lam):
@@ -323,9 +331,10 @@ class TestBoundaryTerms:
         from the flip masks.  lambda and each w's dot action are checked
         for dominance once each; the g weights of w's terms are dominant
         by the surgery lemma (`TestSurgeryLemma`), with no check per term."""
+        lam = tuple(range(2 * g, 0, -2))
+        acted = [lam] + [w.dot_action(lam) for w in enumerate_final(g)]
         built = _count_value_objects(monkeypatch)
         dominance = _count_dominance_checks(monkeypatch)
-        lam = tuple(range(2 * g, 0, -2))
         text = ",".join(map(str, lam))
         for format in ("json", "text"):
             argv = ["boundary", "-g", str(g), "-l", text, "--format", format]
@@ -333,7 +342,6 @@ class TestBoundaryTerms:
             records = sum(chunk.count("parity") for chunk in chunks)
             assert (code, records) == (0, g * 2**g)
         assert built == {GlWeight: [], WeylElement: []}
-        acted = [lam] + [flip_dot_action(m, lam) for m in range(1 << g)]
         assert dominance == 2 * acted
 
     @pytest.mark.parametrize("bad", [0, 5, 15])
@@ -403,19 +411,20 @@ class TestBoundaryTerms:
         action drawn and checked for dominance, and no weight built: the
         block holds w's mu, and each record only a side, ints and no
         weight tuple."""
+        g = 8
+        lam = tuple(range(2 * g, 0, -2))
+        first = final_element(g, 0).dot_action(lam)
         built = _count_value_objects(monkeypatch)
         drawn = []
         real = flip_dot_actions
         monkeypatch.setattr(
             eiscalc, "flip_dot_actions", lambda lam: (drawn.append(x) or x for x in real(lam))
         )
-        g = 8
-        lam = tuple(range(2 * g, 0, -2))
         blocks = eiscalc.boundary_blocks(g, lam)
         checked = _count_dominance_checks(monkeypatch)
         mask, mu, records = next(blocks)
-        assert drawn == [(flip_dot_action(0, lam), 0)]
-        assert checked == [flip_dot_action(0, lam)]
+        assert drawn == [(first, 0)]
+        assert checked == [first]
         assert built[GlWeight] == []
         assert (mask, mu, len(records)) == (0, tuple(-x for x in reversed(lam)), g)
         assert {tuple(map(type, r)) for r in records} == {(str, int, int, int)}
@@ -459,10 +468,10 @@ def _validated_boundary_terms(g, lam):
     and the weight from the telescope at that position, one k at a time."""
     lam = tuple(lam)
     twists = [lam[k - 1] + g + 1 - k for k in range(1, g + 1)]
-    for mask, w in enumerate(enumerate_final(g)):
+    for w in enumerate_final(g):
         a = GlWeight(w.dot_action(lam)).dual().entries
         low = tuple(x - 1 for x in a)
-        lw = flip_length(mask)
+        lw = w.length()
         for k in range(1, g + 1):
             side, pos = image_dichotomy(w, k)
             l = g + 1 - pos

@@ -9,12 +9,9 @@ from siegeleis.weylcomb import (
     WeylElement,
     enumerate_final,
     final_element,
-    flip_dot_action,
     flip_dot_actions,
     flip_images,
-    flip_length,
     flip_restriction_rows,
-    flip_restrictions,
     image_dichotomy,
     images_text,
     kostant_from_signs,
@@ -273,7 +270,7 @@ class TestFlipMasks:
         # indices 1, 3, 4 are flipped, so the images are 2, then 9-4, 9-3,
         # 9-1; k = 3 is on side B, with 9-3 = 6 at position 3
         assert flip_images(0b1011, 4) == (2, 5, 6, 8)
-        assert flip_restrictions(0b1011, 4)[2] == ("B", 3, 0b101)
+        assert list(flip_restriction_rows(4))[0b1011][2] == ("B", 3, 0b101)
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_inverse_of_kostant_from_signs(self, g):
@@ -290,51 +287,72 @@ class TestFlipMasks:
 
     def test_final_element_genus_zero(self):
         assert final_element(0, 0) == W(0)
-        assert flip_dot_action(0, ()) == ()
+        assert list(flip_dot_actions(())) == [((), 0)]
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_dot_action_against_the_element(self, g):
-        """Every mask on seeded weights, dominant or not: the bit-operation
-        twin against `WeylElement.dot_action` of the element it names."""
+        """Every mask on seeded weights, dominant or not: the batch against
+        `WeylElement.dot_action` of the element each mask names."""
         rng = random.Random(g)
+        finals = enumerate_final(g)
         for _ in range(4):
             lam = tuple(rng.randint(-8, 8) for _ in range(g))
-            for mask in range(2**g):
-                assert flip_dot_action(mask, lam) == final_element(g, mask).dot_action(lam)
+            assert [acted for acted, _ in flip_dot_actions(lam)] == [
+                w.dot_action(lam) for w in finals
+            ]
 
-    def test_differential_against_image_oracles(self):
-        # every final w and every k up to g = 10: 18,432 pairs
-        pairs = 0
-        for g in range(2, 11):
-            lower = enumerate_final(g - 1)
-            for mask, w in enumerate(enumerate_final(g)):
-                assert flip_length(mask) == w.length()
-                rows = flip_restrictions(mask, g)
-                assert len(rows) == g
-                for k, (side, pos, u) in enumerate(rows, 1):
-                    assert (side, pos) == image_dichotomy(w, k)
-                    assert lower[u] == restrict_final(w, k, side)
-                    pairs += 1
-        assert pairs == 18432
+    @staticmethod
+    def restriction_oracle(g):
+        """(side, position, restricted mask) of each k = 1..g, by flip
+        mask, from `image_dichotomy` and `restrict_final` on the element
+        the mask names; the restriction is read back to its mask through
+        the final elements of genus g-1, so no mask arithmetic is shared
+        with the producer."""
+        index = {final_element(g - 1, u): u for u in range(1 << (g - 1))} if g else {}
+
+        def row(mask):
+            w = final_element(g, mask)
+            return [
+                (side, pos, index[restrict_final(w, k, side)])
+                for k in range(1, g + 1)
+                for side, pos in [image_dichotomy(w, k)]
+            ]
+        return row
+
+    @staticmethod
+    def masks(g):
+        """Every mask of genus g up to g = 12; past it 0, 2^g - 1, every
+        single bit and 200 seeded masks."""
+        if g <= 12:
+            return range(1 << g)
+        rng = random.Random(g)
+        return {0, (1 << g) - 1, *(1 << b for b in range(g)), *rng.sample(range(1 << g), 200)}
 
     @pytest.mark.parametrize("g", range(0, 15))
     def test_half_table_rows_against_the_per_mask_oracle(self, g):
-        """`flip_restriction_rows` against `flip_restrictions` of every
-        mask, for odd and even half splits up to the boundary bound.  g = 0
-        yields the one empty row, and g = 1 has an empty first half."""
-        rows = list(flip_restriction_rows(g))
-        assert rows == [flip_restrictions(mask, g) for mask in range(1 << g)]
+        """The whole stream of `flip_restriction_rows` up to the boundary
+        bound, its rows at `masks(g)` against the element oracles, for odd
+        and even half splits.  g = 0 yields the one empty row, and g = 1
+        has an empty first half."""
+        oracle, masks = self.restriction_oracle(g), self.masks(g)
+        count = 0
+        for mask, row in enumerate(flip_restriction_rows(g)):
+            count += 1
+            if mask in masks:
+                assert row == oracle(mask), mask
+        assert count == 1 << g
 
     def test_restrictions_genus_one(self):
         # the restriction of a genus-1 element is the empty one, mask 0
-        assert flip_restrictions(0, 1) == [("A", 1, 0)]
-        assert flip_restrictions(1, 1) == [("B", 1, 0)]
-        assert flip_restrictions(0, 0) == []
+        assert list(flip_restriction_rows(1)) == [[("A", 1, 0)], [("B", 1, 0)]]
+        assert list(flip_restriction_rows(0)) == [[]]
 
     def test_mask_out_of_range(self):
+        # only bits 0..g-1 name indices, so a mask beyond them is refused
+        # rather than read as the element of its low bits
         for mask, g in [(-1, 2), (4, 2), (1, 0)]:
-            with pytest.raises(ValueError, match="flip mask"):
-                flip_restrictions(mask, g)
+            with pytest.raises(ValueError, match=f"^flip mask {mask} out of range for genus {g}$"):
+                final_element(g, mask)
 
     @pytest.mark.parametrize("g", range(0, 11))
     def test_images_against_the_sorted_definition(self, g):
@@ -360,18 +378,22 @@ class TestFlipMasks:
         mixed = (top, *middle, 0)[:g]
         return [(0,) * g, (top,) * g, mixed, tuple(rng.randint(-9, 9) for _ in range(g))]
 
-    @pytest.mark.parametrize("g", range(0, 13))
+    @pytest.mark.parametrize("g", range(0, 17))
     def test_batch_dot_actions_against_the_per_mask_oracles(self, g):
-        """`flip_dot_actions` against `flip_dot_action`/`flip_length` per
-        mask and against the element each mask names.  g = 0 yields the one
-        empty action, g = 1 has an empty first half, and odd and even g
-        split unevenly and evenly."""
-        finals = enumerate_final(g) if g else [final_element(0, 0)]
-        lengths = [w.length() for w in finals]
+        """The whole stream of `flip_dot_actions` up to the bgg bound, its
+        actions and lengths at `masks(g)` against the element each mask
+        names.  g = 0 yields the one empty action, g = 1 has an empty
+        first half, and odd and even g split unevenly and evenly."""
+        masks = self.masks(g)
+        elements = {m: final_element(g, m) for m in masks}
+        lengths = {m: w.length() for m, w in elements.items()}
         for lam in self.weights(g):
-            batch = list(flip_dot_actions(lam))
-            assert batch == [(flip_dot_action(m, lam), flip_length(m)) for m in range(2**g)]
-            assert batch == [(w.dot_action(lam), n) for w, n in zip(finals, lengths)]
+            count = 0
+            for mask, got in enumerate(flip_dot_actions(lam)):
+                count += 1
+                if mask in masks:
+                    assert got == (elements[mask].dot_action(lam), lengths[mask]), (lam, mask)
+            assert count == 1 << g
 
     def test_images_text(self):
         # digits run together up to 2g = 8, comma-separated from g = 5 on
