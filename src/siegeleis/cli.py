@@ -11,7 +11,7 @@ import argparse
 import itertools
 import json
 import sys
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import __version__, eiscalc, suites, weylcomb
 
@@ -88,24 +88,10 @@ def _chunks(records, per_chunk: int, head: str, sep: str, tail: str):
     yield tail
 
 
-def _table_records(g: int, weights):
-    """One row per weight, as it is computed: (lambda, [(key, expression)])
-    with the keys in column order."""
-    for lam in weights:
-        row = [("rank1", eiscalc.rank1(g, lam, expand=g <= 2))]
-        if g == 2:
-            l, m = lam
-            row.append(("total", eiscalc.total_g2(l, m)))
-            row.append(("codim2", eiscalc.codim2_g2(l, m)))
-            if l > m > 0:
-                row.append(("kernel", eiscalc.kernel_g2(l, m)))
-        yield lam, row
-
-
 def _render_table(g: int, lmax: int, format: str):
     # Each row becomes its text line or its JSON record string as soon as
     # it is built, and is one chunk, so no row outlives its chunk.
-    rows = _table_records(g, eiscalc.admissible_weights(g, lmax))
+    rows = eiscalc.table_rows(g, eiscalc.admissible_weights(g, lmax))
     if format == "json":
         # the bytes json.dumps gives for {"metadata": ..., "records": [...]},
         # one record at a time
@@ -128,42 +114,6 @@ def _render_table(g: int, lmax: int, format: str):
     return _chunks(itertools.chain([header], lines), 1, "", "\n", "\n")
 
 
-def _label(g: int, format: str) -> Callable[[int], str]:
-    """The name in `format` of a final element of genus g by its flip
-    mask, from two half tables as `weylcomb.flip_dot_actions` builds the
-    dot actions, so no element is built.  The images of a flip set are
-    the unflipped indices ascending, then 2g+1-i for the flipped i
-    descending; over the halves 1..h and h+1..g, h = g // 2, that is the
-    first half's unflipped part (the head), the second half's two parts
-    (the middle) and the first half's flipped part (the tail).  The first
-    half holds the mask's high bits, m >> s for the s = g - h bits of the
-    second.  Each part is formatted once, O(2^(g/2)) strings, and each
-    mask costs three lookups and two concatenations.  The middle holds
-    s >= 1 indices for g >= 1, so the head and the tail carry the
-    separators next to it."""
-    sep = ", " if format == "json" else "" if 2 * g <= 9 else ","
-    h = g // 2
-    s = g - h
-    low = (1 << s) - 1
-
-    def text(part):
-        # flip_dot_actions's parts of v = (1, ..., g): i unflipped, -i flipped
-        return sep.join([str(i if i > 0 else 2 * g + 1 + i) for i in part])
-
-    v = range(1, g + 1)
-    middles = [text(u + f) for u, f, _ in weylcomb._half_parts(v, h + 1, g, g)]
-    firsts = weylcomb._half_parts(v, 1, h, g)
-    heads = ["[" + text(u) + (sep if u else "") for u, _, _ in firsts]
-    tails = [(sep if f else "") + text(f) + "]" for _, f, _ in firsts]
-    return lambda m: heads[m >> s] + middles[m & low] + tails[m >> s]
-
-
-def _labels(g: int, format: str) -> list[str]:
-    """`_label` of every final element of genus g, indexed by flip mask:
-    the table `boundary` reads, as it uses each label g or 2g times."""
-    return list(map(_label(g, format), range(1 << g)))
-
-
 def _entries_format(n: int, format: str) -> str:
     """The %-format of an entry tuple of length n, for one C call per
     tuple: in JSON, `str(list(entries))`, the bytes json.dumps gives with
@@ -176,7 +126,7 @@ def _entries_format(n: int, format: str) -> str:
 def _render_bgg(g, lam, format):
     terms = eiscalc.bgg_complex(g, lam)
     # each label is used once, so it is made as its record is written
-    label = _label(g, format)
+    label = weylcomb.flip_namer(g, ", " if format == "json" else None)
     entries = _entries_format(g, format)
     if format == "json":
         # the bytes json.dumps gives for the list of records
@@ -199,44 +149,36 @@ def _render_boundary(g, lam, format):
     # verify_partition checks), made as the blocks are generated: neither
     # the term list nor the whole output is held.
     blocks = eiscalc.boundary_blocks(g, lam)
-    twists = eiscalc.boundary_twists(g, lam)
-    # A block's w and each record's u are flip masks, that is indices
-    # into the 2^g final elements of genus g and the 2^(g-1) of genus g-1.
-    ws, us = _labels(g, format), _labels(g - 1, format)
-    # One record template per (k, side), with k, side and twist in place;
-    # its placeholders are w, u, the weight's entries, sign and parity.
+    fields = eiscalc.boundary_k_fields(g, lam)
+    # w and u are flip masks, indices into the names of genus g and g - 1
+    names = ", " if format == "json" else None  # None: the text name's
+    ws, us = weylcomb.flip_names(g, names), weylcomb.flip_names(g - 1, names)
+    # One record template per (k, side), with k, side, twist and parity in
+    # place; its placeholders are w, u, the weight's entries and the sign.
     if format == "json":
         # the bytes json.dumps gives for the list of records: ints,
         # "A"/"B" and bools need no escaping
         record = (
             '{"w": %%s, "k": %d, "side": "%s", "u": %%s, "weight": [%%s], '
-            '"sign": %%d, "twist": %d, "parity_pass": %%s}'
+            '"sign": %%d, "twist": %d, "parity_pass": %s}'
         )
-        parity, head, sep, tail, comma = ("true", "false"), "[", ", ", "]\n", ", "
+        parity, head, sep, tail, comma = ("false", "true"), "[", ", ", "]\n", ", "
     else:
-        record = "w=%%s k=%d side=%s u=%%s weight=(%%s) sign=%%+d twist=%d parity=%%s"
-        parity, head, sep, tail, comma = ("even", "odd"), "", "\n", "\n", ","
+        record = "w=%%s k=%d side=%s u=%%s weight=(%%s) sign=%%+d twist=%d parity=%s"
+        parity, head, sep, tail, comma = ("odd", "even"), "", "\n", "\n", ","
     templates = [
-        {side: record % (k, side, twist) for side, twist in by_side.items()}
-        for k, by_side in enumerate(twists, 1)
+        {side: record % (k, side, twist, parity[even])
+         for side, twist in (("A", 0), ("B", twist_b))}
+        for k, (twist_b, even) in enumerate(fields, 1)
     ]
 
     def block_records():
-        # The weight of a record at telescope index l is mu[:l-1] +
-        # (mu[l:] - 1), so its entries are cut from mu's and mu - 1's,
-        # each formatted once per block, and its entry sum is sum(mu) -
-        # mu_l - (g - l).
         for mask, mu, records in blocks:
             w = ws[mask]
-            top = list(map(str, mu))
-            low = [str(x - 1) for x in mu]
-            odd = sum(mu) - g
+            weights = eiscalc.block_weights(mu, records, texts=True)
             yield sep.join([
-                template[side] % (
-                    w, us[u], comma.join(top[: l - 1] + low[l:]), sign,
-                    parity[(odd + l - mu[l - 1]) & 1],
-                )
-                for template, (side, u, l, sign) in zip(templates, records)
+                template[side] % (w, us[u], comma.join(weight), sign)
+                for template, (side, u, _, sign), weight in zip(templates, records, weights)
             ])
     return _chunks(block_records(), 1, head, sep, tail)
 

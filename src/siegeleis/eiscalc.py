@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from math import comb, isqrt
 from operator import neg
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .glbranch import dominant_entries, is_dominant, weight_text
 from .motivering import ONE, MotiveExpr, Symbol, VerificationReport, cusp_dim
@@ -79,6 +79,20 @@ def admissible_weights(g: int, lmax: int) -> Iterator[tuple[int, ...]]:
             f"-g/--lmax: need g^2*C(lmax+g, g) <= {MAX_TABLE_WORK}, got {work}"
         )
     return (lam for lam in dominant_entries(g, 0, lmax) if sum(lam) % 2 == 0)
+
+
+def table_rows(g: int, weights: Iterable[tuple[int, ...]]) -> Iterator[tuple[tuple, list]]:
+    """One regression-table row per weight, as it is computed: (lambda,
+    [(column, expression)]) in column order, rank1 (expanded at g <= 2),
+    and at g = 2 the total, codim2 and, at a regular weight, kernel."""
+    for lam in weights:
+        row = [("rank1", rank1(g, lam, expand=g <= 2))]
+        if g == 2:
+            l, m = lam
+            row += [("total", total_g2(l, m)), ("codim2", codim2_g2(l, m))]
+            if l > m > 0:
+                row.append(("kernel", kernel_g2(l, m)))
+        yield lam, row
 
 
 def tau_prime(lam: Sequence[int], k: int) -> tuple[int, ...]:
@@ -171,19 +185,34 @@ def boundary_blocks(g: int, lam: Sequence[int]) -> Iterator[BoundaryBlock]:
 
     The side, the position pos and the restriction mask u of k come from
     `flip_restriction_rows(g)`; l = g + 1 - pos is the telescope index,
-    and the term's weight is `glbranch.telescope_surgery(mu, l)`, mu[:l-1]
-    + (mu[l:] - 1), which `boundary_terms` builds and the CLI formats from
-    mu, with sign (-1)^(degree + g - l).  No record holds a weight tuple.
+    and the sign is (-1)^(degree + g - l).  No record holds a weight: a
+    block's weights are `block_weights(mu, records)`.
 
     The genus bound and lam are checked when this is called, so a bad
     input fails before the first block."""
     return _generate_blocks(g, _check_boundary(g, lam))
 
 
-def boundary_twists(g: int, lam: Sequence[int]) -> list[dict[str, int]]:
-    """The twist of a term by its k and side, for lam already checked:
-    `twists[k - 1][side]` is 0 on side A and lam_k + g + 1 - k on side B."""
-    return [{"A": 0, "B": lam[k - 1] + g + 1 - k} for k in range(1, g + 1)]
+def boundary_k_fields(g: int, lam: Sequence[int]) -> list[tuple[int, bool]]:
+    """What a term of index k carries whatever its w, for lam already
+    checked: `fields[k - 1]` = (its side-B twist lam_k + g + 1 - k, 0 on
+    side A; its GL(1,Z) parity filter, |tau'_k(lam)| = |lam| - lam_k + k - 1
+    even).  Its weight is dual to a signed permutation of tau'_k(lam) +
+    rho', less rho', and sign changes keep an entry sum mod 2."""
+    total = sum(lam)
+    return [(x + g + 1 - k, (total - x + k - 1) % 2 == 0) for k, x in enumerate(lam, 1)]
+
+
+def block_weights(mu: tuple[int, ...], records, texts: bool = False) -> list[tuple]:
+    """The weights of a block's records: `glbranch.telescope_surgery(mu, l)`
+    = mu[:l-1] + (mu[l:] - 1) at each record's l, cut from mu and mu - 1,
+    as ints or, with texts, entry texts, each of the 2g formatted once.
+    Each is dominant with no check (the surgery lemma), as `_bgg_terms`
+    has checked mu: mu_(l-1) >= mu_l >= mu_(l+1) > mu_(l+1) - 1."""
+    top, low = mu, tuple([x - 1 for x in mu])
+    if texts:
+        top, low = tuple(map(str, top)), tuple(map(str, low))
+    return [top[: l - 1] + low[l:] for _, _, l, _ in records]
 
 
 def _generate_blocks(g: int, lam: tuple[int, ...]) -> Iterator[BoundaryBlock]:
@@ -199,26 +228,19 @@ def _generate_blocks(g: int, lam: tuple[int, ...]) -> Iterator[BoundaryBlock]:
 
 def boundary_terms(g: int, lam: Sequence[int]) -> list[BoundaryTerm]:
     """The records of `boundary_blocks` as one list of terms, each with its
-    w and k, its weight and, on side B, the twist of `boundary_twists`; the
-    GL(1,Z) parity filter, `parity_pass`, is read from the weight.  For
-    callers that take the list's length or walk it more than once
-    (`verify_partition`, the suites); at g = 13 it holds 106,496 terms in
-    about 32 MB, which the CLI's block stream never holds.
-
-    This is the one place a term's weight tuple is built: the telescope
-    surgery of w's mu at l, mu[:l-1] + (mu[l:] - 1).  It is dominant with
-    no check of its own (the surgery lemma), as `_bgg_terms` has checked
-    mu: mu_(l-1) >= mu_l >= mu_(l+1) > mu_(l+1) - 1."""
+    w, k, `block_weights` weight and `boundary_k_fields` twist; for callers
+    that take its length or walk it twice (`verify_partition`, the suites).
+    At g = 13 it holds 106,496 terms in about 32 MB."""
     blocks = boundary_blocks(g, lam)  # checks g and lam first
-    ks, twists = range(1, g + 1), boundary_twists(g, lam)
+    ks, fields = range(1, g + 1), boundary_k_fields(g, lam)
     # BoundaryTerm(*fields) is tuple.__new__(BoundaryTerm, fields) behind
     # a Python-level __new__; calling the latter directly skips that frame
     new_term = tuple.__new__
     return [
-        new_term(BoundaryTerm, (mask, k, side, u, mu[: l - 1] + low[l:], sign, twist[side]))
+        new_term(BoundaryTerm, (mask, k, side, u, weight, sign, twist if side == "B" else 0))
         for mask, mu, records in blocks
-        for low in [tuple(x - 1 for x in mu)]
-        for k, twist, (side, u, l, sign) in zip(ks, twists, records)
+        for k, (twist, _), (side, u, _, sign), weight
+        in zip(ks, fields, records, block_weights(mu, records))
     ]
 
 
@@ -335,10 +357,11 @@ def verify_partition(
     )
     report.check("sign-constancy", detail, expected_signs, sign_constant)
 
-    # parity filter agrees with the vanishing of odd-|lambda| symbols
+    # term parity, the per-k parity the CLI prints and |tau'_k(lambda)| agree
+    evens = [even for _, even in boundary_k_fields(g, lam)]
     report.check(
         "parity-filter", detail, terms,
-        lambda t: None if t.parity_pass == (sum(surgered[t.k]) % 2 == 0)
+        lambda t: None if t.parity_pass == evens[t.k - 1] == (sum(surgered[t.k]) % 2 == 0)
         else f"w={finals[t.w]}, k={t.k}",
     )
     return report

@@ -11,9 +11,10 @@ it).  In that convention the masks count upward in the images'
 lexicographic order, so the element at position m of `enumerate_final`
 has flip mask m.  The boundary pipeline takes every final element's dot
 action and length at once from `flip_dot_actions`, and every final
-element's restrictions at once from `flip_restriction_rows`, each built
-from two half tables; `WeylElement.dot_action`, `WeylElement.length`,
-`image_dichotomy` and `restrict_final` stay as their oracles.
+element's restrictions at once from `flip_restriction_rows`, and names
+every final element at once with `flip_namer`, each built from two half
+tables; `WeylElement.dot_action`, `WeylElement.length`, `image_dichotomy`,
+`restrict_final` and `str` stay as their oracles.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 
 class SideMismatchError(ValueError):
@@ -105,7 +106,11 @@ class WeylElement:
 def images_text(g: int, images: Iterable[int]) -> str:
     """The text name of an element of W_g by its images: the digits run
     together while 2g <= 9, comma-separated beyond."""
-    return "[" + ("" if 2 * g <= 9 else ",").join(map(str, images)) + "]"
+    return "[" + _text_separator(g).join(map(str, images)) + "]"
+
+
+def _text_separator(g: int) -> str:
+    return "" if 2 * g <= 9 else ","
 
 
 def flip_images(mask: int, g: int) -> tuple[int, ...]:
@@ -273,6 +278,36 @@ def flip_dot_actions(lam: Sequence[int]) -> Iterator[tuple[tuple[int, ...], int]
     for u, f, n in _half_parts(v, 1, h, g):
         for middle, m in middles:
             yield tuple(map(sub, u + middle + f, r)), n + m
+
+
+def flip_namer(g: int, sep: str | None = None) -> Callable[[int], str]:
+    """The name of a final element of genus g by its flip mask, its images
+    joined by `sep` (`images_text`'s by default), built from the halves
+    as `flip_dot_actions` is: head, middle and tail are each formatted
+    once, O(2^(g/2)) strings, and a mask costs three lookups and two
+    concatenations.  The middle holds g - h >= 1 images for g >= 1, so
+    the head and the tail carry the separators next to it."""
+    if sep is None:
+        sep = _text_separator(g)
+    h = g // 2
+    s = g - h
+    low = (1 << s) - 1
+
+    def text(part):
+        # the parts of v = (1, ..., g): i unflipped, -i flipped
+        return sep.join([str(i if i > 0 else 2 * g + 1 + i) for i in part])
+
+    v = range(1, g + 1)
+    middles = [text(u + f) for u, f, _ in _half_parts(v, h + 1, g, g)]
+    firsts = _half_parts(v, 1, h, g)
+    heads = ["[" + text(u) + (sep if u else "") for u, _, _ in firsts]
+    tails = [(sep if f else "") + text(f) + "]" for _, f, _ in firsts]
+    return lambda m: heads[m >> s] + middles[m & low] + tails[m >> s]
+
+
+def flip_names(g: int, sep: str | None = None) -> list[str]:
+    """`flip_namer`'s name of every final element of genus g, by mask."""
+    return list(map(flip_namer(g, sep), range(1 << g)))
 
 
 def all_elements(g: int) -> list[WeylElement]:

@@ -1,3 +1,4 @@
+import ast
 import cProfile
 import gc
 import hashlib
@@ -15,7 +16,7 @@ from collections import Counter
 import pytest
 
 from siegeleis import cli, eiscalc, suites, weylcomb
-from siegeleis.cli import _labels, _render_bgg, _render_boundary, _stream, main, run
+from siegeleis.cli import _render_bgg, _render_boundary, _stream, main, run
 from siegeleis.glbranch import telescope_surgery
 from siegeleis.motivering import MotiveExpr, VerificationReport
 
@@ -100,6 +101,18 @@ BOUNDARY_RENDER_CASES = [
 ]
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def _printed_names(argv: list[str], field: str) -> list[str]:
+    """The text of one element field, "w" or "u", of each record the CLI
+    prints for argv, in record order, as the bytes stand."""
+    code, out, err = run(argv)
+    assert (code, err) == (0, "")
+    if argv[-1] == "json":
+        return re.findall(f'"{field}": (\\[[^\\]]*\\])', out)
+    return re.findall(f"(?:^| ){field}=(\\S+)", out, re.M)
+
+
 # What the `siegeleis` console script runs.
 CLI_ENTRY = "import sys; from siegeleis.cli import main; sys.exit(main())"
 
@@ -327,9 +340,9 @@ class TestStructureCommands:
         """Hand-made blocks, their fields chosen to match no real term (mu
         not dominant, the l of a block not a permutation), come out field
         for field in JSON and text: k is the record's index, the weight is
-        `telescope_surgery(mu, l)`, the twist is `boundary_twists`'s for
-        that k and side, and the parity is read from that weight.  The CLI
-        adds no term logic of its own."""
+        `telescope_surgery(mu, l)`, and the twist and the parity are
+        `boundary_k_fields`'s for that k (the twist 0 on side A), whatever
+        the weight's own entry sum.  The CLI adds no term logic of its own."""
         g, lam = 4, (6, 4, 1, 0)
         blocks = [
             (5, (9, -2, 40, -107), [
@@ -343,12 +356,18 @@ class TestStructureCommands:
             ]),
         ]
         monkeypatch.setattr(eiscalc, "boundary_blocks", lambda g, lam: iter(blocks))
-        twists = eiscalc.boundary_twists(g, lam)
+        fields = eiscalc.boundary_k_fields(g, lam)
         terms = [
-            (mask, k, side, u, telescope_surgery(mu, l), sign, twists[k - 1][side])
+            (mask, k, side, u, telescope_surgery(mu, l), sign,
+             fields[k - 1][0] if side == "B" else 0, fields[k - 1][1])
             for mask, mu, records in blocks
             for k, (side, u, l, sign) in enumerate(records, 1)
         ]
+        # a weight of either parity at some k of each parity, so that a
+        # parity read from the weight would differ
+        assert {(sum(t[4]) % 2 == 0, t[7]) for t in terms} == {
+            (a, b) for a in (True, False) for b in (True, False)
+        }
         code, out, err = run(["boundary", "-g", str(g), "-l", "6,4,1,0", "--format", "json"])
         assert (code, err) == (0, "")
         assert json.loads(out) == [
@@ -360,43 +379,58 @@ class TestStructureCommands:
                 "weight": list(weight),
                 "sign": sign,
                 "twist": twist,
-                "parity_pass": sum(weight) % 2 == 0,
+                "parity_pass": even,
             }
-            for mask, k, side, u, weight, sign, twist in terms
+            for mask, k, side, u, weight, sign, twist, even in terms
         ]
         code, out, err = run(["boundary", "-g", str(g), "-l", "6,4,1,0"])
         assert (code, err) == (0, "")
         assert out == "".join(
             f"w={weylcomb.final_element(g, mask)} k={k} side={side} "
             f"u={weylcomb.final_element(g - 1, u)} weight=({','.join(map(str, weight))}) "
-            f"sign={sign:+d} twist={twist} parity={'odd' if sum(weight) % 2 else 'even'}\n"
-            for mask, k, side, u, weight, sign, twist in terms
+            f"sign={sign:+d} twist={twist} parity={'even' if even else 'odd'}\n"
+            for mask, k, side, u, weight, sign, twist, even in terms
         )
 
     @pytest.mark.parametrize("g", range(0, 11))
     def test_labels_name_the_elements(self, g):
-        """The table `boundary` reads holds the 2^g per-mask labels in mask
-        order; each label is checked against the element it names below,
-        for every mask up to g = 14.  g = 0 is the restricted label table
+        """The w and u names boundary -g (g + 1) prints, in both formats,
+        against the elements they name: its genus-g table of restricted
+        names holds every mask's name, and g = 0 is the restricted table
         of genus 1."""
-        for format in ("text", "json"):
-            assert _labels(g, format) == list(map(cli._label(g, format), range(1 << g)))
+        lam = (0,) * (g + 1)
+        records = [
+            (mask, u)
+            for mask, _, rows in eiscalc.boundary_blocks(g + 1, lam)
+            for _, u, _, _ in rows
+        ]
+        assert {u for _, u in records} == set(range(1 << g))
+        argv = ["boundary", "-g", str(g + 1), "-l", ",".join(map(str, lam)), "--format"]
+        for format, name in (("text", str), ("json", lambda w: json.dumps(list(w.images)))):
+            names = {
+                (n, m): name(weylcomb.final_element(n, m)) for n in (g, g + 1) for m in range(1 << n)
+            }
+            assert _printed_names(argv + [format], "w") == [names[g + 1, w] for w, _ in records]
+            assert _printed_names(argv + [format], "u") == [names[g, u] for _, u in records]
 
     @pytest.mark.parametrize("format", ["text", "json"])
     @pytest.mark.parametrize("g", range(0, 15))
     def test_label_tables_match_the_per_mask_labels(self, g, format):
-        """The half-table label of each mask against the element it names,
-        not against a second formatter: str(final_element) in text and
-        json.dumps of the images in JSON, for odd and even half splits,
-        the text separator change at g = 5, genus 13, the restricted table
-        of boundary -g 14, and genus 14."""
-        label = cli._label(g, format)
-        for m in range(1 << g):
-            if format == "text":
-                expected = str(weylcomb.final_element(g, m))
-            else:
-                expected = json.dumps(list(weylcomb.flip_images(m, g)))
-            assert label(m) == expected, m
+        """The name bgg -g g prints for each mask against the element it
+        names, not against a second formatter: str(final_element) in text
+        and json.dumps of the images in JSON, for odd and even half
+        splits, the text separator change at g = 5, genus 13 and genus
+        14; g = 0 is the u of boundary -g 1."""
+        if g == 0:
+            names = _printed_names(["boundary", "-g", "1", "-l", "0", "--format", format], "u")
+            masks = [0, 0]
+        else:
+            lam = ",".join(["0"] * g)
+            names = _printed_names(["bgg", "-g", str(g), "-l", lam, "--format", format], "w")
+            masks = [t.w for t in eiscalc.bgg_complex(g, (0,) * g)]
+        for m, name in itertools.zip_longest(masks, names):
+            w = weylcomb.final_element(g, m)
+            assert name == (str(w) if format == "text" else json.dumps(list(w.images))), m
 
     @pytest.mark.parametrize(
         "entries",
@@ -419,18 +453,18 @@ class TestStructureCommands:
         lam = (9, 7, 5, 3, 1)
         expected = "".join(_render_bgg(5, lam, format))
 
-        def refuse(g, format):
+        def refuse(g, sep=None):
             raise AssertionError("bgg built the label table")
 
         formatted = []
-        label = cli._label
+        namer = weylcomb.flip_namer
 
-        def counted(g, format):
-            name = label(g, format)
+        def counted(g, sep=None):
+            name = namer(g, sep)
             return lambda m: formatted.append(m) or name(m)
 
-        monkeypatch.setattr(cli, "_labels", refuse)
-        monkeypatch.setattr(cli, "_label", counted)
+        monkeypatch.setattr(weylcomb, "flip_names", refuse)
+        monkeypatch.setattr(weylcomb, "flip_namer", counted)
         assert "".join(_render_bgg(5, lam, format)) == expected
         assert formatted == [t.w for t in eiscalc.bgg_complex(5, lam)]
 
@@ -743,6 +777,57 @@ class TestVerify:
             "parity-filter (w=[456], k=3)]"
         )
 
+    def test_a_flipped_per_k_parity_fails_the_gate(self, monkeypatch):
+        """boundary prints the parity of `boundary_k_fields`, and the gate's
+        parity-filter reads the same list: flipping k = 1's parity changes
+        the printed bytes and fails partition-identity-g2."""
+        real = eiscalc.boundary_k_fields
+
+        def flipped(g, lam):
+            (twist, even), *rest = real(g, lam)
+            return [(twist, not even), *rest]
+
+        def flip(line):
+            if " k=1 " not in line:
+                return line
+            word = line.rsplit("=", 1)[1]
+            return line[: -len(word)] + {"even": "odd", "odd": "even"}[word]
+
+        argv = ["boundary", "-g", "2", "-l", "0,0"]
+        before = run(argv)[1].splitlines()
+        monkeypatch.setattr(eiscalc, "boundary_k_fields", flipped)
+        assert run(argv)[1].splitlines() == list(map(flip, before))
+        code, out, _ = run(["verify", "--suite", "all"])
+        assert code == 1
+        (line,) = [ln for ln in out.splitlines() if "partition-identity-g2" in ln]
+        assert line == (
+            "FAIL partition-identity-g2: entries <= 4 [counterexample: "
+            "lambda=(0, 0): parity-filter (w=[12], k=1)]"
+        )
+
+    def test_a_long_weight_cut_fails_the_gate(self, monkeypatch):
+        """boundary_terms and the boundary renderer cut their weights with
+        one helper: one that keeps l entries of mu instead of l - 1 fails
+        weight-identity."""
+        def long_cut(mu, records, texts=False):
+            top, low = mu, tuple(x - 1 for x in mu)
+            if texts:
+                top, low = tuple(map(str, top)), tuple(map(str, low))
+            return [top[:l] + low[l:] for _, _, l, _ in records]
+
+        monkeypatch.setattr(eiscalc, "block_weights", long_cut)
+        assert run(["boundary", "-g", "1", "-l", "0"])[1] == (
+            "w=[1] k=1 side=A u=[] weight=(0) sign=+1 twist=0 parity=even\n"
+            "w=[2] k=1 side=B u=[] weight=(2) sign=-1 twist=1 parity=even\n"
+        )
+        code, out, _ = run(["verify", "--suite", "all"])
+        assert code == 1
+        (line,) = [ln for ln in out.splitlines() if "partition-identity-g2" in ln]
+        assert line.startswith(
+            "FAIL partition-identity-g2: entries <= 4 [counterexample: "
+            "lambda=(0, 0): weight-identity (w=[12], k=1: W(0,0) != W(0)); "
+        )
+
     def test_a_failed_g2_identity_shows_its_counterexample(self, monkeypatch):
         monkeypatch.setattr(eiscalc, "kernel_g2", lambda l, m: MotiveExpr.zero())
         code, out, _ = run(["verify", "--suite", "g2"])
@@ -892,6 +977,45 @@ class TestVerify:
         with pytest.raises(ValueError, match="^--suite: "):
             suites.run_suite("nope")
         assert seen == []
+
+
+def _private_reads(source: str) -> list[str]:
+    """The `_`-prefixed names of other siegeleis modules that `source`, a
+    module of the package, reads: imported from a sibling, or read as an
+    attribute of a module it imported with `from . import`.  Dunders
+    such as __version__ are public."""
+    def private(name):
+        return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+    tree = ast.parse(source)
+    siblings, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [a.name for a in node.names]
+            if node.module is None:
+                siblings.update(names)
+            found += [f"{node.module or 'siegeleis'}.{n}" for n in names if private(n)]
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in siblings and private(node.attr)):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+class TestLayering:
+    def test_cli_reads_no_private_name_of_another_module(self):
+        """cli.py parses and formats; what it shows is decided in the
+        modules that own it, through their public names."""
+        assert _private_reads((SRC / "siegeleis" / "cli.py").read_text()) == []
+
+    def test_the_guard_sees_a_private_read(self):
+        source = (
+            "from . import __version__, weylcomb\n"
+            "from .eiscalc import _check_sp_weight, rank1\n"
+            "parts = weylcomb._half_parts(v, 1, h, g)\n"
+            "names = weylcomb.flip_names(g)\n"
+        )
+        assert _private_reads(source) == ["eiscalc._check_sp_weight", "weylcomb._half_parts"]
 
 
 def stub_suites(monkeypatch):

@@ -391,7 +391,7 @@ class TestBoundaryTerms:
         rng = random.Random(g)
         for _ in range(2):
             lam = tuple(sorted((rng.randint(0, 12) for _ in range(g)), reverse=True))
-            twists = eiscalc.boundary_twists(g, lam)
+            twists = [{"A": 0, "B": twist} for twist, _ in eiscalc.boundary_k_fields(g, lam)]
             flat = ([], [])
             for pair in itertools.zip_longest(
                 eiscalc.boundary_blocks(g, lam), eiscalc.boundary_blocks(g, lam)
@@ -507,13 +507,24 @@ class TestSurgeryLemma:
     def test_every_surgery_of_a_dominant_weight_is_dominant(self):
         cases = 0
         for a in self.weights():
-            low = tuple(x - 1 for x in a)
-            for l in range(1, len(a) + 1):
-                weight = a[: l - 1] + low[l:]  # as boundary_terms makes it
-                assert weight == telescope_surgery(a, l)
+            records = [("A", 0, l, 1) for l in range(1, len(a) + 1)]
+            # as boundary_terms and the CLI cut them
+            for l, weight in enumerate(eiscalc.block_weights(a, records), 1):
                 assert is_dominant(weight), (a, l)
                 cases += 1
         assert cases == 4 * 10 * sum(range(1, 15))
+
+    def test_block_weights_are_the_surgeries(self):
+        """The cut helper against `telescope_surgery` at every l, as ints
+        and as the entry texts the CLI joins; records in any l order."""
+        for a in self.weights():
+            ls = list(range(len(a), 0, -1))
+            records = [("B", 0, l, -1) for l in ls]
+            expected = [telescope_surgery(a, l) for l in ls]
+            assert eiscalc.block_weights(a, records) == expected
+            assert eiscalc.block_weights(a, records, texts=True) == [
+                tuple(map(str, weight)) for weight in expected
+            ]
 
     def test_the_lemma_needs_a_dominant_weight(self):
         # not vacuous: the surgery of a non-dominant weight can ascend
@@ -618,12 +629,43 @@ class TestBlockRecords:
                 got = [(side, restricted[u], l, sign) for side, u, l, sign in records]
                 assert got == expected, (lam, w)
 
+    @staticmethod
+    def assert_parity_per_k(g, lam):
+        """Each record's weight parity, from the oracle `telescope_surgery`,
+        is the per-k parity of `boundary_k_fields` that boundary prints;
+        the whole stream is drained."""
+        evens = [even for _, even in eiscalc.boundary_k_fields(g, lam)]
+        blocks = 0
+        for _, mu, records in eiscalc.boundary_blocks(g, lam):
+            got = [sum(telescope_surgery(mu, l)) % 2 == 0 for _, _, l, _ in records]
+            assert got == evens, (lam, mu)
+            blocks += 1
+        assert blocks == 1 << g
+
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_parity_per_k_at_every_mask(self, g):
+        for lam in self.weights(g):
+            self.assert_parity_per_k(g, lam)
+
+    @pytest.mark.parametrize(
+        "g, lam",
+        [
+            # the benchmark's boundary-deep weight at seed 7
+            # (`boundary_lambda(7)` in bench/run.py)
+            (13, (20, 18, 17, 16, 12, 11, 10, 6, 4, 3, 2, 1, 1)),
+            (14, tuple(range(27, 0, -2))),  # the staircase
+        ],
+        ids=["13", "14"],
+    )
+    def test_parity_per_k_on_the_largest_streams(self, g, lam):
+        self.assert_parity_per_k(g, lam)
+
     def test_flattened_blocks_are_the_terms(self):
         # each record's weight is telescope_surgery(mu, l), the oracle of
         # the surgery boundary_terms and the CLI make; the benchmark's boundary-deep weight at seed 1
         # (`boundary_lambda(1)` in bench/run.py)
         g, lam = 13, (20, 18, 15, 15, 15, 14, 12, 8, 6, 4, 3, 3, 2)
-        twists = eiscalc.boundary_twists(g, lam)
+        twists = [{"A": 0, "B": twist} for twist, _ in eiscalc.boundary_k_fields(g, lam)]
         flat = [
             BoundaryTerm(mask, k, side, u, telescope_surgery(mu, l), sign, twists[k - 1][side])
             for mask, mu, records in eiscalc.boundary_blocks(g, lam)
@@ -890,15 +932,12 @@ class TestGenericPoint:
         assert low == high
 
     def test_the_guard_sees_a_producer_that_branches_on_lambda(self, monkeypatch):
-        real = eiscalc.boundary_twists
+        real = eiscalc.boundary_k_fields
 
         def branching(g, lam):
-            twists = real(g, lam)
-            for by_side in twists:
-                by_side["B"] += lam[0] % 5 == 0
-            return twists
+            return [(twist + (lam[0] % 5 == 0), even) for twist, even in real(g, lam)]
 
-        monkeypatch.setattr(eiscalc, "boundary_twists", branching)
+        monkeypatch.setattr(eiscalc, "boundary_k_fields", branching)
         differ = [
             g for g in range(1, 11)
             if _affine_forms(g, self.BASES[0]) != _affine_forms(g, self.BASES[1])

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -11,6 +12,8 @@ from siegeleis.weylcomb import (
     final_element,
     flip_dot_actions,
     flip_images,
+    flip_namer,
+    flip_names,
     flip_restriction_rows,
     image_dichotomy,
     images_text,
@@ -401,3 +404,17 @@ class TestFlipMasks:
         assert images_text(4, (1, 2, 5, 6)) == "[1256]"
         assert images_text(5, (1, 2, 3, 6, 7)) == "[1,2,3,6,7]"
         assert str(W(4, 1, 2, 5, 6)) == "[1256]"
+
+    @pytest.mark.parametrize("g", range(0, 15))
+    def test_names_against_the_elements(self, g):
+        """The half-table name of each mask against the element it names,
+        not against a second formatter: str(final_element) by default and
+        json.dumps of the images with JSON's separator, per mask and in the
+        table; for odd and even half splits, the text separator change at
+        g = 5 and every mask up to genus 14.  g = 0 is the restricted
+        table of genus 1."""
+        texts = [str(final_element(g, m)) for m in range(1 << g)]
+        jsons = [json.dumps(list(flip_images(m, g))) for m in range(1 << g)]
+        for sep, expected in ((None, texts), (", ", jsons)):
+            assert list(map(flip_namer(g, sep), range(1 << g))) == expected
+            assert flip_names(g, sep) == expected
