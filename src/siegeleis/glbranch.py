@@ -82,7 +82,12 @@ def straighten(v: Sequence[int]):
 
 class VirtualBundle:
     """Integer-linear combination of dominant weights of one length, the
-    genus, keyed by their entry tuples."""
+    genus, keyed by their entry tuples.
+
+    Keys are validated in one place: the public constructor checks every
+    key it is given.  The producers in this module (`wedge_dual_tensor*`,
+    `telescope_*`, `scale`) build through `_of` from keys that are valid by
+    construction, each call site saying why, and skip that check."""
 
     __slots__ = ("genus", "_terms")
 
@@ -108,6 +113,17 @@ class VirtualBundle:
                 raise ValueError(f"weight {key} is not weakly decreasing")
         self._terms = {key: c for key, c in acc.items() if c}
 
+    @classmethod
+    def _of(cls, genus: int, terms: dict[tuple[int, ...], int]) -> "VirtualBundle":
+        """The bundle of `terms`, a dict whose keys the caller has shown to
+        be dominant entry tuples of length genus; no key is checked.  Keys
+        of a dict are distinct, so a caller whose keys may repeat sums them
+        into it.  Zero coefficients are dropped."""
+        vb = object.__new__(cls)
+        vb.genus = genus
+        vb._terms = {key: c for key, c in terms.items() if c} if 0 in terms.values() else terms
+        return vb
+
     def items(self) -> list[tuple[tuple[int, ...], int]]:
         """The (entries, coeff) pairs, sorted by entries."""
         return sorted(self._terms.items())
@@ -123,7 +139,8 @@ class VirtualBundle:
         )
 
     def scale(self, n: int) -> "VirtualBundle":
-        return VirtualBundle(self.genus, ((k, n * c) for k, c in self._terms.items()))
+        # the keys are this bundle's own, already valid and distinct
+        return VirtualBundle._of(self.genus, {k: n * c for k, c in self._terms.items()})
 
     def __str__(self):
         if self.is_zero():
@@ -161,32 +178,48 @@ def wedge_dual_tensor(mu: GlWeight, k: int) -> VirtualBundle:
 
     Deletion rule: subtract 1 from k entries of mu in every possible way
     and keep the dominant results, each with coefficient 1.
-    `wedge_dual_tensor_straightened` is its independent oracle.
+    `wedge_dual_tensor_straightened` is its independent oracle.  The keys
+    are not checked again: `_deletions` has just tested each for dominance.
     """
     n = len(mu)
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-    return VirtualBundle(n, zip(_deletions(mu.entries, k), itertools.repeat(1)))
+    # distinct subsets give distinct vectors, so every coefficient is 1
+    return VirtualBundle._of(n, dict.fromkeys(_deletions(mu.entries, k), 1))
 
 
-def wedge_dual_tensor_straightened(mu: GlWeight, k: int) -> VirtualBundle:
+def wedge_dual_tensor_straightened(
+    mu: GlWeight, k: int, *, straightened: dict | None = None
+) -> VirtualBundle:
     """Oracle for `wedge_dual_tensor`: straighten every mu - e_S over the
     k-subsets S (a copy of mu's entries with the entries in S lowered by
-    1) and add up the signed dominant weights."""
+    1) and add up the signed dominant weights.
+
+    `straightened` maps an entry tuple to its `straighten` result; a run
+    of calls that shares one dict straightens each distinct vector once.
+    Without it the call makes its own.  A vector not in it is straightened
+    by `straighten` as this module holds it, and the result is stored.
+    The keys are not checked again: each is `straighten`'s sorted output."""
     n = len(mu)
     if not 0 <= k <= n:
         raise ValueError("k out of range")
-
-    def pairs():
-        for subset in itertools.combinations(range(n), k):
-            v = list(mu.entries)
-            for i in subset:
-                v[i] -= 1
-            straightened = straighten(v)
-            if straightened is not None:
-                sign, wt = straightened
-                yield wt, sign
-    return VirtualBundle(n, pairs())
+    if straightened is None:
+        straightened = {}
+    acc: dict[tuple[int, ...], int] = {}
+    for subset in itertools.combinations(range(n), k):
+        v = list(mu.entries)
+        for i in subset:
+            v[i] -= 1
+        key = tuple(v)
+        if key in straightened:
+            res = straightened[key]
+        else:
+            res = straightened[key] = straighten(v)
+        if res is not None:
+            # two vectors can straighten to one weight: sum their signs
+            sign, wt = res
+            acc[wt] = acc.get(wt, 0) + sign
+    return VirtualBundle._of(n, acc)
 
 
 def telescope_surgery(a: Sequence[int], l: int) -> tuple[int, ...]:
@@ -196,14 +229,19 @@ def telescope_surgery(a: Sequence[int], l: int) -> tuple[int, ...]:
 
 def telescope_closed(a: GlWeight) -> VirtualBundle:
     """Closed form of the alternating direct image: g terms, k-th obtained
-    by dropping a_k and lowering the tail, with sign (-1)^(g-k)."""
+    by dropping a_k and lowering the tail, with sign (-1)^(g-k).
+
+    The keys are not checked again.  Each is dominant by the surgery lemma,
+    a_(k-1) >= a_k >= a_(k+1) > a_(k+1) - 1, as `a` is a checked weight.
+    They are distinct: for k < m, the k-th entry of the k-th surgery is
+    a_(k+1) - 1, below the m-th surgery's a_k."""
     g = len(a)
     if g == 0:
         raise ValueError("need a nonempty weight")
-    terms = (
-        (telescope_surgery(a.entries, k), (-1) ** (g - k)) for k in range(1, g + 1)
-    )
-    return VirtualBundle(g - 1, terms)
+    terms = {
+        telescope_surgery(a.entries, k): (-1) ** (g - k) for k in range(1, g + 1)
+    }
+    return VirtualBundle._of(g - 1, terms)
 
 
 def telescope_bruteforce(a: GlWeight) -> VirtualBundle:
@@ -224,7 +262,8 @@ def telescope_bruteforce(a: GlWeight) -> VirtualBundle:
     so dropping a vector after its visits are summed drops exactly the
     same terms.  Every pair (b, S) is still visited once, so this is the
     same finite sum term by term, not a closed form.  Works on entry
-    tuples and builds no weight."""
+    tuples and builds no weight.  The keys are not checked again: each has
+    just passed `is_dominant`, and each is a distinct vector of a box."""
     g = len(a)
     if g == 0:
         raise ValueError("need a nonempty weight")
@@ -240,8 +279,9 @@ def telescope_bruteforce(a: GlWeight) -> VirtualBundle:
     # a vector's sum is nonzero exactly when its two tallies differ, which
     # the symmetric difference of the (vector, count) pairs finds in C
     differ = {v for v, _ in even.items() ^ odd.items()}
-    return VirtualBundle(
-        g - 1, ((v, even[v] - odd[v]) for v in differ if is_dominant(v))
+    # the dominance filter is the key check: the bundle does not repeat it
+    return VirtualBundle._of(
+        g - 1, {v: even[v] - odd[v] for v in differ if is_dominant(v)}
     )
 
 

@@ -171,10 +171,14 @@ def verify_telescope(max_g: int = DEFAULT_MAX_G,
     # wedge_dual_tensor over shifted branching boxes, not through
     # _deletions: it keeps b - e_S when dominant, for every branch b of a
     # (n = g-1 entries, all within a's range) and k-subset S.  Cross-check
-    # that rule against the straightening route on every such (b, k)
+    # that rule against the straightening route on every such (b, k).  The
+    # cases share one dict of straightened vectors, made afresh each run, so
+    # each distinct mu - e_S is straightened once
+    straightened: dict = {}
+
     def routes_agree(case):
         mu, k = case
-        oracle = glbranch.wedge_dual_tensor_straightened(mu, k)
+        oracle = glbranch.wedge_dual_tensor_straightened(mu, k, straightened=straightened)
         if glbranch.wedge_dual_tensor(mu, k) != oracle:
             return f"mu={mu}, k={k}"
     n_max, e = min(max_g, 4), max(max_entry, 3)

@@ -244,7 +244,7 @@ class TestWedgeDualTensor:
                     assert got == by_comprehension(mu, k), (mu, k)
 
     def test_route_check_reports_a_wrong_oracle(self, monkeypatch):
-        def wrong(mu, k):
+        def wrong(mu, k, *, straightened=None):
             return VirtualBundle(len(mu))
 
         monkeypatch.setattr(glbranch, "wedge_dual_tensor_straightened", wrong)
@@ -561,3 +561,144 @@ class TestVirtualBundle:
         assert vb.items() == [((0, 0), 4), ((3, 0), -1)]
         assert vb.scale(-2).items() == [((0, 0), -8), ((3, 0), 2)]
         assert vb.scale(0).is_zero()
+
+
+def _seeded_weights(seed, n, count, e):
+    rng = random.Random(seed)
+    return [
+        GlWeight(tuple(sorted((rng.randint(-e, e) for _ in range(n)), reverse=True)))
+        for _ in range(count)
+    ]
+
+
+def _counted_straighten(monkeypatch) -> list:
+    """A list that gains one entry per `glbranch.straighten` call."""
+    calls = []
+
+    def counting(v):
+        calls.append(1)
+        return straighten(v)
+
+    monkeypatch.setattr(glbranch, "straighten", counting)
+    return calls
+
+
+class TestStraightenedOnce:
+    # the number of distinct vectors mu - e_S that `wedge-dual-route`
+    # straightens at the default suite sizes; one call per case and subset,
+    # without the shared dict, would be 33,151
+    DEFAULT_DISTINCT = 5140
+
+    def test_shared_dict_agrees_with_a_fresh_one_and_the_deletion_rule(self):
+        mus = [mu for n in range(6) for mu in dominant_weights(n, -6, 6)]
+        mus += _seeded_weights(606, 6, 120, 6)
+        shared: dict = {}
+        for mu in mus:
+            for k in range(len(mu) + 1):
+                got = wedge_dual_tensor_straightened(mu, k, straightened=shared)
+                assert got == wedge_dual_tensor_straightened(mu, k), (mu, k)
+                assert got == wedge_dual_tensor(mu, k), (mu, k)
+        # every stored result is the vector's own straightening
+        assert all(straighten(v) == res for v, res in shared.items())
+
+    def test_a_miss_straightens_by_module_attribute(self, monkeypatch):
+        calls = _counted_straighten(monkeypatch)
+        shared: dict = {}
+        mu = gw(3, 1, 1, 0)
+        first = wedge_dual_tensor_straightened(mu, 2, straightened=shared)
+        assert len(calls) == 6 == len(shared)  # the six 2-subsets of 4 positions
+        assert wedge_dual_tensor_straightened(mu, 2, straightened=shared) == first
+        assert len(calls) == 6  # every vector was a hit
+        wedge_dual_tensor_straightened(mu, 2)
+        assert len(calls) == 12  # no dict passed: a fresh one
+
+    def test_the_gate_straightens_each_distinct_vector_once_per_run(self, monkeypatch):
+        calls = _counted_straighten(monkeypatch)
+        for _ in range(2):  # the second run shares nothing with the first
+            calls.clear()
+            assert suites.verify_telescope().passed
+            assert len(calls) == self.DEFAULT_DISTINCT
+
+    def test_a_wrong_straighten_after_a_clean_run_fails(self, monkeypatch):
+        assert suites.verify_telescope().passed
+
+        def flipped(v):
+            res = straighten(v)
+            return res and (-res[0], res[1])
+
+        monkeypatch.setattr(glbranch, "straighten", flipped)
+        failed = {c.name: c.counterexample for c in suites.verify_telescope().failures()}
+        assert list(failed) == ["wedge-dual-route"]
+        assert failed["wedge-dual-route"].startswith("mu=W(")
+
+
+class TestUncheckedProducers:
+    """The producers build through `VirtualBundle._of`, which checks no key;
+    every bundle they build must still hold only dominant entry tuples of
+    the bundle's genus with nonzero integer coefficients."""
+
+    @staticmethod
+    def _recorded(monkeypatch) -> list:
+        built = []
+        real_of = VirtualBundle._of
+
+        def recording(cls, genus, terms):
+            vb = real_of(genus, terms)
+            built.append(vb)
+            return vb
+
+        monkeypatch.setattr(VirtualBundle, "_of", classmethod(recording))
+        return built
+
+    @staticmethod
+    def _assert_valid(built):
+        assert built
+        for vb in built:
+            for key, c in vb.items():
+                assert type(key) is tuple and len(key) == vb.genus, (vb.genus, key)
+                assert is_dominant(key), key
+                assert type(c) is int and c, (key, c)
+
+    def test_on_the_gate_cases(self, monkeypatch):
+        built = self._recorded(monkeypatch)
+        assert suites.verify_telescope().passed
+        assert suites.verify_partition_suite().passed  # telescope_closed and scale
+        self._assert_valid(built)
+
+    def test_beyond_the_gate(self, monkeypatch):
+        built = self._recorded(monkeypatch)
+        mus = list(dominant_weights(5, -4, 4)) + _seeded_weights(56, 6, 60, 6)
+        for mu in mus:
+            for k in range(len(mu) + 1):
+                wedge_dual_tensor(mu, k)
+                wedge_dual_tensor_straightened(mu, k)
+            telescope_closed(mu).scale(-1)
+            telescope_bruteforce(mu)
+        self._assert_valid(built)
+        # n + 1 bundles from each route, then closed, scaled and brute force
+        assert len(built) == sum(2 * (len(mu) + 1) + 3 for mu in mus)
+
+    def test_scale_by_zero_drops_every_term(self):
+        vb = telescope_closed(gw(3, 1, 0))
+        assert vb.scale(0) == VirtualBundle(2) and vb.scale(0).is_zero()
+
+    @pytest.mark.parametrize(
+        "genus, pairs, error, message",
+        [
+            (1, {(2,): 1}, TypeError, "VirtualBundle takes (entries, coeff) pairs, not a mapping"),
+            (1, [(gw(2), 1)], TypeError, "weight key GlWeight(entries=(2,)) is not an entry tuple"),
+            (1, [(gw(2), 1), (gw(2), -1)], TypeError,
+             "weight key GlWeight(entries=(2,)) is not an entry tuple"),
+            (3, [((2, 1), 1)], ValueError, "weight length must equal the bundle genus"),
+            (0, [((2, 1), 1), ((2, 1), -1)], ValueError, "weight length must equal the bundle genus"),
+            (2, [((0, 1), 1)], ValueError, "weight (0, 1) is not weakly decreasing"),
+            (2, [((2, 2), 1), ((0, 1), 1), ((0, 1), -1)], ValueError,
+             "weight (0, 1) is not weakly decreasing"),
+        ],
+        ids=["dict", "weight-key", "weight-key-cancelling", "length", "length-cancelling",
+             "non-dominant", "non-dominant-cancelling"],
+    )
+    def test_the_public_constructor_still_checks(self, genus, pairs, error, message):
+        with pytest.raises(error) as info:
+            VirtualBundle(genus, pairs)
+        assert str(info.value) == message
