@@ -108,12 +108,7 @@ def _term_str(sym: Symbol, lexp: int, coeff: int) -> str:
 
 
 class MotiveExpr:
-    """Finite map (symbol, L-exponent) -> nonzero integer coefficient.
-
-    Keys are validated in one place: the public constructor and `from_obj`
-    check every key they are given.  The arithmetic, `normalize`, `dual`
-    and `motivic_weight_split` re-key terms of expressions that are
-    already checked, and build through `_of`, which does not check."""
+    """Finite map (symbol, L-exponent) -> nonzero integer coefficient."""
 
     __slots__ = ("_terms",)
 
@@ -135,20 +130,6 @@ class MotiveExpr:
         if 0 in acc.values():  # a scan in C: most sums drop nothing
             acc = {k: c for k, c in acc.items() if c}
         self._terms = acc
-
-    @classmethod
-    def _of(cls, terms: Iterable[tuple]) -> "MotiveExpr":
-        """As the constructor, from pairs whose keys the caller made from
-        the keys of checked expressions: repeated keys are summed and zero
-        sums dropped, and no key is checked."""
-        acc: dict[tuple[Symbol, int], int] = {}
-        for key, c in terms:
-            acc[key] = acc.get(key, 0) + c
-        if 0 in acc.values():
-            acc = {k: c for k, c in acc.items() if c}
-        expr = object.__new__(cls)
-        expr._terms = acc
-        return expr
 
     # -- constructors ------------------------------------------------
     @staticmethod
@@ -187,17 +168,17 @@ class MotiveExpr:
         return isinstance(other, MotiveExpr) and self._terms == other._terms
 
     def __add__(self, other: "MotiveExpr") -> "MotiveExpr":
-        return MotiveExpr._of(itertools.chain(self._terms.items(), other._terms.items()))
+        return MotiveExpr(itertools.chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self):
-        return MotiveExpr._of((k, -c) for k, c in self._terms.items())
+        return MotiveExpr((k, -c) for k, c in self._terms.items())
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return MotiveExpr._of((k, other * c) for k, c in self._terms.items())
+            return MotiveExpr((k, other * c) for k, c in self._terms.items())
         if not isinstance(other, MotiveExpr):
             return NotImplemented
         if other.is_l_polynomial():
@@ -208,7 +189,7 @@ class MotiveExpr:
             raise UnsupportedProductError(
                 "can only multiply by integer polynomials in L"
             )
-        return MotiveExpr._of(
+        return MotiveExpr(
             ((sym, a + b), c * d)
             for (sym, a), c in general._terms.items()
             for (_, b), d in mono._terms.items()
@@ -228,7 +209,7 @@ class MotiveExpr:
         # share one S[k+2]
         symbols = {sym for sym, _ in self._terms}
         rules = {sym: _rewrite(sym, expand_genus_one) for sym in symbols}
-        return MotiveExpr._of(
+        return MotiveExpr(
             ((s, a + shift), sign * c)
             for (sym, a), c in self._terms.items()
             for s, shift, sign in rules[sym]
@@ -237,7 +218,7 @@ class MotiveExpr:
     def dual(self) -> "MotiveExpr":
         """Poincare dual on the monomial level: L^a -> L^-a and
         S[k]*L^a -> S[k]*L^(1-k-a)."""
-        return MotiveExpr._of((_dual_key(*key), c) for key, c in self._terms.items())
+        return MotiveExpr((_dual_key(*key), c) for key, c in self._terms.items())
 
     def motivic_weight_split(self, threshold: int):
         """Partition terms by motivic weight (2a for L^a, 2a+k-1 for
@@ -257,7 +238,7 @@ class MotiveExpr:
                     f"term {_term_str(sym, a, c)} has weight exactly {threshold}"
                 )
             (low if w < threshold else high).append(((sym, a), c))
-        return MotiveExpr._of(low), MotiveExpr._of(high)
+        return MotiveExpr(low), MotiveExpr(high)
 
     # -- rendering ----------------------------------------------------
     def render(self, format: str = "text") -> str:

@@ -1099,14 +1099,21 @@ class TestRank1:
         return total.normalize(expand_genus_one=expand)
 
     @pytest.mark.parametrize("g", range(1, 13))
-    def test_one_pass_build(self, motive_builds, g):
+    def test_one_pass_build(self, monkeypatch, g):
         # one sum and one normalize: chained rebuilds would construct
         # several expressions per term
         rng = random.Random(g)
         lams = [tuple(sorted((rng.randint(0, 9) for _ in range(g)), reverse=True))
                 for _ in range(4)]
         expected = [self.chained(g, lam, False) for lam in lams]
-        built = motive_builds
+        built = []
+        real_init = MotiveExpr.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MotiveExpr, "__init__", counting_init)
         for lam, want in zip(lams, expected):
             built.clear()
             assert rank1(g, lam) == want
@@ -1254,12 +1261,19 @@ class TestGenus2OnePass:
             assert fn(l, m) == chained(l, m), (l, m)
 
     @pytest.mark.parametrize("fn, chained", CHAINED, ids=lambda f: f.__name__)
-    def test_one_pass_build(self, motive_builds, fn, chained):
+    def test_one_pass_build(self, monkeypatch, fn, chained):
         # one sum and one normalize, as in rank1
         lms = [(l, m) for l, m in [(0, 0), (2, 0), (3, 1), (11, 5), (12, 12), (63, 1)]
                if fn is not kernel_g2 or l > m > 0]
         expected = [chained(l, m) for l, m in lms]
-        built = motive_builds
+        built = []
+        real_init = MotiveExpr.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MotiveExpr, "__init__", counting_init)
         for (l, m), want in zip(lms, expected):
             built.clear()
             assert fn(l, m) == want

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -480,11 +481,20 @@ class TestTelescope:
             assert type(wt) is tuple and is_dominant(wt)
 
 
+def exactly(message: str) -> str:
+    """A `pytest.raises` match pattern for exactly this message."""
+    return f"^{re.escape(message)}$"
+
+
+LENGTH = exactly("weight length must equal the bundle genus")
+
+
 class TestVirtualBundle:
+    # a bad key raises its message even when its coefficients cancel
     def test_genus_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=LENGTH):
             VirtualBundle(2, [((1,), 1)])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=LENGTH):
             VirtualBundle(2, [((1,), 1), ((1,), -1)])
 
     def test_render(self):
@@ -518,19 +528,21 @@ class TestVirtualBundle:
         assert VirtualBundle(g, total.items()) == VirtualBundle(g, pairs)
 
     def test_a_dict_is_not_pairs(self):
-        with pytest.raises(TypeError):
+        mapping = exactly("VirtualBundle takes (entries, coeff) pairs, not a mapping")
+        with pytest.raises(TypeError, match=mapping):
             VirtualBundle(1, {(2,): 1, (-1,): -2})
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=mapping):
             VirtualBundle(2, {(2, 1): 1})
-        with pytest.raises(TypeError):
+        with pytest.raises(TypeError, match=mapping):
             VirtualBundle(1, {gw(2): 1, gw(-1): -2})
 
     def test_a_weight_key_is_not_an_entry_tuple(self):
-        with pytest.raises(TypeError, match="not an entry tuple"):
+        not_entries = exactly("weight key GlWeight(entries=(2,)) is not an entry tuple")
+        with pytest.raises(TypeError, match=not_entries):
             VirtualBundle(1, [(gw(2), 1)])
         with pytest.raises(TypeError):  # a list is not even hashable
             VirtualBundle(2, [((2, 1), 1), ([1, 0], 1)])
-        with pytest.raises(TypeError, match="not an entry tuple"):
+        with pytest.raises(TypeError, match=not_entries):
             VirtualBundle(1, [(gw(2), 1), (gw(2), -1)])
 
     def test_repr_after_a_failed_init(self):
@@ -542,18 +554,18 @@ class TestVirtualBundle:
         assert repr(VirtualBundle(2, [((1, 0), -2)])) == "-2*W(1,0)"
 
     def test_wrong_length_key(self):
-        with pytest.raises(ValueError, match="genus"):
+        with pytest.raises(ValueError, match=LENGTH):
             VirtualBundle(3, [((2, 1), 1)])
-        with pytest.raises(ValueError, match="genus"):
+        with pytest.raises(ValueError, match=LENGTH):
             VirtualBundle(0, [((2, 1), 1), ((2, 1), -1)])
 
     def test_non_dominant_key(self):
-        with pytest.raises(ValueError, match="not weakly decreasing"):
+        with pytest.raises(ValueError, match=exactly("weight (0, 1) is not weakly decreasing")):
             VirtualBundle(2, [((0, 1), 1)])
         # checked before the zero sums are dropped
-        with pytest.raises(ValueError, match="not weakly decreasing"):
+        with pytest.raises(ValueError, match=exactly("weight (0, 1) is not weakly decreasing")):
             VirtualBundle(2, [((2, 2), 1), ((0, 1), 1), ((0, 1), -1)])
-        with pytest.raises(ValueError, match="not weakly decreasing"):
+        with pytest.raises(ValueError, match=exactly("weight (0, 0, 1) is not weakly decreasing")):
             VirtualBundle(3, [((1, 0, 0), 5), ((0, 0, 1), 0)])
 
     def test_keys_are_the_sorted_entry_tuples(self):
@@ -677,28 +689,3 @@ class TestUncheckedProducers:
         self._assert_valid(built)
         # n + 1 bundles from each route, then closed, scaled and brute force
         assert len(built) == sum(2 * (len(mu) + 1) + 3 for mu in mus)
-
-    def test_scale_by_zero_drops_every_term(self):
-        vb = telescope_closed(gw(3, 1, 0))
-        assert vb.scale(0) == VirtualBundle(2) and vb.scale(0).is_zero()
-
-    @pytest.mark.parametrize(
-        "genus, pairs, error, message",
-        [
-            (1, {(2,): 1}, TypeError, "VirtualBundle takes (entries, coeff) pairs, not a mapping"),
-            (1, [(gw(2), 1)], TypeError, "weight key GlWeight(entries=(2,)) is not an entry tuple"),
-            (1, [(gw(2), 1), (gw(2), -1)], TypeError,
-             "weight key GlWeight(entries=(2,)) is not an entry tuple"),
-            (3, [((2, 1), 1)], ValueError, "weight length must equal the bundle genus"),
-            (0, [((2, 1), 1), ((2, 1), -1)], ValueError, "weight length must equal the bundle genus"),
-            (2, [((0, 1), 1)], ValueError, "weight (0, 1) is not weakly decreasing"),
-            (2, [((2, 2), 1), ((0, 1), 1), ((0, 1), -1)], ValueError,
-             "weight (0, 1) is not weakly decreasing"),
-        ],
-        ids=["dict", "weight-key", "weight-key-cancelling", "length", "length-cancelling",
-             "non-dominant", "non-dominant-cancelling"],
-    )
-    def test_the_public_constructor_still_checks(self, genus, pairs, error, message):
-        with pytest.raises(error) as info:
-            VirtualBundle(genus, pairs)
-        assert str(info.value) == message

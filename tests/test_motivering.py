@@ -411,11 +411,17 @@ class TestOnePassNormalize:
         assert x.normalize(expand) == fixed_point_normalize(x, expand)
 
     @pytest.mark.parametrize("expand", [False, True])
-    def test_builds_one_expression(self, motive_builds, expand):
+    def test_builds_one_expression(self, monkeypatch, expand):
         # Ec(1;(0)) -> -S[2] - 1 -> L takes the parent loop three passes
         x = Ec(1, (0,)) * (one() - L(3)) + Ec(0, ()) + S(2) + Ec(2, (3, 2))
-        built = motive_builds
-        built.clear()  # the builds of x itself
+        built = []
+        real_init = MotiveExpr.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(MotiveExpr, "__init__", counting_init)
         x.normalize(expand)
         assert len(built) == 1
 
@@ -546,77 +552,3 @@ class TestCheckRunner:
         assert (check.passed, check.detail, check.counterexample, check.cases) == (
             False, "some cases", "raised AssertionError: stream broke", before
         )
-
-
-cusp_exprs = st.lists(
-    st.tuples(st.one_of(st.just(ONE), st.integers(1, 15).map(lambda h: Symbol("S", k=2 * h))),
-              st.integers(-6, 6), st.integers(-4, 4)),
-    max_size=8,
-).map(lambda terms: MotiveExpr([((s, a), c) for s, a, c in terms]))
-
-
-def rebuilt(x: MotiveExpr) -> MotiveExpr:
-    """x through the public, checking constructor."""
-    return MotiveExpr(x.items())
-
-
-class TestUncheckedMethods:
-    """The methods build through `MotiveExpr._of`, which checks no key; each
-    result must equal the public constructor on the same pairs."""
-
-    @given(exprs, exprs, st.integers(-3, 3))
-    def test_arithmetic(self, x, y, n):
-        assert x + y == MotiveExpr(x.items() + y.items()) == rebuilt(x + y)
-        assert -x == MotiveExpr((k, -c) for k, c in x.items())
-        assert x - y == MotiveExpr(x.items() + [(k, -c) for k, c in y.items()])
-        assert x * n == n * x == MotiveExpr((k, n * c) for k, c in x.items())
-        assert (x * 0).is_zero()
-
-    @given(exprs, simple_exprs)
-    def test_product_with_an_l_polynomial(self, x, p):
-        expected = MotiveExpr(
-            ((sym, a + b), c * d) for (sym, a), c in x.items() for (_, b), d in p.items()
-        )
-        assert x * p == p * x == expected == rebuilt(x * p)
-
-    @given(exprs, st.booleans())
-    def test_normalize(self, x, expand):
-        got = x.normalize(expand)
-        assert got == rebuilt(got) == fixed_point_normalize(x, expand)
-
-    @given(cusp_exprs, st.integers(-30, 30))
-    def test_dual_and_split(self, x, threshold):
-        assert x.dual() == rebuilt(x.dual())
-        assert x.dual().dual() == x
-        try:
-            low, high = x.motivic_weight_split(threshold)
-        except AmbiguousSplitError:
-            return
-        assert low + high == x
-        assert (low, high) == (rebuilt(low), rebuilt(high))
-
-    @pytest.mark.parametrize(
-        "build, error, message",
-        [
-            (lambda: MotiveExpr({(ONE, 0): 1}), TypeError,
-             "MotiveExpr takes ((symbol, L-exponent), coeff) pairs, not a mapping"),
-            (lambda: MotiveExpr([(ONE, 1)]), TypeError,
-             f"term key {ONE!r} is not a (symbol, L-exponent) pair"),
-            (lambda: MotiveExpr([((ONE, 0), 1), ((ONE,), 2), ((ONE,), -2)]), TypeError,
-             f"term key {(ONE,)!r} is not a (symbol, L-exponent) pair"),
-            (lambda: MotiveExpr.from_obj({"coeff": 1}), ValueError,
-             "expected a list of records, got {'coeff': 1}"),
-            (lambda: MotiveExpr.from_obj([{"coeff": 1, "Lexp": 0, "symbol": {"type": "T"}}]),
-             ValueError, "unknown symbol type 'T'"),
-            (lambda: MotiveExpr.from_obj([
-                {"coeff": 1, "Lexp": 0, "symbol": {"type": "Ec", "g": 2, "lambda": [0, 1]}},
-                {"coeff": -1, "Lexp": 0, "symbol": {"type": "Ec", "g": 2, "lambda": [0, 1]}},
-            ]), ValueError, "Ec weight must be weakly decreasing"),
-        ],
-        ids=["dict", "bare-symbol", "cancelling", "not-a-list", "unknown-type",
-             "cancelling-record"],
-    )
-    def test_the_public_constructors_still_check(self, build, error, message):
-        with pytest.raises(error) as info:
-            build()
-        assert str(info.value) == message
