@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import sys
 from typing import Iterable
 
@@ -70,7 +69,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--max-g", type=int, default=suites.DEFAULT_MAX_G)
     sp.add_argument("--max-entry", type=int, default=suites.DEFAULT_MAX_ENTRY)
     sp.add_argument("--timings", action="store_true",
-                    help="write each check's case count and seconds to stderr")
+                    help="write each check's case count and seconds to stderr, "
+                         "and with --format json into each record")
     add_format(sp)
     return p
 
@@ -94,8 +94,9 @@ def _render_table(g: int, lmax: int, format: str):
     rows = eiscalc.table_rows(g, eiscalc.admissible_weights(g, lmax))
     if format == "json":
         # the bytes json.dumps gives for {"metadata": ..., "records": [...]},
-        # one record at a time
-        metadata = json.dumps({"g": g, "lmax": lmax, "engine-version": __version__})
+        # one record at a time: g and lmax are ints, and the version
+        # string needs no escaping
+        metadata = f'{{"g": {g}, "lmax": {lmax}, "engine-version": "{__version__}"}}'
         records = (
             '{"lambda": ' + str(list(lam))
             + "".join([f', "{key}": {expr.render("json")}' for key, expr in row])
@@ -221,7 +222,8 @@ def _stream(argv) -> tuple[int, Iterable[str], str]:
                 f"time {c.name}: {c.cases} cases, {c.seconds:.4f} s\n"
                 for c in report.checks
             ) if args.timings else ""
-            return (0 if report.passed else 1), [report.render(args.format), "\n"], timings
+            out = report.render(args.format, timings=args.timings)
+            return (0 if report.passed else 1), [out, "\n"], timings
         raise ValueError(f"unknown command {args.command!r}")
     except ValueError as exc:
         return 2, [], f"error: {exc}\n"

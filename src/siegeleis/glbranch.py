@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -25,26 +24,36 @@ def weight_text(entries: Iterable[int]) -> str:
     return "W(" + ",".join(map(str, entries)) + ")"
 
 
-@dataclass(frozen=True, slots=True)
-class GlWeight:
-    """Weakly decreasing integer vector; the empty weight is allowed."""
+class GlWeight(tuple):
+    """Weakly decreasing integer vector; the empty weight is allowed.
 
-    entries: tuple[int, ...]
+    A GlWeight is the tuple of its entries, checked as it is built.  It
+    compares equal to, hashes as and orders as its plain tuple, so
+    hashing and equality are tuple operations; `entries` is that plain
+    tuple.  Assigning to any attribute raises AttributeError.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not is_dominant(self.entries):
+    __slots__ = ()
+
+    def __new__(cls, entries: Iterable[int]):
+        # takes `entries` by name too, which tuple.__new__ alone refuses
+        return tuple.__new__(cls, entries)
+
+    def __init__(self, entries: Iterable[int]):
+        if not is_dominant(self):
             raise ValueError(f"weight {self.entries} is not weakly decreasing")
 
-    def __len__(self):
-        return len(self.entries)
+    entries = property(tuple)
+
+    def __repr__(self):
+        return f"GlWeight(entries={self.entries!r})"
 
     def __str__(self):
-        return weight_text(self.entries)
+        return weight_text(self)
 
     def dual(self) -> "GlWeight":
         """Reverse and negate (conjugation by the longest element of S_g)."""
-        return GlWeight(tuple(-a for a in reversed(self.entries)))
+        return GlWeight([-a for a in reversed(self)])
 
 
 def _interlacing(a: tuple[int, ...]) -> list[range]:
@@ -58,7 +67,7 @@ def _interlacing(a: tuple[int, ...]) -> list[range]:
 
 def branch(mu: GlWeight) -> list[GlWeight]:
     """All GL(g-1) weights interlacing mu, in lexicographic order."""
-    return [GlWeight(b) for b in itertools.product(*_interlacing(mu.entries))]
+    return [GlWeight(b) for b in itertools.product(*_interlacing(mu))]
 
 
 def straighten(v: Sequence[int]):
@@ -93,20 +102,22 @@ class VirtualBundle:
 
     def __init__(self, genus: int, pairs: Iterable[tuple] = ()):
         """From (entries, coeff) pairs; repeated entries are summed and zero
-        sums dropped.  Every distinct key is checked first, so a bad key
-        whose coefficients cancel still raises: TypeError for a key that is
-        not a tuple (a GlWeight, say) or for a dict, which is not pairs;
-        ValueError for a key whose length is not the genus or that is not
-        weakly decreasing."""
+        sums dropped.  Every key is checked before any is dropped, so a bad
+        key whose coefficients cancel still raises: TypeError for a key
+        that is not a tuple (a GlWeight, say) or for a dict, which is not
+        pairs; ValueError for a key whose length is not the genus or that
+        is not weakly decreasing."""
         if isinstance(pairs, dict):
             raise TypeError("VirtualBundle takes (entries, coeff) pairs, not a mapping")
         self.genus = genus
         acc: dict[tuple[int, ...], int] = {}
         for key, c in pairs:
-            acc[key] = acc.get(key, 0) + c
-        for key in acc:
+            # pair by pair: a GlWeight equals and hashes as its entries,
+            # so summed after an equal tuple it would leave no key behind
             if type(key) is not tuple:
                 raise TypeError(f"weight key {key!r} is not an entry tuple")
+            acc[key] = acc.get(key, 0) + c
+        for key in acc:
             if len(key) != genus:
                 raise ValueError("weight length must equal the bundle genus")
             if not is_dominant(key):
@@ -185,7 +196,7 @@ def wedge_dual_tensor(mu: GlWeight, k: int) -> VirtualBundle:
     if not 0 <= k <= n:
         raise ValueError("k out of range")
     # distinct subsets give distinct vectors, so every coefficient is 1
-    return VirtualBundle._of(n, dict.fromkeys(_deletions(mu.entries, k), 1))
+    return VirtualBundle._of(n, dict.fromkeys(_deletions(mu, k), 1))
 
 
 def wedge_dual_tensor_straightened(
@@ -207,7 +218,7 @@ def wedge_dual_tensor_straightened(
         straightened = {}
     acc: dict[tuple[int, ...], int] = {}
     for subset in itertools.combinations(range(n), k):
-        v = list(mu.entries)
+        v = list(mu)
         for i in subset:
             v[i] -= 1
         key = tuple(v)
@@ -239,7 +250,7 @@ def telescope_closed(a: GlWeight) -> VirtualBundle:
     if g == 0:
         raise ValueError("need a nonempty weight")
     terms = {
-        telescope_surgery(a.entries, k): (-1) ** (g - k) for k in range(1, g + 1)
+        telescope_surgery(a, k): (-1) ** (g - k) for k in range(1, g + 1)
     }
     return VirtualBundle._of(g - 1, terms)
 
@@ -267,7 +278,7 @@ def telescope_bruteforce(a: GlWeight) -> VirtualBundle:
     g = len(a)
     if g == 0:
         raise ValueError("need a nonempty weight")
-    box = _interlacing(a.entries)
+    box = _interlacing(a)
     tallies = (Counter(), Counter())  # by the parity of |S|
     for k in range(g):
         for subset in itertools.combinations(range(g - 1), k):

@@ -9,11 +9,9 @@ them); all arithmetic is exact.
 from __future__ import annotations
 
 import itertools
-import json
 import operator
 import time
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .glbranch import is_dominant
 
@@ -365,44 +363,87 @@ def _field(rec, key: str, kind: type):
     return rec[key]
 
 
-@dataclass(frozen=True)
 class Check:
-    name: str
-    passed: bool
-    detail: str = ""
-    counterexample: str | None = None
-    # what the check cost, not what it found: the cases it ran (up to and
-    # including a counterexample) and its wall time in seconds
-    cases: int = field(default=0, compare=False)
-    seconds: float = field(default=0.0, compare=False)
+    """One check's result: its name, whether it passed, what it covered
+    and its counterexample.  `cases` and `seconds` are what the check
+    cost, not what it found: the cases it ran (up to and including a
+    counterexample) and its wall time in seconds.  Two checks are equal,
+    and hash alike, when their results are, whatever they cost.
+    Assigning to or deleting any attribute raises AttributeError."""
+
+    __slots__ = ("name", "passed", "detail", "counterexample", "cases", "seconds")
+
+    def __init__(self, name: str, passed: bool, detail: str = "",
+                 counterexample: str | None = None, cases: int = 0, seconds: float = 0.0):
+        values = (name, passed, detail, counterexample, cases, seconds)
+        for attr, value in zip(self.__slots__, values):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, attr, value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    def __delattr__(self, attr):
+        raise AttributeError(f"cannot delete field {attr!r}")
+
+    def _result(self):
+        return self.name, self.passed, self.detail, self.counterexample
+
+    def __eq__(self, other):
+        if not isinstance(other, Check):
+            return NotImplemented
+        return self._result() == other._result()
+
+    def __hash__(self):
+        return hash(self._result())
+
+    def __repr__(self):
+        return (
+            f"Check(name={self.name!r}, passed={self.passed!r}, detail={self.detail!r}, "
+            f"counterexample={self.counterexample!r}, cases={self.cases!r}, "
+            f"seconds={self.seconds!r})"
+        )
 
 
-@dataclass
 class VerificationReport:
     """Pass/fail record for a batch of identity checks; `check` is the
-    only way a check enters it."""
+    only way a check enters it.  A report is a list of checks, which
+    `checks` holds and `VerificationReport(checks=...)` may start with;
+    two reports are equal only when they are the same report."""
 
-    checks: list[Check] = field(default_factory=list)
+    __slots__ = ("checks",)
 
-    def check(self, name, detail, cases, test, empty="no case ran"):
+    def __init__(self, checks: list[Check] | None = None):
+        self.checks = [] if checks is None else checks
+
+    def check(self, name, detail, cases, test, empty="no case ran",
+              where: Callable[[object], str] | None = None):
         """Record one check: `test(case)` is None when the case holds, else
         a counterexample string.  The check fails at the first
         counterexample, running no later case; an exception raised by the
         case stream or by `test` is a counterexample too, "raised
         <type>: <message>", so a broken engine fails the check that met
-        it.  A check that ran no case and raised nothing fails with detail
-        "0 cases" and counterexample `empty`.  The record carries the
-        number of cases run and the time taken."""
+        it.  `where(case)`, when given, names the case an exception from
+        `test` was raised on, as the test's own counterexamples begin:
+        "<where>: raised <type>: <message>".  A check that ran no case and
+        raised nothing fails with detail "0 cases" and counterexample
+        `empty`.  The record carries the number of cases run and the time
+        taken."""
         start = time.perf_counter()
         ran, cex = 0, None
         try:
             for case in cases:
                 ran += 1
-                cex = test(case)
+                try:
+                    cex = test(case)
+                except Exception as exc:
+                    cex = _raised(exc)
+                    if where is not None:
+                        cex = f"{where(case)}: {cex}"
                 if cex is not None:
                     break
         except Exception as exc:
-            cex = f"raised {type(exc).__name__}: {exc}"
+            # from the case stream (or `where`): no case to name
+            cex = _raised(exc)
         passed = ran > 0 and cex is None
         if cex is None and not ran:
             detail, cex = "0 cases", empty
@@ -420,8 +461,14 @@ class VerificationReport:
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]
 
-    def render(self, format: str = "text") -> str:
+    def render(self, format: str = "text", timings: bool = False) -> str:
+        """One line per check, or in JSON one record per check; with
+        `timings`, each JSON record also holds the check's `cases` and its
+        `seconds` to four places, as the CLI's stderr time lines give
+        them.  Text output has no cost fields."""
         if format == "json":
+            import json  # only JSON output needs it
+
             return json.dumps(
                 [
                     {
@@ -429,6 +476,7 @@ class VerificationReport:
                         "status": "pass" if c.passed else "fail",
                         "detail": c.detail,
                         "counterexample": c.counterexample,
+                        **({"cases": c.cases, "seconds": round(c.seconds, 4)} if timings else {}),
                     }
                     for c in self.checks
                 ]
@@ -443,3 +491,7 @@ class VerificationReport:
                 line += f" [counterexample: {c.counterexample}]"
             lines.append(line)
         return "\n".join(lines)
+
+
+def _raised(exc: Exception) -> str:
+    return f"raised {type(exc).__name__}: {exc}"

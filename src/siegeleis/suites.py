@@ -235,7 +235,7 @@ def verify_partition_suite(max_g: int = DEFAULT_MAX_G,
     for g in gs:
         report.check(
             f"partition-identity-g{g}", f"entries <= {e}", partition_cases(g),
-            partition_identity,
+            partition_identity, where=lambda case: f"lambda={case[0]}",
         )
 
     # reindexing completeness: per w, the boundary terms are exactly the
@@ -262,6 +262,7 @@ def verify_partition_suite(max_g: int = DEFAULT_MAX_G,
     report.check(
         "reindexing-completeness", f"g <= {g_max}", weights_with_finals(g_max),
         reindexes, empty=_NEEDS_G2.format(max_g),
+        where=lambda case: f"g={len(case[0])}, lambda={case[0]}",
     )
     return report
 

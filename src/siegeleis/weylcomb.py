@@ -2,7 +2,8 @@
 
 Elements of the Weyl group W_g sit inside S_2g as the permutations with
 w(i) + w(2g+1-i) = 2g+1.  Only the first g images are stored; the
-relation gives the rest.  Everything here is immutable and pure.
+relation gives the rest.  Everything here is pure, and a `WeylElement`
+is the immutable tuple (g, images).
 
 A final element is also determined by its flip set F, the indices i with
 2g+1-i among its images, which the boundary pipeline handles as a
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 
@@ -34,18 +34,23 @@ def rho(g: int) -> tuple[int, ...]:
     return tuple(range(g, 0, -1))
 
 
-@dataclass(frozen=True, slots=True)
-class WeylElement:
-    """Element of W_g given by its first g images [w(1), ..., w(g)]."""
+class WeylElement(tuple):
+    """Element of W_g given by its first g images [w(1), ..., w(g)].
 
-    g: int
-    images: tuple[int, ...]
+    A WeylElement is the tuple (g, images), checked as it is built.  It
+    compares equal to, hashes as and orders as its plain tuple, so
+    hashing and equality are tuple operations.  Assigning to any
+    attribute raises AttributeError.
+    """
 
-    def __post_init__(self):
-        g = self.g
+    __slots__ = ()
+
+    def __new__(cls, g: int, images: Iterable[int]):
+        return tuple.__new__(cls, (g, tuple(images)))
+
+    def __init__(self, g: int, images: Iterable[int]):
         if g < 0:
             raise ValueError("genus must be nonnegative")
-        object.__setattr__(self, "images", tuple(self.images))
         imgs = self.images
         if len(imgs) != g:
             raise ValueError("need exactly g images")
@@ -58,6 +63,16 @@ class WeylElement:
         # pairs iff no pair is hit twice
         if len({m if m <= g else 2 * g + 1 - m for m in imgs}) != g:
             raise ValueError("images contain a complementary pair")
+
+    g = property(operator.itemgetter(0))
+    images = property(operator.itemgetter(1))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild a WeylElement through __new__
+        return tuple(self)
+
+    def __repr__(self):
+        return f"WeylElement(g={self.g!r}, images={self.images!r})"
 
     def __str__(self):
         return images_text(self.g, self.images)

@@ -685,6 +685,12 @@ class TestVerify:
         argv = ["verify", "--suite", "telescope", "--format", format]
         plain = run(argv)
         code, out, err = run([*argv, "--timings"])
+        if format == "json":
+            # the records also carry their cost: without it, the same bytes
+            out = json.dumps([
+                {key: value for key, value in record.items() if key not in ("cases", "seconds")}
+                for record in json.loads(out)
+            ]) + "\n"
         assert (code, out) == plain[:2] and plain[2] == ""
         parsed = [
             re.fullmatch(r"time (\S+): (\d+) cases, (\d+\.\d{4}) s", ln).groups()
@@ -698,6 +704,22 @@ class TestVerify:
         assert cases["telescope-exhaustive"] == 119
         assert cases["telescope-random"] == 500
         assert cases["wedge-dual-route"] == 11220
+
+    @pytest.mark.parametrize("flags", [[], ["--max-g", "2"]], ids=["passing", "failing"])
+    def test_json_timings_carry_each_checks_cost(self, flags):
+        argv = ["verify", "--suite", "all", "--format", "json", *flags]
+        code, plain, _ = run(argv)
+        timed_code, out, err = run([*argv, "--timings"])
+        assert timed_code == code
+        result = {"name", "status", "detail", "counterexample"}
+        assert {frozenset(record) for record in json.loads(plain)} == {frozenset(result)}
+        records = json.loads(out)
+        assert {frozenset(record) for record in records} == {frozenset(result | {"cases", "seconds"})}
+        assert [{key: r[key] for key in result} for r in records] == json.loads(plain)
+        stderr = re.findall(r"^time (\S+): (\d+) cases, (\d+\.\d{4}) s$", err, re.M)
+        assert [(r["name"], r["cases"], r["seconds"]) for r in records] == [
+            (name, int(cases), float(seconds)) for name, cases, seconds in stderr
+        ]
 
     @pytest.mark.parametrize(
         "flags, g_max, cases",
@@ -895,10 +917,17 @@ class TestVerify:
         }
         assert failed["partition-identity-g3"] == (
             "FAIL partition-identity-g3: entries <= 4 [counterexample: "
-            "raised ValueError: weight (-2, 0, 0) is not weakly decreasing]"
+            "lambda=(0, 0, 0): raised ValueError: weight (-2, 0, 0) is not weakly decreasing]"
         )
-        for line in failed.values():
-            assert "[counterexample: raised ValueError: weight (-2, 0" in line
+        # the partition checks name the case the error was raised on
+        assert failed["reindexing-completeness"] == (
+            "FAIL reindexing-completeness: g <= 4 [counterexample: "
+            "g=2, lambda=(0, 0): raised ValueError: weight (-2, 0) is not weakly decreasing]"
+        )
+        for name, line in failed.items():
+            # filtration-exponents names no case: its message is as before
+            case = "" if name == "filtration-exponents" else r"(g=\d, )?lambda=\(0(, 0)*\): "
+            assert re.search(rf"\[counterexample: {case}raised ValueError: weight \(-2, 0", line)
 
     def test_restrict_bijection_checks_each_row_position(self, monkeypatch):
         # one position of one half-table row moved, its side and u left
@@ -1359,3 +1388,46 @@ class TestStream:
         proc.stderr.close()
         assert (proc.wait(timeout=60), err) == (1, b"")
         assert head.decode() == run(argv)[1][:100]
+
+
+# what `import siegeleis.cli` and building its parser load, one name a line
+STARTUP = (
+    "import sys; import siegeleis.cli; siegeleis.cli._build_parser(); "
+    "print('\\n'.join(sys.modules))"
+)
+# what answering one JSON verify question loads, after its output
+VERIFY_G2_JSON = (
+    "import sys; from siegeleis import cli; "
+    "code, out, err = cli.run(['verify', '--suite', 'g2', '--format', 'json']); "
+    "sys.stdout.write(out + '\\n'.join(sys.modules))"
+)
+
+
+def _child(code: str) -> str:
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.stdout
+
+
+class TestStartup:
+    """Start-up loads only what every question needs; the guard counts
+    modules in a fresh interpreter and takes no timings."""
+
+    UNNEEDED = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
+
+    def test_cli_import_and_parser_load_no_unneeded_module(self):
+        loaded = set(_child(STARTUP).splitlines())
+        assert {"siegeleis.cli", "argparse"} <= loaded
+        assert not loaded & self.UNNEEDED
+
+    def test_json_output_loads_json_and_gives_the_pinned_bytes(self):
+        out, modules = _child(VERIFY_G2_JSON).split("\n", 1)
+        loaded = set(modules.splitlines())
+        assert "json" in loaded
+        assert not loaded & (self.UNNEEDED - {"json"})
+        assert hashlib.sha256((out + "\n").encode()).hexdigest() == (
+            "9429e04d02c6a63c809eec6b99f16b426dd0c543232c9016627fb6aa4fccb86e"
+        )

@@ -216,13 +216,13 @@ def _count_value_objects(monkeypatch):
     still validated: {class: [objects]}."""
     built = {GlWeight: [], WeylElement: []}
     for cls in built:
-        check = cls.__post_init__
+        check = cls.__init__
 
-        def counted(self, check=check, cls=cls):
-            check(self)
+        def counted(self, *args, check=check, cls=cls, **kwargs):
+            check(self, *args, **kwargs)
             built[cls].append(self)
 
-        monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(cls, "__init__", counted)
     return built
 
 

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import re
 from collections import Counter
@@ -357,15 +359,15 @@ class TestTelescope:
 
     def test_bruteforce_builds_no_weight(self, monkeypatch):
         built = 0
-        check = GlWeight.__post_init__
+        check = GlWeight.__init__
 
-        def counted(self):
+        def counted(self, entries):
             nonlocal built
             built += 1
-            check(self)
+            check(self, entries)
 
         a = gw(6, 3, 1, -2)
-        monkeypatch.setattr(GlWeight, "__post_init__", counted)
+        monkeypatch.setattr(GlWeight, "__init__", counted)
         vb = telescope_bruteforce(a)
         monkeypatch.undo()
         assert vb == telescope_closed(a)
@@ -487,6 +489,59 @@ def exactly(message: str) -> str:
 
 
 LENGTH = exactly("weight length must equal the bundle genus")
+
+
+class TestGlWeightTuple:
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ((1, 2), "weight (1, 2) is not weakly decreasing"),
+            ([0, -1, 0], "weight (0, -1, 0) is not weakly decreasing"),
+        ],
+    )
+    def test_error_message(self, entries, message):
+        with pytest.raises(ValueError, match=exactly(message)):
+            GlWeight(entries)
+        with pytest.raises(ValueError, match=exactly(message)):
+            GlWeight(entries=iter(entries))
+
+    def test_repr(self):
+        assert repr(gw(2, 1)) == "GlWeight(entries=(2, 1))"
+        assert repr(gw()) == "GlWeight(entries=())"
+
+    def test_entries_by_name_and_position(self):
+        mu = GlWeight(entries=[2, 1])
+        assert mu == GlWeight(iter([2, 1])) == gw(2, 1)
+        assert mu.entries == (2, 1) and type(mu.entries) is tuple
+        assert (len(mu), str(mu), mu.dual()) == (2, "W(2,1)", gw(-1, -2))
+
+    def test_equal_to_its_plain_tuple(self):
+        mu = gw(3, 1, -2)
+        assert mu == (3, 1, -2) and hash(mu) == hash((3, 1, -2))
+        assert sorted([gw(1, 0), gw(0, 0), gw(2, -1)]) == [(0, 0), (1, 0), (2, -1)]
+
+    def test_assignment_raises(self):
+        mu = gw(2, 1)
+        for attr, value in (("entries", (3, 1)), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(mu, attr, value)
+        assert not hasattr(mu, "__dict__") and mu == (2, 1)
+
+    def test_copies_are_weights(self):
+        mu = gw(4, 2, 2, -1)
+        for twin in (copy.copy(mu), copy.deepcopy(mu), pickle.loads(pickle.dumps(mu))):
+            assert type(twin) is GlWeight and twin == mu and str(twin) == "W(4,2,2,-1)"
+
+    def test_a_weight_key_still_refused(self):
+        # equal to its entry tuple and hashed as it, a GlWeight key is
+        # still not an entry tuple
+        with pytest.raises(
+            TypeError, match=exactly("weight key GlWeight(entries=(2, 1)) is not an entry tuple")
+        ):
+            VirtualBundle(2, [(gw(2, 1), 1)])
+        with pytest.raises(TypeError, match="GlWeight"):  # after an equal tuple key
+            VirtualBundle(2, [((2, 1), 1), (gw(2, 1), 1)])
+        assert VirtualBundle(2, [(gw(2, 1).entries, 1)]) == VirtualBundle(2, [((2, 1), 1)])
 
 
 class TestVirtualBundle:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from siegeleis.motivering import (
     ONE,
     AmbiguousSplitError,
+    Check,
     MotiveExpr,
     NotExpandableError,
     Symbol,
@@ -485,6 +486,37 @@ class TestVerificationReport:
         ]
 
 
+class TestCheck:
+    def test_equality_ignores_the_cost(self):
+        cheap = Check("c", False, "d", "x=1", cases=1, seconds=0.5)
+        dear = Check("c", False, "d", "x=1", cases=9, seconds=2.0)
+        assert cheap == dear and not cheap != dear and hash(cheap) == hash(dear)
+        assert cheap != Check("c", False, "d", "x=2", cases=1, seconds=0.5)
+        assert cheap != Check("c", True, "d", "x=1") and cheap != ("c", False, "d", "x=1")
+
+    def test_defaults_and_repr(self):
+        assert repr(Check("c", True)) == (
+            "Check(name='c', passed=True, detail='', counterexample=None, cases=0, seconds=0.0)"
+        )
+
+    def test_assignment_raises(self):
+        check = Check("c", True)
+        for attr in ("passed", "cases", "other"):
+            with pytest.raises(AttributeError):
+                setattr(check, attr, False)
+            with pytest.raises(AttributeError):
+                delattr(check, attr)
+        assert check.passed is True and check.cases == 0
+
+    def test_a_report_from_checks(self):
+        checks = [Check("a", True, "x"), Check("b", False, "y", "z=1")]
+        report = VerificationReport(checks=checks)
+        assert report.checks is checks and not report.passed
+        assert report.failures() == checks[1:]
+        assert report.render() == "PASS a: x\nFAIL b: y [counterexample: z=1]"
+        assert VerificationReport().checks == [] and not VerificationReport().passed
+
+
 class TestCheckRunner:
     @staticmethod
     def run_check(cases, **kwargs):
@@ -552,3 +584,37 @@ class TestCheckRunner:
         assert (check.passed, check.detail, check.counterexample, check.cases) == (
             False, "some cases", "raised AssertionError: stream broke", before
         )
+
+    def test_an_exception_in_the_test_names_its_case(self):
+        def test(case):
+            if case == 2:
+                raise ValueError("weight (0, 1) is not weakly decreasing")
+            return f"x={case}" if case == 3 else None
+
+        r = VerificationReport()
+        r.check("c", "some cases", [1, 2, 3], test, where=lambda case: f"x={case}")
+        r.check("d", "some cases", [1, 3], test, where=lambda case: f"x={case}")
+        assert r.render() == (
+            "FAIL c: some cases [counterexample: "
+            "x=2: raised ValueError: weight (0, 1) is not weakly decreasing]\n"
+            "FAIL d: some cases [counterexample: x=3]"
+        )
+
+    def test_an_exception_in_the_case_stream_names_no_case(self):
+        def cases():
+            yield 1
+            raise AssertionError("stream broke")
+
+        check, seen = self.run_check(cases(), where=lambda case: f"x={case}")
+        assert (seen, check.counterexample, check.cases) == (
+            [1], "raised AssertionError: stream broke", 1
+        )
+
+    def test_timings_add_the_cost_to_the_json_records(self):
+        r = VerificationReport(checks=[Check("c", True, "d", None, 3, 0.123456)])
+        base = {"name": "c", "status": "pass", "detail": "d", "counterexample": None}
+        assert json.loads(r.render("json")) == [base]
+        assert json.loads(r.render("json", timings=True)) == [
+            {**base, "cases": 3, "seconds": 0.1235}
+        ]
+        assert r.render("text", timings=True) == r.render() == "PASS c: d"

@@ -1,5 +1,7 @@
+import copy
 import itertools
 import json
+import pickle
 import random
 
 import pytest
@@ -65,6 +67,52 @@ class TestWeylElement:
     def test_str(self):
         assert str(W(3, 1, 3, 5)) == "[135]"
         assert str(WeylElement(5, (1, 2, 3, 4, 5))) == "[1,2,3,4,5]"
+
+
+class TestWeylElementTuple:
+    @pytest.mark.parametrize(
+        "g, images, message",
+        [
+            (-1, (), "genus must be nonnegative"),
+            (2, (1,), "need exactly g images"),
+            (2, (1, 5), "images must lie in [1, 2g]"),
+            (2, (0, 1), "images must lie in [1, 2g]"),
+            (2, (3, 3), "images must be distinct"),
+            (2, (1, 4), "images contain a complementary pair"),
+        ],
+    )
+    def test_error_messages(self, g, images, message):
+        with pytest.raises(ValueError) as err:
+            WeylElement(g, images)
+        assert str(err.value) == message
+
+    def test_repr(self):
+        assert repr(W(2, 1, 3)) == "WeylElement(g=2, images=(1, 3))"
+        assert repr(WeylElement(0, ())) == "WeylElement(g=0, images=())"
+
+    def test_fields_by_name_and_position(self):
+        w = WeylElement(g=2, images=[1, 3])
+        assert w == WeylElement(2, iter([1, 3]))
+        assert (w.g, w.images) == (2, (1, 3)) and type(w.images) is tuple
+
+    def test_equal_to_its_plain_tuple(self):
+        w = W(3, 1, 3, 5)
+        assert w == (3, (1, 3, 5)) and hash(w) == hash((3, (1, 3, 5)))
+        assert sorted(enumerate_final(3), reverse=True)[0] == W(3, 4, 5, 6)
+
+    def test_assignment_raises(self):
+        w = W(2, 1, 3)
+        for attr, value in (("g", 3), ("images", (1, 2)), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(w, attr, value)
+        assert w == W(2, 1, 3)
+
+    def test_copies_are_elements(self):
+        w = W(3, 2, 4, 6)
+        for twin in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+            assert type(twin) is WeylElement and twin == w
+            assert (twin.g, twin.images) == (3, (2, 4, 6))
+            assert str(twin) == "[246]" and twin.length() == w.length()
 
 
 class TestEnumerateFinal:
